@@ -17,6 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import kernels
 from .cloud import FIELD_EXCLUSION_FACTOR, validate
 from .errors import GateError, GridMismatchError
 from .fields import GridField
@@ -121,11 +122,7 @@ class EffectiveModel:
         if self.kind == "uniform":
             return float(np.linalg.norm(self.matrix, 2))
         mats = self.field.values.reshape(-1, 5, 5)
-        out = 0.0
-        for start in range(0, len(mats), 65536):
-            sv = np.linalg.svd(mats[start:start + 65536], compute_uv=False)
-            out = max(out, float(sv[:, 0].max(initial=0.0)))
-        return out
+        return float(np.linalg.norm(mats, 2, axis=(1, 2)).max(initial=0.0))
 
 
 def uniform_Meff(box, phi, coefficient=5.0):
@@ -259,14 +256,6 @@ def hminus1_distance(f, g, pad=2, kmax=6, sub=6):
 # mean-field correction velocity
 
 
-def _nonzero_sources(field, A):
-    """Per-cell symmetric source S = coeff(A), restricted to its support."""
-    S = np.einsum("xyzab,b->xyza", field.values, np.asarray(A, float).reshape(5))
-    mask = np.any(S != 0.0, axis=-1)
-    centers = field.cell_centers()[mask]
-    return centers, embed(S[mask]), mask
-
-
 def tilde_vc(field, A, points, near_factor=2.0, sub=4):
     """Correction velocity of a coefficient field by direct quadrature.
 
@@ -284,36 +273,24 @@ def tilde_vc(field, A, points, near_factor=2.0, sub=4):
         field = field.field
     points = np.atleast_2d(np.asarray(points, dtype=float))
     out = np.zeros((len(points), 3))
-    centers, Smat, _ = _nonzero_sources(field, A)
-    if len(centers) == 0:
-        return out
+    S = np.einsum("xyzab,b->xyza", field.values, np.asarray(A, float).reshape(5))
+    mask = np.any(S != 0.0, axis=-1)
+    centers, S = field.cell_centers()[mask], S[mask]
     h = field.cell_size
-    vol = field.cell_volume
-    near2 = (near_factor * float(np.max(h))) ** 2
+    near = near_factor * float(np.max(h))
+    kernels.pair_sum(kernels.stresslet_velocity_kernel, field.cell_volume * S,
+                     points, centers, out, exclude_within=near)
+    # the near cells pair_sum skipped, subdivided sub^3 times; one offset at a time
+    pn, cn, zn = kernels.pairs_within(points, centers, near)
     t = (np.arange(sub) + 0.5) / sub - 0.5
     ox, oy, oz = np.meshgrid(t * h[0], t * h[1], t * h[2], indexing="ij")
     deltas = np.stack([ox, oy, oz], axis=-1).reshape(-1, 3)
-    chunk = max(1, int(1_500_000 // len(centers)))
-    for start in range(0, len(points), chunk):
-        stop = min(start + chunk, len(points))
-        z = points[start:stop, None, :] - centers[None, :, :]
-        r2 = np.einsum("pci,pci->pc", z, z)
-        far = r2 > near2
-        q = np.einsum("pci,cij,pcj->pc", z, Smat, z)
-        rr = np.where(far, r2, 1.0)
-        contrib = np.where(far, q / (rr * rr * np.sqrt(rr)), 0.0)
-        out[start:stop] += -_C38 * vol * np.einsum("pc,pci->pi", contrib, z)
-        # subdivided quadrature for the near cells
-        pn, cn = np.nonzero(~far)
-        if len(pn):
-            zs = z[pn, cn][:, None, :] - deltas[None, :, :]
-            rs2 = np.einsum("ksi,ksi->ks", zs, zs)
-            good = rs2 > (1e-9 * np.max(h)) ** 2
-            qs = np.einsum("ksi,kij,ksj->ks", zs, Smat[cn], zs)
-            rr = np.where(good, rs2, 1.0)
-            w = np.where(good, qs / (rr * rr * np.sqrt(rr)), 0.0)
-            add = -_C38 * (vol / sub ** 3) * np.einsum("ks,ksi->ki", w, zs)
-            np.add.at(out[start:stop], pn, add)
+    weights = ((field.cell_volume / sub ** 3) * S[cn]).T[..., None]
+    near_sum = np.zeros((len(pn), 3))
+    for delta in deltas:
+        z, r2 = kernels.pair_offsets(zn, delta[None], exclude_within=1e-9 * np.max(h))
+        near_sum += np.hstack(kernels.stresslet_velocity_kernel(weights, z, r2))
+    np.add.at(out, pn, near_sum)
     return out
 
 
@@ -468,7 +445,11 @@ def einstein_coefficient(cloud, A, order="first", mu=1.0, solver_kwargs=None):
 
 @dataclass(frozen=True)
 class ExclusionRegion:
-    """Axis-aligned box minus a union of balls around particle centers."""
+    """Axis-aligned box minus a union of balls around particle centers.
+
+    A point is kept when it lies in the closed box and its squared distance
+    to every center exceeds radius^2.
+    """
 
     box: np.ndarray
     centers: np.ndarray = None
@@ -479,12 +460,7 @@ class ExclusionRegion:
         box = np.asarray(self.box, dtype=float)
         mask = np.all((points >= box[0]) & (points <= box[1]), axis=-1)
         if self.centers is not None and len(self.centers) and self.radius > 0:
-            r2 = self.radius ** 2
-            for start in range(0, len(points), 65536):
-                stop = min(start + 65536, len(points))
-                z = points[start:stop, None, :] - self.centers[None, :, :]
-                d2 = np.einsum("pci,pci->pc", z, z)
-                mask[start:stop] &= np.all(d2 > r2, axis=1)
+            mask[kernels.pairs_within(points, self.centers, self.radius)[0]] = False
         return mask
 
 
@@ -509,13 +485,10 @@ def lp_field_distance(u_sampler, v_sampler, region, p, box, n):
     gx, gy, gz = np.meshgrid(*axes, indexing="ij")
     pts = np.stack([gx, gy, gz], axis=-1).reshape(-1, 3)
     pts = pts[region.contains(pts)]
-    total = 0.0
-    for start in range(0, len(pts), 32768):
-        stop = min(start + 32768, len(pts))
-        du = np.asarray(u_sampler(pts[start:stop])) - np.asarray(v_sampler(pts[start:stop]))
-        if du.ndim == 1:
-            mags = np.abs(du)
-        else:
-            mags = np.sqrt(np.einsum("pi,pi->p", du, du))
-        total += float(np.sum(mags ** p)) * vol
+    du = np.asarray(u_sampler(pts)) - np.asarray(v_sampler(pts))
+    if du.ndim == 1:
+        mags = np.abs(du)
+    else:
+        mags = np.sqrt(np.einsum("pi,pi->p", du, du))
+    total = float(np.sum(mags ** p)) * vol
     return total ** (1.0 / p)

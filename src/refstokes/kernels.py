@@ -15,16 +15,25 @@ All strain/stresslet coefficients are 5-vectors in the `sym3` basis. The
 "moment" of a particle is its mobility applied to the ambient strain; it has
 units of length^3 because particle mobilities carry the a^3 scaling.
 
-Functions broadcast over leading axes of the evaluation points.
+The stresslet strain, the stresslet velocity and the sphere disturbance are
+each written once, as a component-major pair kernel `f(m, z, r2)`: the
+coefficients m and the offsets z are sequences of separate arrays (5 and 3
+of them) and r2 = |z|^2, all broadcasting together, so a (targets x sources)
+block is plain elementwise arithmetic. An infinite r2 gives exactly zero.
+The public point functions are the single-pair case of these kernels, and
+`pair_sum` sums them over all pairs in chunks of at most `PAIR_BUDGET`.
+
+Point functions broadcast over leading axes of the evaluation points.
 """
 
 from __future__ import annotations
 
 import numpy as np
 from scipy import integrate
+from scipy.spatial import cKDTree
 
 from .errors import KernelDomainError
-from .sym3 import BASIS, apply_mobility, embed, project_sym_tracefree
+from .sym3 import apply_mobility, embed, project_sym_tracefree
 
 __all__ = [
     "oseen",
@@ -42,13 +51,28 @@ __all__ = [
     "sphere_mobility",
     "mobility_from_boundary_integral",
     "mean_value_reconstruct",
+    "PAIR_BUDGET",
+    "stresslet_strain_kernel",
+    "stresslet_velocity_kernel",
+    "sphere_disturbance_kernel",
+    "pair_offsets",
+    "pair_sum",
+    "pairs_within",
 ]
 
 _C8 = 1.0 / (8.0 * np.pi)
 _C4 = 1.0 / (4.0 * np.pi)
+_C38 = 3.0 * _C8
+_IS2 = 1.0 / np.sqrt(2.0)
+_IS6 = 1.0 / np.sqrt(6.0)
+
+# (target, source) pairs per chunk of `pair_sum`: each temporary of a chunk
+# holds this many float64 values (16 MB).
+PAIR_BUDGET = 2_000_000
 
 
 def _radii(x, minimum=0.0, what="kernel"):
+    """Checked points and their squared norms."""
     x = np.asarray(x, dtype=float)
     if x.shape[-1] != 3:
         raise ValueError(f"expected trailing axis of length 3, got shape {x.shape}")
@@ -56,34 +80,96 @@ def _radii(x, minimum=0.0, what="kernel"):
     if np.any(r2 <= minimum * minimum):
         raise KernelDomainError(
             f"{what} evaluated at |x| <= {minimum} (minimum distance violated)")
-    return x, np.sqrt(r2)
+    return x, r2
 
 
 def oseen(x):
     """Oseen tensor O(x), shape (...,3,3). Velocity response to a point force."""
-    x, r = _radii(x, 0.0, "oseen")
-    I = np.eye(3)
-    return _C8 * (I / r[..., None, None]
-                  + x[..., :, None] * x[..., None, :] / r[..., None, None] ** 3)
+    x, r2 = _radii(x, 0.0, "oseen")
+    r = np.sqrt(r2)[..., None, None]
+    return _C8 * (np.eye(3) / r + x[..., :, None] * x[..., None, :] / r ** 3)
 
 
 def oseen_pressure(x):
     """Pressure vector q(x) = x/(4 pi |x|^3) paired with the Oseen tensor."""
-    x, r = _radii(x, 0.0, "oseen_pressure")
-    return _C4 * x / r[..., None] ** 3
+    x, r2 = _radii(x, 0.0, "oseen_pressure")
+    return _C4 * x / np.sqrt(r2)[..., None] ** 3
 
 
 def oseen_gradient(x):
     """Gradient d_k O_ij(x), shape (...,3,3,3) indexed [i,j,k]."""
-    x, r = _radii(x, 0.0, "oseen_gradient")
+    x, r2 = _radii(x, 0.0, "oseen_gradient")
+    r = np.sqrt(r2)[..., None, None, None]
     I = np.eye(3)
-    r3 = r[..., None, None, None] ** 3
-    r5 = r[..., None, None, None] ** 5
     xi = x[..., :, None, None]
     xj = x[..., None, :, None]
     xk = x[..., None, None, :]
-    return _C8 * ((-I[:, :, None] * xk + I[:, None, :] * xj + I[None, :, :] * xi) / r3
-                  - 3.0 * xi * xj * xk / r5)
+    return _C8 * ((-I[:, :, None] * xk + I[:, None, :] * xj + I[None, :, :] * xi) / r ** 3
+                  - 3.0 * xi * xj * xk / r ** 5)
+
+
+# ---------------------------------------------------------------------------
+# component-major pair kernels
+
+
+def _moment_terms(m, z, r2):
+    """b = embed(m) z (components), s = z.b and |z|^5."""
+    mxx = m[0] * _IS2 + m[1] * _IS6
+    myy = m[1] * _IS6 - m[0] * _IS2
+    mzz = -2.0 * _IS6 * m[1]
+    mxy, mxz, myz = m[2] * _IS2, m[3] * _IS2, m[4] * _IS2
+    b = (mxx * z[0] + mxy * z[1] + mxz * z[2],
+         mxy * z[0] + myy * z[1] + myz * z[2],
+         mxz * z[0] + myz * z[1] + mzz * z[2])
+    return b, z[0] * b[0] + z[1] * b[1] + z[2] * b[2], r2 * r2 * np.sqrt(r2)
+
+
+def _basis_coeffs(u, v):
+    """Coefficients <E_a, u (x) v> in the sym3 basis, written out component by
+    component (each basis matrix has at most three nonzero entries). Must
+    stay in sync with sym3.BASIS; pinned by a test."""
+    xx, yy = u[0] * v[0], u[1] * v[1]
+    return [(xx - yy) * _IS2,
+            (xx + yy - 2.0 * u[2] * v[2]) * _IS6,
+            (u[0] * v[1] + u[1] * v[0]) * _IS2,
+            (u[0] * v[2] + u[2] * v[0]) * _IS2,
+            (u[1] * v[2] + u[2] * v[1]) * _IS2]
+
+
+def stresslet_strain_kernel(m, z, r2):
+    """Strain coefficients P_sym(grad K)[m](z) of a point stresslet.
+
+    <E_a, D(K)> = -(3/8pi) [ 2 <E_a, z (x) b>/r^5 - 5 s <E_a, z (x) z>/r^7 ]
+    with b = Mz and s = z.Mz; the delta term drops because the basis is
+    trace-free. Even in z and homogeneous of degree -3.
+    """
+    b, s, r5 = _moment_terms(m, z, r2)
+    p = (-2.0 * _C38) / r5
+    q = (-5.0 * _C38) * s / (r5 * r2)
+    return _basis_coeffs(z, [p * bi - q * zi for bi, zi in zip(b, z)])
+
+
+def stresslet_velocity_kernel(m, z, r2):
+    """Velocity of a point stresslet: -(3/8pi) (z.Mz) z/|z|^5."""
+    b, s, r5 = _moment_terms(m, z, r2)
+    k = (-_C38) * s / r5
+    return [k * zi for zi in z]
+
+
+def sphere_disturbance_kernel(m, z, r2, a):
+    """Disturbance of a sphere of radius a in the strain m (see
+    `sphere_disturbance`), grouped as z (5/2)(z.Az)(a^5/r^2 - a^3)/r^5 -
+    a^5 Az/r^5."""
+    b, s, r5 = _moment_terms(m, z, r2)
+    k = 2.5 * s * (a ** 5 / r2 - a ** 3) / r5
+    c = -a ** 5 / r5
+    return [k * zi + c * bi for zi, bi in zip(z, b)]
+
+
+def _point_kernel(kernel, m, x, r2, **params):
+    """A pair kernel at points x (..., 3) with coefficients m (..., 5)."""
+    m = np.moveaxis(np.asarray(m, dtype=float), -1, 0)
+    return np.stack(kernel(m, np.moveaxis(x, -1, 0), r2, **params), axis=-1)
 
 
 def stresslet_field_from_moment(moment, x):
@@ -93,10 +179,8 @@ def stresslet_field_from_moment(moment, x):
     Oseen gradient collapses to -(3/8pi) (x.Mx) x / |x|^5.
     `moment` broadcasts against the leading axes of x.
     """
-    x, r = _radii(x, 0.0, "stresslet_field")
-    M = embed(moment)
-    s = np.einsum("...i,...ij,...j->...", x, M, x)
-    return -(3.0 * _C8) * (s / r ** 5)[..., None] * x
+    x, r2 = _radii(x, 0.0, "stresslet_field")
+    return _point_kernel(stresslet_velocity_kernel, moment, x, r2)
 
 
 def stresslet_strain_from_moment(moment, x):
@@ -104,17 +188,8 @@ def stresslet_strain_from_moment(moment, x):
 
     Closed form of P_sym(grad K)[moment](x); homogeneous of degree -3.
     """
-    x, r = _radii(x, 0.0, "stresslet_strain")
-    M = embed(moment)
-    b = np.einsum("...ij,...j->...i", M, x)
-    s = np.einsum("...i,...i->...", x, b)
-    r5 = r ** 5
-    r7 = r5 * r * r
-    # <E_a, D(K)> = -(3/8pi) [ 2 <E_a, x (x) b>/r^5 - 5 s <E_a, x (x) x>/r^7 ];
-    # the delta term drops because the basis is trace-free.
-    t1 = np.einsum("aij,...i,...j->...a", BASIS, x, b)
-    t2 = np.einsum("aij,...i,...j->...a", BASIS, x, x)
-    return -(3.0 * _C8) * (2.0 * t1 / r5[..., None] - 5.0 * (s / r7)[..., None] * t2)
+    x, r2 = _radii(x, 0.0, "stresslet_strain")
+    return _point_kernel(stresslet_strain_kernel, moment, x, r2)
 
 
 def stresslet_field(mobility, strain, x):
@@ -125,6 +200,55 @@ def stresslet_field(mobility, strain, x):
 def stresslet_strain(mobility, strain, x):
     """Strain coefficients induced at x by a particle with the given mobility."""
     return stresslet_strain_from_moment(apply_mobility(mobility, strain), x)
+
+
+# ---------------------------------------------------------------------------
+# pair sums
+
+
+def pair_offsets(targets, sources, exclude_within=None):
+    """Component-major offsets z = target - source of a (targets x sources)
+    block, and r2 = |z|^2. Pairs with |z| <= exclude_within get r2 = inf, so
+    the kernels give them zero; exclude_within=0 drops self-pairs."""
+    z = [targets[:, None, i] - sources[None, :, i] for i in range(3)]
+    r2 = z[0] * z[0] + z[1] * z[1] + z[2] * z[2]
+    if exclude_within is not None:
+        r2[r2 <= exclude_within ** 2] = np.inf
+    return z, r2
+
+
+def pair_sum(kernel, weights, targets, sources, out, exclude_within=None):
+    """Add sum_m kernel(weights_m, targets_l - sources_m) to out[l] for every l.
+
+    weights has one row of coefficients per source; out has one row per
+    target. Targets are taken in chunks of at most PAIR_BUDGET pairs, and
+    each target's sum over sources is numpy's pairwise sum, so reruns on
+    identical input are bit-identical. Returns out.
+    """
+    w = np.asarray(weights, dtype=float).T
+    rows = max(1, PAIR_BUDGET // max(len(sources), 1))
+    for start in range(0, len(targets), rows):
+        z, r2 = pair_offsets(targets[start:start + rows], sources, exclude_within)
+        for c, part in enumerate(kernel(w, z, r2)):
+            out[start:start + rows, c] += part.sum(axis=1)
+    return out
+
+
+def pairs_within(targets, sources, radius):
+    """Index pairs (l, m), sorted, with |targets_l - sources_m| <= radius,
+    and their offsets (K, 3).
+
+    A KD-tree proposes candidates; the distance test itself uses the
+    arithmetic of `pair_offsets`, so a pair is kept here exactly when
+    `pair_offsets(..., exclude_within=radius)` excludes it.
+    """
+    found = cKDTree(targets).sparse_distance_matrix(
+        cKDTree(sources), radius * (1.0 + 1e-9), output_type="ndarray")
+    order = np.lexsort((found["j"], found["i"]))
+    t, s = found["i"][order], found["j"][order]
+    z = targets[t] - sources[s]
+    keep = z[:, 0] * z[:, 0] + z[:, 1] * z[:, 1] + z[:, 2] * z[:, 2] <= radius ** 2
+    return t[keep], s[keep], z[keep]
 
 
 def _sphere_terms(strain, a, x):
@@ -143,15 +267,10 @@ def sphere_disturbance(strain, a, x):
     On |x| = a this equals -Ax (the two quintic terms cancel the strain).
     Force- and torque-free; defined for |x| >= a.
     """
-    xb, A, r2, b, s = _sphere_terms(strain, a, x)
+    x, r2 = _radii(x, 0.0, "sphere_disturbance")
     if np.any(r2 < a * a * (1.0 - 1e-12)):
         raise KernelDomainError("sphere_disturbance evaluated inside the sphere")
-    r = np.sqrt(r2)
-    r5 = r ** 5
-    r7 = r5 * r2
-    u = (-2.5 * a ** 3 * (s / r5))[..., None] * xb \
-        - a ** 5 * (b / r5[..., None] - 2.5 * (s / r7)[..., None] * xb)
-    return u.reshape(np.shape(x))
+    return _point_kernel(sphere_disturbance_kernel, strain, x, r2, a=a)
 
 
 def sphere_pressure(strain, a, x):

@@ -10,7 +10,8 @@ and accumulates the levels into running totals. The accumulated totals are
 the Neumann series of the linear fixed-point problem (I - T) total = ambient,
 which `dense_fixed_point` solves directly as an independent oracle.
 
-All pair sums are evaluated in chunks with numpy's pairwise reduction, so
+Every pair sum goes through `kernels.pair_sum`, so the strain and velocity
+kernels here are the ones the point functions in `kernels` evaluate, and
 repeated runs on identical input are bit-identical.
 """
 
@@ -19,13 +20,15 @@ from __future__ import annotations
 import csv
 import json
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 from scipy import linalg
+from scipy.spatial import cKDTree
 
+from . import kernels
 from .cloud import ParticleCloud, validate
 from .errors import GateError, KernelDomainError
-from .kernels import sphere_mobility
 from .sym3 import embed
 
 __all__ = [
@@ -47,25 +50,6 @@ __all__ = [
 ]
 
 EPS0_GATE_DEFAULT = 1e-2   # admissible a^3/d^3 for the iterative solver
-_C38 = 3.0 / (8.0 * np.pi)
-_IS2 = 1.0 / np.sqrt(2.0)
-_IS6 = 1.0 / np.sqrt(6.0)
-
-
-def _outer_coeffs(u, v):
-    """Coefficients <E_a, u (x) v> in the fixed basis, written out component
-    by component (the basis matrices have at most three nonzero entries, so
-    this is much cheaper than the generic contraction on large pair sets).
-    Must stay in sync with sym3.BASIS; pinned by a test."""
-    ux, uy, uz = u[..., 0], u[..., 1], u[..., 2]
-    vx, vy, vz = v[..., 0], v[..., 1], v[..., 2]
-    return np.stack([
-        (ux * vx - uy * vy) * _IS2,
-        (ux * vx + uy * vy - 2.0 * uz * vz) * _IS6,
-        (ux * vy + uy * vx) * _IS2,
-        (ux * vz + uz * vx) * _IS2,
-        (uy * vz + uz * vy) * _IS2,
-    ], axis=-1)
 
 
 @dataclass
@@ -94,34 +78,6 @@ def _level_norm(levels, q=2.0):
     return float(np.sum(mags ** q) ** (1.0 / q)) if len(mags) else 0.0
 
 
-def _chunk_size(n):
-    return max(1, int(2_000_000 // max(n, 1)))
-
-
-def _pair_strain_sum(centers, moments):
-    """For each l: sum over m != l of D(K)[moments_m](x_l - x_m), shape (N,5)."""
-    n = len(centers)
-    out = np.zeros((n, 5))
-    if n <= 1:
-        return out
-    Mmat = embed(moments)                         # (N,3,3)
-    chunk = _chunk_size(n)
-    for start in range(0, n, chunk):
-        stop = min(start + chunk, n)
-        z = centers[start:stop, None, :] - centers[None, :, :]   # (B,N,3)
-        r2 = np.einsum("bmi,bmi->bm", z, z)
-        r2[np.arange(start, stop) - start, np.arange(start, stop)] = np.inf
-        b = np.einsum("mij,bmj->bmi", Mmat, z)
-        s = np.einsum("bmi,bmi->bm", z, b)
-        r5 = r2 * r2 * np.sqrt(r2)
-        r7 = r5 * r2
-        t1 = _outer_coeffs(z, b)
-        t2 = _outer_coeffs(z, z)
-        contrib = -_C38 * (2.0 * t1 / r5[..., None] - 5.0 * (s / r7)[..., None] * t2)
-        out[start:stop] = np.sum(contrib, axis=1)
-    return out
-
-
 def init_reflections(cloud, A):
     """Initial state: every particle carries the ambient strain."""
     A = np.asarray(A, dtype=float).reshape(5)
@@ -133,7 +89,9 @@ def init_reflections(cloud, A):
 def reflect_step(state):
     """One sweep: new level from the previous one, totals accumulated."""
     moments = np.einsum("lab,lb->la", state.cloud.mobilities, state.A_current)
-    new = _pair_strain_sum(state.cloud.centers, moments)
+    centers = state.cloud.centers
+    new = kernels.pair_sum(kernels.stresslet_strain_kernel, moments, centers, centers,
+                           np.zeros_like(moments), exclude_within=0.0)
     return ReflectionState(
         cloud=state.cloud,
         A_current=new,
@@ -173,45 +131,30 @@ def run_reflections(cloud, A, tol=1e-10, max_iter=100, fixed_n=None,
             raise ValueError("fixed_n must be >= 1")
         for _ in range(fixed_n - 1):
             state = reflect_step(state)
-        converged = state.norm_history[-1] <= tol * ref if state.n > 0 else False
-        return StressletSolution(cloud=cloud, A_hat=state.A_total,
-                                 iterations=state.n, converged=converged,
-                                 residual=state.norm_history[-1],
-                                 norm_history=list(state.norm_history))
-    for _ in range(max_iter):
-        state = reflect_step(state)
-        if state.norm_history[-1] <= tol * ref:
-            return StressletSolution(cloud=cloud, A_hat=state.A_total,
-                                     iterations=state.n, converged=True,
-                                     residual=state.norm_history[-1],
-                                     norm_history=list(state.norm_history))
-    return StressletSolution(cloud=cloud, A_hat=state.A_total,
-                             iterations=state.n, converged=False,
-                             residual=state.norm_history[-1],
+        converged = state.n > 0 and state.norm_history[-1] <= tol * ref
+    else:
+        converged = False
+        while not converged and state.n < max_iter:
+            state = reflect_step(state)
+            converged = state.norm_history[-1] <= tol * ref
+    return StressletSolution(cloud=cloud, A_hat=state.A_total, iterations=state.n,
+                             converged=bool(converged), residual=state.norm_history[-1],
                              norm_history=list(state.norm_history))
 
 
 def pair_interaction_matrix(cloud):
-    """Dense (5N, 5N) matrix of one reflection sweep (zero diagonal blocks)."""
+    """Dense (5N, 5N) matrix of one reflection sweep (zero diagonal blocks).
+
+    Column c of block (l, m) is the strain at x_l of the moment
+    mobility_m e_c at x_m.
+    """
     n = cloud.n
-    centers = cloud.centers
-    G = np.zeros((n, n, 5, 5))
-    for beta in range(5):
-        e = np.zeros(5)
-        e[beta] = 1.0
-        Mmat = embed(e)
-        z = centers[:, None, :] - centers[None, :, :]
-        r2 = np.einsum("lmi,lmi->lm", z, z)
-        r2[np.arange(n), np.arange(n)] = np.inf
-        b = np.einsum("ij,lmj->lmi", Mmat, z)
-        s = np.einsum("lmi,lmi->lm", z, b)
-        r5 = r2 * r2 * np.sqrt(r2)
-        r7 = r5 * r2
-        t1 = _outer_coeffs(z, b)
-        t2 = _outer_coeffs(z, z)
-        G[:, :, :, beta] = -_C38 * (2.0 * t1 / r5[..., None]
-                                    - 5.0 * (s / r7)[..., None] * t2)
-    T = np.einsum("lmab,mbc->lamc", G, cloud.mobilities)
+    z, r2 = kernels.pair_offsets(cloud.centers, cloud.centers, exclude_within=0.0)
+    T = np.empty((n, 5, n, 5))
+    for c in range(5):
+        columns = kernels.stresslet_strain_kernel(cloud.mobilities[:, :, c].T, z, r2)
+        for a, part in enumerate(columns):
+            T[:, a, :, c] = part
     return T.reshape(5 * n, 5 * n)
 
 
@@ -225,42 +168,19 @@ def dense_fixed_point(cloud, A):
     if 5 * n > 5000:
         raise ValueError(f"dense solve guarded to 5N <= 5000 (got N = {n})")
     A = np.asarray(A, dtype=float).reshape(5)
-    if n == 0:
-        return StressletSolution(cloud=cloud, A_hat=np.zeros((0, 5)), iterations=0,
-                                 converged=True, residual=0.0, norm_history=[0.0])
-    T = pair_interaction_matrix(cloud)
+    I_minus_T = -pair_interaction_matrix(cloud)
+    np.fill_diagonal(I_minus_T, 1.0)      # the diagonal blocks of T are zero
     rhs = np.tile(A, n)
     try:
-        x = linalg.solve(np.eye(5 * n) - T, rhs)
+        x = linalg.solve(I_minus_T, rhs)
     except linalg.LinAlgError as exc:
         raise linalg.LinAlgError(
             f"(I - T) singular; configuration outside the contraction regime: {exc}")
     A_hat = x.reshape(n, 5)
-    residual = float(np.linalg.norm((np.eye(5 * n) - T) @ x - rhs))
+    residual = float(np.linalg.norm(I_minus_T @ x - rhs))
     return StressletSolution(cloud=cloud, A_hat=A_hat, iterations=0,
                              converged=True, residual=residual,
                              norm_history=[_level_norm(A_hat)])
-
-
-def _sphere_disturbance_many(strains, a, z):
-    """Disturbance of N spheres with per-sphere strains at offsets z (P,N,3)."""
-    Amat = embed(strains)                             # (N,3,3)
-    r2 = np.einsum("pmi,pmi->pm", z, z)
-    b = np.einsum("mij,pmj->pmi", Amat, z)
-    s = np.einsum("pmi,pmi->pm", z, b)
-    r5 = r2 * r2 * np.sqrt(r2)
-    r7 = r5 * r2
-    u = (-2.5 * a ** 3 * (s / r5))[..., None] * z \
-        - a ** 5 * (b / r5[..., None] - 2.5 * (s / r7)[..., None] * z)
-    return np.sum(u, axis=1)
-
-
-def _stresslet_field_many(moments, z):
-    Mmat = embed(moments)
-    r2 = np.einsum("pmi,pmi->pm", z, z)
-    s = np.einsum("pmi,mij,pmj->pm", z, Mmat, z)
-    r5 = r2 * r2 * np.sqrt(r2)
-    return np.sum((-_C38 * s / r5)[..., None] * z, axis=1)
 
 
 def evaluate_velocity(solution, A, points, mode="far_field"):
@@ -277,26 +197,21 @@ def evaluate_velocity(solution, A, points, mode="far_field"):
     points = np.atleast_2d(np.asarray(points, dtype=float))
     A = np.asarray(A, dtype=float).reshape(5)
     u = points @ embed(A).T
-    if cloud.n == 0:
-        return u
     if mode == "sphere_full" and not np.allclose(
-            cloud.mobilities, sphere_mobility(cloud.a), rtol=1e-10, atol=0.0):
+            cloud.mobilities, kernels.sphere_mobility(cloud.a), rtol=1e-10, atol=0.0):
         raise ValueError("sphere_full mode requires all particles spherical")
-    chunk = _chunk_size(cloud.n)
-    for start in range(0, len(points), chunk):
-        stop = min(start + chunk, len(points))
-        z = points[start:stop, None, :] - cloud.centers[None, :, :]
-        r2 = np.einsum("pmi,pmi->pm", z, z)
-        if np.any(r2 < cloud.a ** 2 * (1.0 - 1e-12)):
-            p, m = np.unravel_index(int(np.argmin(r2)), r2.shape)
-            raise KernelDomainError(
-                f"evaluation point {start + p} inside particle {m}")
-        if mode == "sphere_full":
-            u[start:stop] += _sphere_disturbance_many(solution.A_hat, cloud.a, z)
-        else:
-            moments = np.einsum("mab,mb->ma", cloud.mobilities, solution.A_hat)
-            u[start:stop] += _stresslet_field_many(moments, z)
-    return u
+    dist, nearest = cKDTree(cloud.centers).query(points)
+    inside = np.flatnonzero(dist * dist < cloud.a ** 2 * (1.0 - 1e-12))
+    if len(inside):
+        raise KernelDomainError(
+            f"evaluation point {inside[0]} inside particle {nearest[inside[0]]}")
+    if mode == "sphere_full":
+        kernel = partial(kernels.sphere_disturbance_kernel, a=cloud.a)
+        weights = solution.A_hat
+    else:
+        kernel = kernels.stresslet_velocity_kernel
+        weights = np.einsum("mab,mb->ma", cloud.mobilities, solution.A_hat)
+    return kernels.pair_sum(kernel, weights, points, cloud.centers, u)
 
 
 def contraction_diagnostic(cloud, A, q=2.0, n_levels=5,

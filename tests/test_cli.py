@@ -263,3 +263,15 @@ def test_seed_override(tmp_path, capsys):
     cli.main(["generate", "--config", cfgp, "--out", str(o1)])
     cli.main(["generate", "--config", cfgp, "--out", str(o2), "--seed", "2"])
     assert o1.read_bytes() != o2.read_bytes()
+
+
+def test_reflect_oracle_size_limit_exit_code(tmp_path, capsys):
+    centers = np.random.default_rng(0).uniform(0.01, 0.99, size=(1001, 3))
+    cloud_path = tmp_path / "cloud.json"
+    cl.save_cloud(cl.ParticleCloud.spheres(centers, 1e-4, np.array(UNIT_BOX)),
+                  cloud_path)
+    cfgp = lattice_config(tmp_path, solver={"fixed_n": 1})
+    rc = cli.main(["reflect", "--config", cfgp, "--cloud", str(cloud_path),
+                   "--out", str(tmp_path / "solution.json"), "--oracle"])
+    assert rc == 4
+    assert "5N <= 5000" in capsys.readouterr().err

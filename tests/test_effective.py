@@ -393,3 +393,22 @@ def test_lp_exclusion_region():
     val = eff.lp_field_distance(u, v, region, 1.0, UNIT_BOX, 16)
     excluded_volume = 8 * (4 / 3) * np.pi * 0.2 ** 3
     assert abs(val - (1.0 - excluded_volume)) < 0.05
+
+
+def test_exclusion_mask_matches_brute_force(rng):
+    # dyadic coordinates: distances to the first center are exact in floats
+    radius = 0.125
+    centers = np.vstack([[0.5, 0.5, 0.5], [0.25, 0.75, 0.25],
+                         rng.uniform(0.3, 0.7, size=(20, 3))])
+    g = np.arange(-1, 18) / 16.0              # the box faces 0 and 1 included
+    pts = np.stack(np.meshgrid(g, g, g, indexing="ij"), axis=-1).reshape(-1, 3)
+    region = eff.ExclusionRegion(box=UNIT_BOX, centers=centers, radius=radius)
+    got = region.contains(pts)
+    z = pts[:, None, :] - centers[None, :, :]
+    in_box = np.all((pts >= 0.0) & (pts <= 1.0), axis=-1)
+    brute = in_box & np.all(np.einsum("pci,pci->pc", z, z) > radius ** 2, axis=1)
+    assert np.array_equal(got, brute)
+    # exactly 4a = radius from a center: excluded
+    assert not region.contains(np.array([[0.625, 0.5, 0.5], [0.5, 0.5, 0.375]])).any()
+    on_faces = np.any((pts == 0.0) | (pts == 1.0), axis=-1) & in_box
+    assert got[on_faces].all()
