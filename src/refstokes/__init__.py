@@ -43,7 +43,7 @@ from .errors import (
     SaturationError,
     SeparationError,
 )
-from .fields import GridField, load_field, save_field, slice_to_csv
+from .fields import GridField
 from .kernels import (
     mean_value_reconstruct,
     mobility_from_boundary_integral,

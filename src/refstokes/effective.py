@@ -12,6 +12,7 @@ for spheres at first order in the volume fraction.
 
 from __future__ import annotations
 
+import functools
 import warnings
 from dataclasses import dataclass
 
@@ -22,7 +23,7 @@ from .cloud import FIELD_EXCLUSION_FACTOR, validate
 from .errors import GateError, GridMismatchError
 from .fields import GridField
 from .reflections import run_reflections
-from .sym3 import embed, frobenius, project_sym_tracefree
+from .sym3 import frobenius, project_sym_tracefree
 
 __all__ = [
     "assemble_MN",
@@ -40,7 +41,14 @@ __all__ = [
     "lp_field_distance",
 ]
 
-_C38 = 3.0 / (8.0 * np.pi)
+# rasterization: coverage of a boundary cell from _RASTER_SUB^3 midpoints
+_RASTER_SUB = 8
+# H^-1 quadrature: zero-padding factor, half-width in spectral cells of the
+# refined near cube, and its subcells per spectral cell (even)
+_HM1_PAD, _HM1_KMAX, _HM1_SUB = 2, 6, 6
+# mean-field quadrature: source cells within _NEAR_FACTOR * max cell size are
+# split into _NEAR_SUB^3 subcells; `tilde_vc` and the FFT kernels share both
+_NEAR_FACTOR, _NEAR_SUB = 2.0, 4
 # integral of 1/|xi|^2 over the unit cube, for the residual origin microcell
 _C0_UNIT_CUBE = 7.674124
 
@@ -49,12 +57,12 @@ _C0_UNIT_CUBE = 7.674124
 # coefficient fields
 
 
-def assemble_MN(cloud, box, n, subsample=8):
+def assemble_MN(cloud, box, n):
     """Rasterize the per-ball coefficient density onto a grid.
 
     Each particle contributes its mobility scaled by 3/(4 pi a^3) on its own
     ball; boundary cells receive the covered fraction (estimated from
-    subsample^3 midpoints per cell), so strictly interior cells carry the
+    _RASTER_SUB^3 midpoints per cell), so strictly interior cells carry the
     exact matrix and the total integral matches sum of mobilities to a
     fraction of a percent even when the balls are a few cells wide.
     """
@@ -65,7 +73,7 @@ def assemble_MN(cloud, box, n, subsample=8):
             f"grid spacing {np.max(h):.3g} is coarser than a/2 = {cloud.a / 2:.3g}; "
             "rasterization is under-resolved", stacklevel=2)
     axes = field.axes()
-    t = (np.arange(subsample) + 0.5) / subsample - 0.5
+    t = (np.arange(_RASTER_SUB) + 0.5) / _RASTER_SUB - 0.5
     sx, sy, sz = np.meshgrid(t * h[0], t * h[1], t * h[2], indexing="ij")
     offsets = np.stack([sx, sy, sz], axis=-1).reshape(-1, 3)
     scale = 3.0 / (4.0 * np.pi * cloud.a ** 3)
@@ -134,9 +142,9 @@ def uniform_Meff(box, phi, coefficient=5.0):
                           matrix=coefficient * phi * np.eye(5))
 
 
-def model_from_cloud(cloud, box, n, subsample=8):
+def model_from_cloud(cloud, box, n):
     return EffectiveModel(kind="from_cloud", box=np.asarray(cloud.box, float),
-                          field=assemble_MN(cloud, box, n, subsample=subsample))
+                          field=assemble_MN(cloud, box, n))
 
 
 def model_from_grid(field, support_box=None):
@@ -148,26 +156,19 @@ def model_from_grid(field, support_box=None):
 # homogeneous H^{-1} distance
 
 
-_REFINED_WEIGHT_CACHE = {}
-
-
-def _refined_weights(kmax, sub):
+@functools.lru_cache(maxsize=1)
+def _refined_weights(kmax):
     """Cell-integrated 1/|xi|^2 weights on the refined spectral subgrid.
 
     The near region is the cube of (2 kmax + 1)^3 spectral cells around the
-    origin, split into subcells of width 1/sub (units of one spectral cell).
-    The origin falls on a subcell corner, so no weight is singular: the 8
+    origin, split into subcells of width 1/_HM1_SUB (units of one spectral
+    cell). The origin falls on a subcell corner, so no weight is singular: the 8
     corner-touching subcells get their exact integral (a quarter of the
     unit-cube constant), subcells nearby are subdivided, the rest use the
     midpoint value. Scale-invariant: multiply by the spectral cell width.
     """
-    if sub % 2:
-        raise ValueError("sub must be even so the origin falls on subcell corners")
-    key = (kmax, sub)
-    if key in _REFINED_WEIGHT_CACHE:
-        return _REFINED_WEIGHT_CACHE[key]
-    m = (2 * kmax + 1) * sub
-    s = 1.0 / sub
+    m = (2 * kmax + 1) * _HM1_SUB
+    s = 1.0 / _HM1_SUB
     c1 = (np.arange(m) + 0.5) * s - (kmax + 0.5)
     CX, CY, CZ = np.meshgrid(c1, c1, c1, indexing="ij")
     r2 = CX ** 2 + CY ** 2 + CZ ** 2
@@ -183,14 +184,13 @@ def _refined_weights(kmax, sub):
     corner = (np.abs(CX) < 0.6 * s) & (np.abs(CY) < 0.6 * s) & (np.abs(CZ) < 0.6 * s)
     w[corner] = (_C0_UNIT_CUBE / 4.0) * s
     w.setflags(write=False)
-    _REFINED_WEIGHT_CACHE[key] = w
     return w
 
 
-def _hm1_component_sq(arr, lo, dx, pad, kmax, sub):
+def _hm1_component_sq(arr, lo, dx):
     n = arr.shape[0]
-    npad = n * pad
-    kmax = min(kmax, npad // 2 - 1)
+    npad = n * _HM1_PAD
+    kmax = min(_HM1_KMAX, npad // 2 - 1)
     if kmax < 1:
         raise ValueError("padded grid too small for the spectral quadrature")
     H = np.fft.fftn(arr, s=(npad,) * 3, axes=(0, 1, 2))
@@ -208,9 +208,9 @@ def _hm1_component_sq(arr, lo, dx, pad, kmax, sub):
     # zoom transform: exact spectrum samples on the refined subgrid of the
     # near cube (keeps the whole estimate a positive quadratic form of the
     # field, so symmetry/triangle/translation hold to rounding)
-    weights = _refined_weights(kmax, sub)
+    weights = _refined_weights(kmax)
     m = weights.shape[0]
-    xi = ((np.arange(m) + 0.5) / sub - (kmax + 0.5)) * dxi
+    xi = ((np.arange(m) + 0.5) / _HM1_SUB - (kmax + 0.5)) * dxi
     x1 = lo + (np.arange(n) + 0.5) * dx
     E = np.exp(-1j * np.outer(xi, x1))
     Z = np.tensordot(E, arr, axes=(1, 0))            # (m, n, n)
@@ -221,7 +221,7 @@ def _hm1_component_sq(arr, lo, dx, pad, kmax, sub):
     return total + near_sq
 
 
-def hminus1_distance(f, g, pad=2, kmax=6, sub=6):
+def hminus1_distance(f, g):
     """Componentwise homogeneous H^{-1} distance of two grid fields.
 
     Continuum convention (2 pi)^{-3} integral of |fourier(f-g)|^2/|xi|^2,
@@ -239,16 +239,13 @@ def hminus1_distance(f, g, pad=2, kmax=6, sub=6):
     h = f.cell_size
     if not np.allclose(h, h[0], rtol=1e-12, atol=0.0):
         raise ValueError("the spectral quadrature requires cubic cells")
-    if pad < 1:
-        raise ValueError("pad must be >= 1")
     diff = (f.values - g.values).reshape(f.n, f.n, f.n, -1)
     total = 0.0
     for c in range(diff.shape[-1]):
         comp = diff[..., c]
         if not comp.any():
             continue
-        total += _hm1_component_sq(comp, float(f.box[0][0]), float(h[0]),
-                                   pad, kmax, sub)
+        total += _hm1_component_sq(comp, float(f.box[0][0]), float(h[0]))
     return float(np.sqrt(total / (2.0 * np.pi) ** 3))
 
 
@@ -256,14 +253,31 @@ def hminus1_distance(f, g, pad=2, kmax=6, sub=6):
 # mean-field correction velocity
 
 
-def tilde_vc(field, A, points, near_factor=2.0, sub=4):
+def _subcell_velocity(m, z, h):
+    """Stresslet velocity at offsets z (K, 3) from the centres of near cells
+    of size h, by the midpoint rule over the _NEAR_SUB^3 subcells of each
+    cell. m holds the 5 coefficients of a whole cell, each a scalar or a
+    (K, 1) array; a subcell centre within 1e-9 max(h) of its target is
+    dropped."""
+    t = (np.arange(_NEAR_SUB) + 0.5) / _NEAR_SUB - 0.5
+    ox, oy, oz = np.meshgrid(t * h[0], t * h[1], t * h[2], indexing="ij")
+    w = np.asarray(m) / _NEAR_SUB ** 3
+    out = np.zeros((len(z), 3))
+    for delta in zip(ox.ravel(), oy.ravel(), oz.ravel()):
+        zs, r2 = kernels.pair_offsets(z, np.array([delta]),
+                                      exclude_within=1e-9 * np.max(h))
+        out += np.hstack(kernels.stresslet_velocity_kernel(w, zs, r2))
+    return out
+
+
+def tilde_vc(field, A, points):
     """Correction velocity of a coefficient field by direct quadrature.
 
     Evaluates the convolution of the per-cell sources coeff(A) with the
     stresslet kernel by the midpoint rule over source cells; cells closer
-    than near_factor * max cell size to an evaluation point are subdivided
-    sub^3 times (the kernel is degree -2, locally integrable). Accepts a
-    rank-2 GridField or a grid-backed EffectiveModel (rasterize a uniform
+    than _NEAR_FACTOR * max cell size to an evaluation point are subdivided
+    _NEAR_SUB^3 times (the kernel is degree -2, locally integrable). Accepts
+    a rank-2 GridField or a grid-backed EffectiveModel (rasterize a uniform
     model first to pick its resolution).
     """
     if isinstance(field, EffectiveModel):
@@ -277,93 +291,61 @@ def tilde_vc(field, A, points, near_factor=2.0, sub=4):
     mask = np.any(S != 0.0, axis=-1)
     centers, S = field.cell_centers()[mask], S[mask]
     h = field.cell_size
-    near = near_factor * float(np.max(h))
+    near = _NEAR_FACTOR * float(np.max(h))
     kernels.pair_sum(kernels.stresslet_velocity_kernel, field.cell_volume * S,
                      points, centers, out, exclude_within=near)
-    # the near cells pair_sum skipped, subdivided sub^3 times; one offset at a time
+    # the near cells pair_sum skipped, subdivided
     pn, cn, zn = kernels.pairs_within(points, centers, near)
-    t = (np.arange(sub) + 0.5) / sub - 0.5
-    ox, oy, oz = np.meshgrid(t * h[0], t * h[1], t * h[2], indexing="ij")
-    deltas = np.stack([ox, oy, oz], axis=-1).reshape(-1, 3)
-    weights = ((field.cell_volume / sub ** 3) * S[cn]).T[..., None]
-    near_sum = np.zeros((len(pn), 3))
-    for delta in deltas:
-        z, r2 = kernels.pair_offsets(zn, delta[None], exclude_within=1e-9 * np.max(h))
-        near_sum += np.hstack(kernels.stresslet_velocity_kernel(weights, z, r2))
-    np.add.at(out, pn, near_sum)
+    weights = (field.cell_volume * S[cn]).T[..., None]
+    np.add.at(out, pn, _subcell_velocity(weights, zn, h))
     return out
 
 
-_KERNEL_CACHE = {}
-
-
-def clear_kernel_cache():
-    _KERNEL_CACHE.clear()
-
-
-def _stresslet_cell_kernels(box, n, near_factor, sub):
-    """rfft of the 18 cell-averaged stresslet kernels K_ijk on the padded
-    lag grid (j <= k pairs; the near lags are subdivided like `tilde_vc`)."""
-    box = np.asarray(box, float)
-    key = (n, box.tobytes(), near_factor, sub)
-    if key in _KERNEL_CACHE:
-        return _KERNEL_CACHE[key]
-    h = (box[1] - box[0]) / n
-    vol = float(np.prod(h))
+@functools.lru_cache(maxsize=1)
+def _stresslet_cell_kernels(n, box):
+    """rfft of the cell-averaged stresslet velocity kernels on the padded lag
+    grid of the n^3 grid on box (a flat 6-tuple): [i, c] is velocity
+    component i of one cell carrying unit coefficient c. Near lags are
+    subdivided exactly as in `tilde_vc`. Only the last grid is kept."""
+    h = (np.array(box[3:]) - np.array(box[:3])) / n
     m = 2 * n
     lag = np.where(np.arange(m) < n, np.arange(m), np.arange(m) - m)
-    zx, zy, zz = np.meshgrid(lag * h[0], lag * h[1], lag * h[2], indexing="ij")
-    z = np.stack([zx, zy, zz], axis=-1)
-    r2 = np.einsum("...i,...i->...", z, z)
-    near = r2 <= (near_factor * float(np.max(h))) ** 2
-    rr = np.where(near, 1.0, r2)
-    r5 = rr * rr * np.sqrt(rr)
-    pairs = [(0, 0), (1, 1), (2, 2), (0, 1), (0, 2), (1, 2)]
-    kern = np.empty((3, 6, m, m, m))
-    for i in range(3):
-        for p, (j, k) in enumerate(pairs):
-            kern[i, p] = np.where(near, 0.0,
-                                  -_C38 * vol * z[..., i] * z[..., j] * z[..., k] / r5)
-    # subdivided near lags
-    t = (np.arange(sub) + 0.5) / sub - 0.5
-    ox, oy, oz = np.meshgrid(t * h[0], t * h[1], t * h[2], indexing="ij")
-    deltas = np.stack([ox, oy, oz], axis=-1).reshape(-1, 3)
-    idx = np.argwhere(near)
-    zn = z[near]
-    zs = zn[:, None, :] - deltas[None, :, :]
-    rs2 = np.einsum("ksi,ksi->ks", zs, zs)
-    good = rs2 > (1e-9 * np.max(h)) ** 2
-    rr = np.where(good, rs2, 1.0)
-    rs5 = rr * rr * np.sqrt(rr)
-    for i in range(3):
-        for p, (j, k) in enumerate(pairs):
-            w = np.where(good, zs[..., i] * zs[..., j] * zs[..., k] / rs5, 0.0)
-            kern[i, p][tuple(idx.T)] = -_C38 * (vol / sub ** 3) * np.sum(w, axis=1)
-    khat = np.stack([[np.fft.rfftn(kern[i, p]) for p in range(6)] for i in range(3)])
-    _KERNEL_CACHE[key] = khat
+    z = np.meshgrid(lag * h[0], lag * h[1], lag * h[2], indexing="ij")
+    r2 = z[0] * z[0] + z[1] * z[1] + z[2] * z[2]
+    near = r2 <= (_NEAR_FACTOR * float(np.max(h))) ** 2
+    r2[near] = np.inf
+    zn = np.stack([zi[near] for zi in z], axis=-1)
+    khat = np.empty((3, 5, m, m, n + 1), dtype=complex)
+    for c, unit in enumerate(np.prod(h) * np.eye(5)):
+        kern = kernels.stresslet_velocity_kernel(unit, z, r2)
+        close = _subcell_velocity(unit, zn, h)
+        for i in range(3):
+            kern[i][near] = close[:, i]
+            khat[i, c] = np.fft.rfftn(kern[i])
+    khat.setflags(write=False)
     return khat
 
 
-def _convolve_sources(field_values_sym, box, n, near_factor=2.0, sub=4):
-    """FFT convolution of a symmetric per-cell source field (n,n,n,3,3) with
-    the stresslet kernel; returns the velocity on the same grid."""
-    khat = _stresslet_cell_kernels(box, n, near_factor, sub)
-    m = 2 * n
-    pairs = [(0, 0), (1, 1), (2, 2), (0, 1), (0, 2), (1, 2)]
-    weights = [1.0, 1.0, 1.0, 2.0, 2.0, 2.0]
-    shat = [np.fft.rfftn(field_values_sym[..., j, k], s=(m, m, m), axes=(0, 1, 2))
-            for (j, k) in pairs]
+clear_kernel_cache = _stresslet_cell_kernels.cache_clear
+
+
+def _convolve_sources(sources, box, n):
+    """FFT convolution of per-cell stresslet coefficients (n,n,n,5) with the
+    cell-averaged kernels; returns the velocity on the same grid."""
+    box = tuple(np.asarray(box, float).ravel().tolist())
+    khat = _stresslet_cell_kernels(int(n), box)
+    s = (2 * n,) * 3
+    shat = [np.fft.rfftn(sources[..., c], s=s, axes=(0, 1, 2)) for c in range(5)]
     out = np.empty((n, n, n, 3))
     for i in range(3):
-        acc = np.zeros_like(shat[0])
-        for p in range(6):
-            acc += weights[p] * shat[p] * khat[i, p]
-        out[..., i] = np.fft.irfftn(acc, s=(m, m, m), axes=(0, 1, 2))[:n, :n, :n]
+        acc = shat[0] * khat[i, 0]
+        for c in range(1, 5):
+            acc += shat[c] * khat[i, c]
+        out[..., i] = np.fft.irfftn(acc, s=s, axes=(0, 1, 2))[:n, :n, :n]
     return out
 
 
-def fixed_point_vc(model, A, box, n, tol=1e-8, max_iter=50,
-                   near_factor=2.0, sub=4):
+def fixed_point_vc(model, A, box, n, tol=1e-8, max_iter=50):
     """Solve the effective-medium correction velocity by fixed-point iteration.
 
     Iterates v <- conv(coeff(D(v) + A)) on the grid, strains by centered
@@ -390,7 +372,7 @@ def fixed_point_vc(model, A, box, n, tol=1e-8, max_iter=50,
         else:
             strain = np.zeros((n, n, n, 5))
         rhs = np.einsum("xyzab,xyzb->xyza", raster.values, strain + A)
-        v_new = _convolve_sources(embed(rhs), box, n, near_factor, sub)
+        v_new = _convolve_sources(rhs, box, n)
         inc = float(np.sqrt(np.sum((v_new - v) ** 2) * vol))
         increments.append(inc)
         v = v_new
@@ -418,8 +400,9 @@ def einstein_work(cloud, A, strains, mu=1.0):
     return float(mu * np.sum(moments @ A))
 
 
-def einstein_coefficient(cloud, A, order="first", mu=1.0, solver_kwargs=None):
-    """Excess work normalized by 2 mu A:A |K| phi.
+def einstein_coefficient(cloud, A, order="first", solver_kwargs=None):
+    """Excess work normalized by 2 mu A:A |K| phi (mu cancels, so none is
+    taken).
 
     order="first" uses the ambient strain on every particle (exactly 5/2 for
     spheres); order="converged" uses the reflected strains.
@@ -434,8 +417,8 @@ def einstein_coefficient(cloud, A, order="first", mu=1.0, solver_kwargs=None):
         strains = np.tile(A, (cloud.n, 1))
     else:
         strains = run_reflections(cloud, A, **(solver_kwargs or {})).A_hat
-    work = einstein_work(cloud, A, strains, mu=mu)
-    denom = 2.0 * mu * frobenius(A, A) * cloud.box_volume * stats.phi_global
+    work = einstein_work(cloud, A, strains)
+    denom = 2.0 * frobenius(A, A) * cloud.box_volume * stats.phi_global
     return work / denom
 
 

@@ -4,22 +4,15 @@ The leading three axes of `values` index cells (cell-centered samples); any
 trailing axes are the per-cell component shape, e.g. () for a scalar field,
 (3,) for a velocity, (5, 5) for a strain-to-stress coefficient field. The
 per-axis resolution is a power of two so grids feed the FFT paths directly.
-
-Binary layout: magic, n, number of trailing axes, trailing dims, box corners,
-then the raw float64 data in row-major order.
 """
 
 from __future__ import annotations
 
-import csv
-import struct
 from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["GridField", "save_field", "load_field", "slice_to_csv", "line_to_csv"]
-
-_MAGIC = b"RSGF0001"
+__all__ = ["GridField"]
 
 
 @dataclass(frozen=True, eq=False)
@@ -77,66 +70,3 @@ class GridField:
 
     def same_grid(self, other):
         return self.n == other.n and np.array_equal(self.box, other.box)
-
-
-def save_field(field, path):
-    tail = field.values.shape[3:]
-    with open(path, "wb") as fh:
-        fh.write(_MAGIC)
-        fh.write(struct.pack("<qq", field.n, len(tail)))
-        fh.write(struct.pack(f"<{len(tail)}q", *tail) if tail else b"")
-        fh.write(struct.pack("<6d", *field.box.reshape(6)))
-        fh.write(np.ascontiguousarray(field.values).tobytes())
-
-
-def load_field(path):
-    with open(path, "rb") as fh:
-        if fh.read(8) != _MAGIC:
-            raise ValueError(f"{path}: not a grid-field file")
-        n, rank = struct.unpack("<qq", fh.read(16))
-        tail = struct.unpack(f"<{rank}q", fh.read(8 * rank)) if rank else ()
-        box = np.array(struct.unpack("<6d", fh.read(48))).reshape(2, 3)
-        count = n ** 3 * int(np.prod(tail, dtype=np.int64)) if tail else n ** 3
-        data = np.frombuffer(fh.read(8 * count), dtype="<f8", count=count)
-    return GridField(box=box, n=int(n), values=data.reshape((n, n, n) + tail).copy())
-
-
-def line_to_csv(field, axis, index_a, index_b, path):
-    """Export one 1D line of cells along `axis`; the other two axes are fixed
-    at (index_a, index_b) in increasing-axis order."""
-    if axis not in (0, 1, 2):
-        raise ValueError("axis must be 0, 1 or 2")
-    keep = [k for k in range(3) if k != axis]
-    sl = [slice(None)] * 3
-    sl[keep[0]] = index_a
-    sl[keep[1]] = index_b
-    data = field.values[tuple(sl)].reshape(field.n, -1)
-    coords = field.axes()[axis]
-    names = [f"c{k}" for k in range(data.shape[-1])]
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["xyz"[axis], *names])
-        for i in range(field.n):
-            writer.writerow([repr(float(coords[i])),
-                             *[repr(float(v)) for v in data[i]]])
-
-
-def slice_to_csv(field, axis, index, path):
-    """Export one 2D slice (component columns flattened) with coordinates."""
-    if axis not in (0, 1, 2):
-        raise ValueError("axis must be 0, 1 or 2")
-    axes = field.axes()
-    keep = [k for k in range(3) if k != axis]
-    sl = [slice(None)] * 3
-    sl[axis] = index
-    data = field.values[tuple(sl)]
-    flat = data.reshape(field.n, field.n, -1)
-    names = [f"c{k}" for k in range(flat.shape[-1])]
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["xyz"[keep[0]], "xyz"[keep[1]], *names])
-        for i in range(field.n):
-            for j in range(field.n):
-                writer.writerow([repr(float(axes[keep[0]][i])),
-                                 repr(float(axes[keep[1]][j])),
-                                 *[repr(float(v)) for v in flat[i, j]]])

@@ -46,7 +46,6 @@ __all__ = [
     "save_solution",
     "load_solution",
     "convergence_table_to_csv",
-    "velocity_to_csv",
 ]
 
 EPS0_GATE_DEFAULT = 1e-2   # admissible a^3/d^3 for the iterative solver
@@ -276,13 +275,3 @@ def convergence_table_to_csv(norm_history, path):
             ratio = "" if k == 0 else repr(
                 0.0 if norm_history[k - 1] == 0.0 else v / norm_history[k - 1])
             writer.writerow([k, repr(float(v)), ratio])
-
-
-def velocity_to_csv(points, velocities, path):
-    points = np.atleast_2d(points)
-    velocities = np.atleast_2d(velocities)
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["x", "y", "z", "ux", "uy", "uz"])
-        for p, v in zip(points, velocities):
-            writer.writerow([repr(float(c)) for c in (*p, *v)])

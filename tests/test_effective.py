@@ -263,12 +263,27 @@ def test_fixed_point_first_iterate_matches_tilde_vc():
     model = eff.uniform_Meff(UNIT_BOX, 0.02, 5.0)
     gbox = np.array([[-0.5] * 3, [1.5] * 3])
     n = 16
-    v1, _ = eff.fixed_point_vc(model, UNIAXIAL, gbox, n, max_iter=1)
     raster = model.rasterize(gbox, n)
-    pts = v1.cell_centers().reshape(-1, 3)
-    direct = eff.tilde_vc(raster, UNIAXIAL, pts).reshape(n, n, n, 3)
-    scale = np.max(np.abs(direct))
-    assert np.max(np.abs(v1.values - direct)) < 1e-6 * scale
+    # UNIAXIAL has only coefficients 0 and 1; the second strain sends all
+    # five source coefficients, the off-diagonal ones included, through the FFT
+    for A in (UNIAXIAL, np.array([0.3, -0.7, 0.5, 0.2, -0.4])):
+        v1, _ = eff.fixed_point_vc(model, A, gbox, n, max_iter=1)
+        pts = v1.cell_centers().reshape(-1, 3)
+        direct = eff.tilde_vc(raster, A, pts).reshape(n, n, n, 3)
+        scale = np.max(np.abs(direct))
+        assert np.max(np.abs(v1.values - direct)) < 1e-6 * scale
+
+
+def test_kernel_cache_holds_one_grid():
+    model = eff.uniform_Meff(UNIT_BOX, 0.02, 5.0)
+    gbox = np.array([[-0.5] * 3, [1.5] * 3])
+    for n in (8, 4):
+        eff.fixed_point_vc(model, UNIAXIAL, gbox, n, max_iter=1)
+    assert eff._stresslet_cell_kernels.cache_info().currsize == 1
+    khat = eff._stresslet_cell_kernels(4, tuple(gbox.ravel().tolist()))
+    assert khat.shape == (3, 5, 8, 8, 5) and not khat.flags.writeable
+    eff.clear_kernel_cache()
+    assert eff._stresslet_cell_kernels.cache_info().currsize == 0
 
 
 def test_fixed_point_non_convergence_reported():

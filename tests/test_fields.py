@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from refstokes.fields import GridField, load_field, save_field, slice_to_csv
+from refstokes.fields import GridField
 
 BOX = np.array([[-1.0, -1.0, -1.0], [1.0, 1.0, 1.0]])
 
@@ -23,48 +23,6 @@ def test_geometry_helpers():
     centers = f.cell_centers()
     assert centers.shape == (4, 4, 4, 3)
     assert np.allclose(centers[0, 0, 0], [-0.75, -0.75, -0.75])
-
-
-def test_save_load_roundtrip(tmp_path, rng):
-    for tail in ((), (3,), (5, 5)):
-        f = GridField(box=BOX, n=4, values=rng.normal(size=(4, 4, 4) + tail))
-        path = tmp_path / f"field{len(tail)}.bin"
-        save_field(f, path)
-        g = load_field(path)
-        assert g.n == f.n
-        assert np.array_equal(g.box, f.box)
-        assert np.array_equal(g.values, f.values)
-
-
-def test_load_rejects_other_files(tmp_path):
-    path = tmp_path / "junk.bin"
-    path.write_bytes(b"not a field at all")
-    with pytest.raises(ValueError):
-        load_field(path)
-
-
-def test_slice_csv(tmp_path, rng):
-    f = GridField(box=BOX, n=4, values=rng.normal(size=(4, 4, 4, 3)))
-    path = tmp_path / "slice.csv"
-    slice_to_csv(f, axis=2, index=1, path=path)
-    lines = path.read_text().strip().splitlines()
-    assert lines[0] == "x,y,c0,c1,c2"
-    assert len(lines) == 17
-    first = [float(v) for v in lines[1].split(",")]
-    assert first[:2] == [-0.75, -0.75]
-    assert np.allclose(first[2:], f.values[0, 0, 1])
-
-
-def test_line_csv(tmp_path, rng):
-    from refstokes.fields import line_to_csv
-    f = GridField(box=BOX, n=4, values=rng.normal(size=(4, 4, 4)))
-    path = tmp_path / "line.csv"
-    line_to_csv(f, axis=0, index_a=2, index_b=3, path=path)
-    lines = path.read_text().strip().splitlines()
-    assert lines[0] == "x,c0"
-    assert len(lines) == 5
-    row = [float(v) for v in lines[1].split(",")]
-    assert row == [-0.75, f.values[0, 2, 3]]
 
 
 def test_same_grid():

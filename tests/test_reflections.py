@@ -326,12 +326,3 @@ def test_convergence_csv(tmp_path):
     assert lines[0] == "iteration,level_norm,ratio"
     assert len(lines) == 4
     assert lines[2].split(",")[2] == "0.5"
-
-
-def test_velocity_csv(tmp_path):
-    path = tmp_path / "vel.csv"
-    pts = np.array([[1.0, 2.0, 3.0]])
-    refl.velocity_to_csv(pts, np.array([[0.1, 0.2, 0.3]]), path)
-    lines = path.read_text().strip().splitlines()
-    assert lines[0] == "x,y,z,ux,uy,uz"
-    assert len(lines) == 2
