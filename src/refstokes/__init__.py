@@ -31,8 +31,6 @@ from .effective import (
     fixed_point_vc,
     hminus1_distance,
     lp_field_distance,
-    model_from_cloud,
-    model_from_grid,
     tilde_vc,
     uniform_Meff,
 )

@@ -18,12 +18,8 @@ import sys
 from dataclasses import asdict, dataclass, field
 from importlib import resources
 
+import jsonschema
 import numpy as np
-
-try:
-    import jsonschema
-except ImportError:  # pragma: no cover
-    jsonschema = None
 
 from . import cloud as cloudmod
 from . import effective, kernels, reflections, sym3
@@ -100,8 +96,7 @@ def _schema(name):
 
 
 def validate_document(doc, schema_name):
-    if jsonschema is not None:
-        jsonschema.validate(doc, _schema(schema_name))
+    jsonschema.validate(doc, _schema(schema_name))
 
 
 def load_config(path):
@@ -111,7 +106,7 @@ def load_config(path):
     return ExperimentConfig.from_json(doc)
 
 
-def build_cloud(cfg, a=None, seed=None):
+def build_cloud(cfg, a=None):
     spec = dict(cfg.cloud)
     kind = spec.get("kind")
     box = np.asarray(spec["box"], dtype=float)
@@ -120,8 +115,7 @@ def build_cloud(cfg, a=None, seed=None):
         return cloudmod.generate_lattice(box, int(spec["n_per_axis"]), radius)
     if kind == "rsa":
         return cloudmod.generate_rsa(box, int(spec["n"]), radius,
-                                     float(spec["dmin"]),
-                                     cfg.seed if seed is None else seed)
+                                     float(spec["dmin"]), cfg.seed)
     raise ValueError(f"unknown cloud kind {kind!r}")
 
 
@@ -143,9 +137,9 @@ def _solver_kwargs(cfg):
 
 
 def _dump_json(doc, path):
+    text = json.dumps(doc, indent=1, sort_keys=True, allow_nan=False)
     with open(path, "w") as fh:
-        json.dump(doc, fh, indent=1, sort_keys=True)
-        fh.write("\n")
+        fh.write(text + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -313,10 +307,10 @@ def cmd_validate(cfg, args):
         print(f"{'PASS' if passed else 'FAIL'} {name}")
         ok &= passed
     if args.cloud:
-        cloud = cloudmod.load_cloud(args.cloud)
         with open(args.cloud) as fh:
-            validate_document(json.load(fh), "cloud.schema.json")
-        stats = cloudmod.validate(cloud)
+            doc = json.load(fh)
+        validate_document(doc, "cloud.schema.json")
+        stats = cloudmod.validate(cloudmod.cloud_from_json(doc))
         print(json.dumps({"n": stats.n, "d": stats.d,
                           "phi_global": stats.phi_global,
                           "phi_local": stats.phi_local}, sort_keys=True))
@@ -400,10 +394,10 @@ def main(argv=None):
     except (ValueError, KernelDomainError, KeyError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARAM
+    except jsonschema.ValidationError as exc:
+        print(f"error: {exc.message}", file=sys.stderr)
+        return EXIT_PARAM
     except Exception as exc:
-        if jsonschema is not None and isinstance(exc, jsonschema.ValidationError):
-            print(f"error: {exc.message}", file=sys.stderr)
-            return EXIT_PARAM
         print(f"internal error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
 

@@ -15,6 +15,7 @@ a value; they are kept as separate named constants on purpose.
 from __future__ import annotations
 
 import csv
+import functools
 import json
 from dataclasses import dataclass
 
@@ -153,13 +154,13 @@ class _HashGrid:
         self.table.setdefault(self.key(p), []).append(idx)
 
 
-def generate_rsa(box, n, a, dmin, seed, max_attempts=None):
+def generate_rsa(box, n, a, dmin, seed):
     """Random sequential addition of n centers with pairwise distance >= dmin.
 
     Reproducible for a fixed seed. Uses a spatial hash with cell size dmin so
     each trial checks only 27 cells. Raises SaturationError when the request
-    is provably infeasible or when placement exceeds the attempt budget
-    (default 10^4 * n).
+    is provably infeasible or when placement exceeds the attempt budget of
+    10^4 * n trials.
     """
     box = np.asarray(box, dtype=float)
     if dmin <= SEPARATION_FACTOR * a:
@@ -177,7 +178,7 @@ def generate_rsa(box, n, a, dmin, seed, max_attempts=None):
         raise SaturationError(
             f"saturation: {n} centers with spacing {dmin:.6g} cannot fit "
             f"(packing bound {region / ((np.pi / 6.0) * dmin ** 3):.0f})")
-    budget = int(max_attempts) if max_attempts is not None else 10_000 * n
+    budget = 10_000 * n
     rng = np.random.default_rng(seed)
     grid = _HashGrid(dmin)
     centers = np.empty((n, 3))
@@ -234,11 +235,15 @@ def _min_distance(centers):
     return float(np.sqrt(d2[l])), (l, int(idx[l, 1]))
 
 
+@functools.lru_cache(maxsize=1)
 def validate(cloud):
     """Check containment and separation; return geometric statistics.
 
     Raises SeparationError (naming the offending pair or particle) instead of
     warning. For N <= 1 the separation is infinite and phi_local is zero.
+    Clouds are immutable and compare by identity, so the statistics of the
+    last valid cloud are kept: the several stages of one run that validate
+    the same cloud check it once. Failures are not kept.
     """
     c = cloud.centers
     inside = (c >= cloud.box[0] + cloud.a - 1e-15) & (c <= cloud.box[1] - cloud.a + 1e-15)
@@ -270,19 +275,16 @@ def validate(cloud):
     return CloudStats(n=cloud.n, d=d, phi_global=phi_global, phi_local=phi_local)
 
 
-def cloud_to_json(cloud, include_mobilities=None):
+def cloud_to_json(cloud):
     """JSON document for a cloud. Mobilities are included only when they
-    differ from the sphere default (or when forced)."""
-    default = np.allclose(cloud.mobilities, sphere_mobility(cloud.a),
-                          rtol=1e-12, atol=0.0)
-    if include_mobilities is None:
-        include_mobilities = not default
+    differ from the sphere default."""
     doc = {
         "a": float(cloud.a),
         "box": [[float(v) for v in cloud.box[0]], [float(v) for v in cloud.box[1]]],
         "centers": [[float(v) for v in row] for row in cloud.centers],
     }
-    if include_mobilities:
+    if not np.allclose(cloud.mobilities, sphere_mobility(cloud.a),
+                       rtol=1e-12, atol=0.0):
         doc["mobilities"] = [[float(v) for v in m.reshape(25)] for m in cloud.mobilities]
     return doc
 
@@ -299,9 +301,9 @@ def cloud_from_json(doc):
 
 
 def save_cloud(cloud, path):
+    text = json.dumps(cloud_to_json(cloud), indent=1, sort_keys=True, allow_nan=False)
     with open(path, "w") as fh:
-        json.dump(cloud_to_json(cloud), fh, indent=1, sort_keys=True)
-        fh.write("\n")
+        fh.write(text + "\n")
 
 
 def load_cloud(path):

@@ -29,8 +29,6 @@ __all__ = [
     "assemble_MN",
     "EffectiveModel",
     "uniform_Meff",
-    "model_from_cloud",
-    "model_from_grid",
     "hminus1_distance",
     "tilde_vc",
     "fixed_point_vc",
@@ -38,6 +36,7 @@ __all__ = [
     "einstein_work",
     "einstein_coefficient",
     "ExclusionRegion",
+    "exclusion_region_for_cloud",
     "lp_field_distance",
 ]
 
@@ -99,38 +98,24 @@ def assemble_MN(cloud, box, n):
 
 @dataclass(frozen=True)
 class EffectiveModel:
-    """Candidate effective coefficient: a 5x5 matrix field supported in a box.
+    """Candidate effective coefficient: a constant 5x5 matrix on a support
+    box, zero outside it."""
 
-    kinds: "uniform" (constant matrix on the support box), "from_cloud"
-    (rasterized cloud coefficient), "custom_grid" (user-supplied field).
-    """
-
-    kind: str
     box: np.ndarray                  # support box K
-    matrix: np.ndarray = None        # (5,5), uniform kind only
-    field: GridField = None          # grid kinds only
+    matrix: np.ndarray               # (5,5)
 
     def rasterize(self, box, n):
         """Sample the model on the requested grid (zero outside the support)."""
-        if self.kind == "uniform":
-            out = GridField.zeros(box, n, (5, 5))
-            centers = out.cell_centers()
-            inside = np.all((centers >= self.box[0]) & (centers <= self.box[1]),
-                            axis=-1)
-            out.values[inside] = self.matrix
-            return out
-        if self.field.n != int(n) or not np.array_equal(
-                self.field.box, np.asarray(box, float)):
-            raise GridMismatchError(
-                "grid-backed effective model can only be sampled on its own grid")
-        return self.field
+        out = GridField.zeros(box, n, (5, 5))
+        centers = out.cell_centers()
+        inside = np.all((centers >= self.box[0]) & (centers <= self.box[1]),
+                        axis=-1)
+        out.values[inside] = self.matrix
+        return out
 
     def sup_norm(self):
-        """Max over cells of the operator 2-norm of the coefficient matrix."""
-        if self.kind == "uniform":
-            return float(np.linalg.norm(self.matrix, 2))
-        mats = self.field.values.reshape(-1, 5, 5)
-        return float(np.linalg.norm(mats, 2, axis=(1, 2)).max(initial=0.0))
+        """Operator 2-norm of the coefficient matrix."""
+        return float(np.linalg.norm(self.matrix, 2))
 
 
 def uniform_Meff(box, phi, coefficient=5.0):
@@ -138,18 +123,8 @@ def uniform_Meff(box, phi, coefficient=5.0):
     has c = 5)."""
     if phi < 0:
         raise ValueError("phi must be nonnegative")
-    return EffectiveModel(kind="uniform", box=np.asarray(box, float),
+    return EffectiveModel(box=np.asarray(box, float),
                           matrix=coefficient * phi * np.eye(5))
-
-
-def model_from_cloud(cloud, box, n):
-    return EffectiveModel(kind="from_cloud", box=np.asarray(cloud.box, float),
-                          field=assemble_MN(cloud, box, n))
-
-
-def model_from_grid(field, support_box=None):
-    box = field.box if support_box is None else np.asarray(support_box, float)
-    return EffectiveModel(kind="custom_grid", box=box, field=field)
 
 
 # ---------------------------------------------------------------------------
@@ -187,40 +162,6 @@ def _refined_weights(kmax):
     return w
 
 
-def _hm1_component_sq(arr, lo, dx):
-    n = arr.shape[0]
-    npad = n * _HM1_PAD
-    kmax = min(_HM1_KMAX, npad // 2 - 1)
-    if kmax < 1:
-        raise ValueError("padded grid too small for the spectral quadrature")
-    H = np.fft.fftn(arr, s=(npad,) * 3, axes=(0, 1, 2))
-    k1 = np.fft.fftfreq(npad, d=dx) * 2.0 * np.pi
-    dxi = k1[1]
-    KX, KY, KZ = np.meshgrid(k1, k1, k1, indexing="ij")
-    k2 = KX ** 2 + KY ** 2 + KZ ** 2
-    # the near cube around the origin is handled on the refined subgrid
-    j1 = np.abs(np.rint(np.fft.fftfreq(npad) * npad).astype(int))
-    nx = j1 <= kmax
-    near = nx[:, None, None] & nx[None, :, None] & nx[None, None, :]
-    k2[near] = np.inf
-    total = float(np.sum((H.real ** 2 + H.imag ** 2) / k2)) * dx ** 6 * dxi ** 3
-
-    # zoom transform: exact spectrum samples on the refined subgrid of the
-    # near cube (keeps the whole estimate a positive quadratic form of the
-    # field, so symmetry/triangle/translation hold to rounding)
-    weights = _refined_weights(kmax)
-    m = weights.shape[0]
-    xi = ((np.arange(m) + 0.5) / _HM1_SUB - (kmax + 0.5)) * dxi
-    x1 = lo + (np.arange(n) + 0.5) * dx
-    E = np.exp(-1j * np.outer(xi, x1))
-    Z = np.tensordot(E, arr, axes=(1, 0))            # (m, n, n)
-    Z = np.tensordot(E, Z, axes=(1, 1))              # (m_y, m_x, n)
-    Z = np.tensordot(E, Z, axes=(1, 2))              # (m_z, m_y, m_x)
-    Z = Z.transpose(2, 1, 0) * dx ** 3
-    near_sq = float(np.sum((Z.real ** 2 + Z.imag ** 2) * weights)) * dxi
-    return total + near_sq
-
-
 def hminus1_distance(f, g):
     """Componentwise homogeneous H^{-1} distance of two grid fields.
 
@@ -239,13 +180,41 @@ def hminus1_distance(f, g):
     h = f.cell_size
     if not np.allclose(h, h[0], rtol=1e-12, atol=0.0):
         raise ValueError("the spectral quadrature requires cubic cells")
-    diff = (f.values - g.values).reshape(f.n, f.n, f.n, -1)
+    n, dx, lo = f.n, float(h[0]), float(f.box[0][0])
+    npad = n * _HM1_PAD
+    kmax = min(_HM1_KMAX, npad // 2 - 1)
+    if kmax < 1:
+        raise ValueError("padded grid too small for the spectral quadrature")
+    k1 = np.fft.fftfreq(npad, d=dx) * 2.0 * np.pi
+    dxi = k1[1]
+    k2 = k1[:, None, None] ** 2 + k1[None, :, None] ** 2 + k1[None, None, :] ** 2
+    # the near cube around the origin is handled on the refined subgrid
+    j1 = np.abs(np.rint(np.fft.fftfreq(npad) * npad).astype(int))
+    nx = j1 <= kmax
+    near = nx[:, None, None] & nx[None, :, None] & nx[None, None, :]
+    k2[near] = np.inf
+    # zoom transform: exact spectrum samples on the refined subgrid of the
+    # near cube (keeps the whole estimate a positive quadratic form of the
+    # field, so symmetry/triangle/translation hold to rounding)
+    weights = _refined_weights(kmax)
+    m = weights.shape[0]
+    xi = ((np.arange(m) + 0.5) / _HM1_SUB - (kmax + 0.5)) * dxi
+    x1 = lo + (np.arange(n) + 0.5) * dx
+    E = np.exp(-1j * np.outer(xi, x1))
+    diff = (f.values - g.values).reshape(n, n, n, -1)
     total = 0.0
     for c in range(diff.shape[-1]):
-        comp = diff[..., c]
-        if not comp.any():
+        arr = diff[..., c]
+        if not arr.any():
             continue
-        total += _hm1_component_sq(comp, float(f.box[0][0]), float(h[0]))
+        H = np.fft.fftn(arr, s=(npad,) * 3, axes=(0, 1, 2))
+        far_sq = float(np.sum((H.real ** 2 + H.imag ** 2) / k2)) * dx ** 6 * dxi ** 3
+        Z = np.tensordot(E, arr, axes=(1, 0))            # (m, n, n)
+        Z = np.tensordot(E, Z, axes=(1, 1))              # (m_y, m_x, n)
+        Z = np.tensordot(E, Z, axes=(1, 2))              # (m_z, m_y, m_x)
+        Z = Z.transpose(2, 1, 0) * dx ** 3
+        near_sq = float(np.sum((Z.real ** 2 + Z.imag ** 2) * weights)) * dxi
+        total += far_sq + near_sq
     return float(np.sqrt(total / (2.0 * np.pi) ** 3))
 
 
@@ -276,15 +245,9 @@ def tilde_vc(field, A, points):
     Evaluates the convolution of the per-cell sources coeff(A) with the
     stresslet kernel by the midpoint rule over source cells; cells closer
     than _NEAR_FACTOR * max cell size to an evaluation point are subdivided
-    _NEAR_SUB^3 times (the kernel is degree -2, locally integrable). Accepts
-    a rank-2 GridField or a grid-backed EffectiveModel (rasterize a uniform
-    model first to pick its resolution).
+    _NEAR_SUB^3 times (the kernel is degree -2, locally integrable). `field`
+    is a rank-2 GridField.
     """
-    if isinstance(field, EffectiveModel):
-        if field.field is None:
-            raise ValueError(
-                "uniform effective model carries no grid; rasterize it first")
-        field = field.field
     points = np.atleast_2d(np.asarray(points, dtype=float))
     out = np.zeros((len(points), 3))
     S = np.einsum("xyzab,b->xyza", field.values, np.asarray(A, float).reshape(5))
@@ -447,9 +410,9 @@ class ExclusionRegion:
         return mask
 
 
-def exclusion_region_for_cloud(cloud, box=None, factor=FIELD_EXCLUSION_FACTOR):
+def exclusion_region_for_cloud(cloud, box=None):
     return ExclusionRegion(box=np.asarray(cloud.box if box is None else box, float),
-                           centers=cloud.centers, radius=factor * cloud.a)
+                           centers=cloud.centers, radius=FIELD_EXCLUSION_FACTOR * cloud.a)
 
 
 def lp_field_distance(u_sampler, v_sampler, region, p, box, n):

@@ -45,10 +45,6 @@ class GridField:
                    values=np.zeros((n, n, n) + tuple(component_shape)))
 
     @property
-    def rank(self):
-        return self.values.ndim - 3
-
-    @property
     def cell_size(self):
         return (self.box[1] - self.box[0]) / self.n
 

@@ -71,34 +71,33 @@ _IS6 = 1.0 / np.sqrt(6.0)
 PAIR_BUDGET = 2_000_000
 
 
-def _radii(x, minimum=0.0, what="kernel"):
+def _radii(x, what):
     """Checked points and their squared norms."""
     x = np.asarray(x, dtype=float)
     if x.shape[-1] != 3:
         raise ValueError(f"expected trailing axis of length 3, got shape {x.shape}")
     r2 = np.einsum("...i,...i->...", x, x)
-    if np.any(r2 <= minimum * minimum):
-        raise KernelDomainError(
-            f"{what} evaluated at |x| <= {minimum} (minimum distance violated)")
+    if np.any(r2 <= 0.0):
+        raise KernelDomainError(f"{what} evaluated at x = 0")
     return x, r2
 
 
 def oseen(x):
     """Oseen tensor O(x), shape (...,3,3). Velocity response to a point force."""
-    x, r2 = _radii(x, 0.0, "oseen")
+    x, r2 = _radii(x, "oseen")
     r = np.sqrt(r2)[..., None, None]
     return _C8 * (np.eye(3) / r + x[..., :, None] * x[..., None, :] / r ** 3)
 
 
 def oseen_pressure(x):
     """Pressure vector q(x) = x/(4 pi |x|^3) paired with the Oseen tensor."""
-    x, r2 = _radii(x, 0.0, "oseen_pressure")
+    x, r2 = _radii(x, "oseen_pressure")
     return _C4 * x / np.sqrt(r2)[..., None] ** 3
 
 
 def oseen_gradient(x):
     """Gradient d_k O_ij(x), shape (...,3,3,3) indexed [i,j,k]."""
-    x, r2 = _radii(x, 0.0, "oseen_gradient")
+    x, r2 = _radii(x, "oseen_gradient")
     r = np.sqrt(r2)[..., None, None, None]
     I = np.eye(3)
     xi = x[..., :, None, None]
@@ -179,7 +178,7 @@ def stresslet_field_from_moment(moment, x):
     Oseen gradient collapses to -(3/8pi) (x.Mx) x / |x|^5.
     `moment` broadcasts against the leading axes of x.
     """
-    x, r2 = _radii(x, 0.0, "stresslet_field")
+    x, r2 = _radii(x, "stresslet_field")
     return _point_kernel(stresslet_velocity_kernel, moment, x, r2)
 
 
@@ -188,7 +187,7 @@ def stresslet_strain_from_moment(moment, x):
 
     Closed form of P_sym(grad K)[moment](x); homogeneous of degree -3.
     """
-    x, r2 = _radii(x, 0.0, "stresslet_strain")
+    x, r2 = _radii(x, "stresslet_strain")
     return _point_kernel(stresslet_strain_kernel, moment, x, r2)
 
 
@@ -267,7 +266,7 @@ def sphere_disturbance(strain, a, x):
     On |x| = a this equals -Ax (the two quintic terms cancel the strain).
     Force- and torque-free; defined for |x| >= a.
     """
-    x, r2 = _radii(x, 0.0, "sphere_disturbance")
+    x, r2 = _radii(x, "sphere_disturbance")
     if np.any(r2 < a * a * (1.0 - 1e-12)):
         raise KernelDomainError("sphere_disturbance evaluated inside the sphere")
     return _point_kernel(sphere_disturbance_kernel, strain, x, r2, a=a)
@@ -332,6 +331,10 @@ def sphere_mobility(a):
     return (20.0 * np.pi / 3.0) * a ** 3 * np.eye(5)
 
 
+# Gauss-Legendre order of the surface rule in `mobility_from_boundary_integral`
+_BOUNDARY_ORDER = 6
+
+
 def _surface_quadrature(a, order):
     """Product Gauss-Legendre (cos theta) x trapezoid (phi) grid on the sphere."""
     nodes, wts = np.polynomial.legendre.leggauss(order)
@@ -345,7 +348,7 @@ def _surface_quadrature(a, order):
     return xhat, w
 
 
-def mobility_from_boundary_integral(a, quadrature_order=6):
+def mobility_from_boundary_integral(a):
     """Strain-to-stresslet map of a sphere, from its boundary traction moments.
 
     For each basis strain, evaluates the analytic disturbance solution's
@@ -358,9 +361,7 @@ def mobility_from_boundary_integral(a, quadrature_order=6):
     the integrand is a low-degree spherical polynomial, so any order >= 2 is
     already exact to rounding.
     """
-    if not isinstance(quadrature_order, (int, np.integer)) or quadrature_order < 2:
-        raise ValueError("quadrature_order must be an integer >= 2")
-    xhat, w = _surface_quadrature(a, quadrature_order)
+    xhat, w = _surface_quadrature(a, _BOUNDARY_ORDER)
     y = a * xhat
     M = np.zeros((5, 5))
     for j in range(5):

@@ -256,9 +256,10 @@ def solution_from_json(doc, cloud):
 
 
 def save_solution(solution, path):
+    text = json.dumps(solution_to_json(solution), indent=1, sort_keys=True,
+                      allow_nan=False)
     with open(path, "w") as fh:
-        json.dump(solution_to_json(solution), fh, indent=1, sort_keys=True)
-        fh.write("\n")
+        fh.write(text + "\n")
 
 
 def load_solution(path, cloud):

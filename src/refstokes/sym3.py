@@ -24,12 +24,8 @@ __all__ = [
     "project_sym_tracefree",
     "embed",
     "apply_mobility",
-    "identity_mobility",
     "frobenius",
-    "sym_to_list",
     "sym_from_list",
-    "mobility_to_list",
-    "mobility_from_list",
 ]
 
 
@@ -76,21 +72,9 @@ def apply_mobility(m, s):
     return np.einsum("...ab,...b->...a", m, s)
 
 
-def identity_mobility():
-    return np.eye(5)
-
-
 def frobenius(s1, s2):
     """Frobenius inner product of two coefficient vectors (basis orthonormal)."""
     return np.einsum("...a,...a->...", np.asarray(s1, float), np.asarray(s2, float))
-
-
-def sym_to_list(s):
-    """JSON representation: array of 5 numbers."""
-    s = np.asarray(s, dtype=float)
-    if s.shape != (5,):
-        raise ValueError("expected a single coefficient vector of shape (5,)")
-    return [float(v) for v in s]
 
 
 def sym_from_list(data):
@@ -98,18 +82,3 @@ def sym_from_list(data):
     if arr.shape != (5,):
         raise ValueError("expected a JSON array of 5 numbers")
     return arr
-
-
-def mobility_to_list(m):
-    """JSON representation: row-major array of 25 numbers."""
-    m = np.asarray(m, dtype=float)
-    if m.shape != (5, 5):
-        raise ValueError("expected a 5x5 mobility matrix")
-    return [float(v) for v in m.reshape(25)]
-
-
-def mobility_from_list(data):
-    arr = np.asarray(data, dtype=float)
-    if arr.shape != (25,):
-        raise ValueError("expected a JSON array of 25 numbers")
-    return arr.reshape(5, 5)

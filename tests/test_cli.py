@@ -7,6 +7,7 @@ from refstokes import cli
 from refstokes import cloud as cl
 from refstokes import reflections as refl
 from refstokes import sym3
+from refstokes.errors import SeparationError
 
 UNIT_BOX = [[0.0, 0.0, 0.0], [1.0, 1.0, 1.0]]
 
@@ -275,3 +276,34 @@ def test_reflect_oracle_size_limit_exit_code(tmp_path, capsys):
                    "--out", str(tmp_path / "solution.json"), "--oracle"])
     assert rc == 4
     assert "5N <= 5000" in capsys.readouterr().err
+
+
+@pytest.mark.filterwarnings("ignore:grid spacing")
+def test_each_cloud_validated_once_per_run(tmp_path, monkeypatch):
+    calls = []
+    min_distance = cl._min_distance
+
+    def counted(centers):
+        calls.append(len(centers))
+        return min_distance(centers)
+
+    monkeypatch.setattr(cl, "_min_distance", counted)
+    cfg = cli.load_config(lattice_config(tmp_path, sweep={"phis": [1e-3]},
+                                         grid={"n": 16, "padding": 0.5}))
+    cli.run_einstein_sweep(cfg)
+    assert len(calls) == 1
+    cli.run_compare_sweep(cfg)
+    assert len(calls) == 2
+    bad = cl.ParticleCloud.spheres([[0.5, 0.5, 0.5], [0.5, 0.5, 0.51]], 0.01,
+                                   np.array(UNIT_BOX))
+    for _ in range(2):
+        with pytest.raises(SeparationError):
+            cl.validate(bad)
+    assert len(calls) == 4
+
+
+def test_dump_json_refuses_non_finite(tmp_path):
+    path = tmp_path / "report.json"
+    with pytest.raises(ValueError):
+        cli._dump_json({"hminus1": float("nan")}, path)
+    assert not path.exists()

@@ -104,14 +104,6 @@ def test_uniform_model_gate_class():
     assert eff.uniform_Meff(UNIT_BOX, 0.011, 5.0).sup_norm() > eps0
 
 
-def test_grid_model_requires_same_grid():
-    c = cl.ParticleCloud.spheres([[0.5, 0.5, 0.5]], 0.2, UNIT_BOX)
-    model = eff.model_from_cloud(c, UNIT_BOX, 16)
-    model.rasterize(UNIT_BOX, 16)
-    with pytest.raises(GridMismatchError):
-        model.rasterize(UNIT_BOX, 32)
-
-
 def test_negative_phi_rejected():
     with pytest.raises(ValueError):
         eff.uniform_Meff(UNIT_BOX, -0.1)
@@ -213,19 +205,6 @@ def test_tilde_vc_bilinear():
     field2 = GridField(box=field.box, n=field.n, values=2.0 * field.values)
     doubled_field = eff.tilde_vc(field2, UNIAXIAL, pts)
     assert np.max(np.abs(doubled_field - 2.0 * base)) < 1e-12 * np.max(np.abs(base))
-
-
-def test_tilde_vc_accepts_grid_backed_model():
-    a = 0.25
-    box = np.array([[-2 * a] * 3, [2 * a] * 3])
-    c = cl.ParticleCloud.spheres([[0.0, 0.0, 0.0]], a, box)
-    model = eff.model_from_cloud(c, box, 16)
-    pts = np.array([[2.0, 0.3, -0.1]])
-    direct = eff.tilde_vc(model.field, UNIAXIAL, pts)
-    via_model = eff.tilde_vc(model, UNIAXIAL, pts)
-    assert np.array_equal(direct, via_model)
-    with pytest.raises(ValueError):
-        eff.tilde_vc(eff.uniform_Meff(box, 0.01), UNIAXIAL, pts)
 
 
 def test_tilde_vc_single_sphere_far_consistency():

@@ -274,13 +274,15 @@ def test_mobility_boundary_integral_radius_scaling():
     assert np.max(np.abs(M - (20 * np.pi / 3) / 8 * np.eye(5))) < 1e-8
 
 
-def test_mobility_boundary_integral_convergence():
+def test_mobility_boundary_integral_convergence(monkeypatch):
     # the integrand is a low-degree spherical polynomial: order 2 is already
     # exact, order growth keeps the error at rounding level. Monitor the drop
     # with a one-point rule computed by the same assembly for contrast.
     target = (20 * np.pi / 3) * np.eye(5)
-    errs = [np.max(np.abs(kernels.mobility_from_boundary_integral(1.0, order) - target))
-            for order in (2, 4, 8, 16)]
+    errs = []
+    for order in (2, 4, 8, 16):
+        monkeypatch.setattr(kernels, "_BOUNDARY_ORDER", order)
+        errs.append(np.max(np.abs(kernels.mobility_from_boundary_integral(1.0) - target)))
     assert all(e < 1e-12 for e in errs)
     # the same rule on a non-polynomial surface integrand converges at its
     # theoretical (spectral) rate: errors drop by orders of magnitude per step
@@ -291,13 +293,6 @@ def test_mobility_boundary_integral_convergence():
         err = abs(float(w @ np.exp(xhat[:, 2])) - exact)
         assert err < max(0.51 * prev, 1e-14)
         prev = err
-
-
-def test_mobility_boundary_integral_invalid_order():
-    with pytest.raises(ValueError):
-        kernels.mobility_from_boundary_integral(1.0, 1)
-    with pytest.raises(ValueError):
-        kernels.mobility_from_boundary_integral(1.0, 0)
 
 
 # ---------------------------------------------------------------------------

@@ -319,6 +319,15 @@ def test_solution_json_roundtrip(tmp_path):
     assert back.converged == sol.converged
 
 
+def test_save_solution_refuses_non_finite(tmp_path):
+    sol = refl.run_reflections(small_rsa(8, n=10), UNIAXIAL)
+    sol.residual = np.inf
+    path = tmp_path / "sol.json"
+    with pytest.raises(ValueError):
+        refl.save_solution(sol, path)
+    assert not path.exists()
+
+
 def test_convergence_csv(tmp_path):
     path = tmp_path / "table.csv"
     refl.convergence_table_to_csv([1.0, 0.5, 0.25], path)

@@ -117,10 +117,7 @@ def test_apply_mobility_linear(rng):
 
 def test_json_roundtrips(rng):
     s = rng.normal(size=5)
-    assert np.array_equal(sym3.sym_from_list(json.loads(json.dumps(sym3.sym_to_list(s)))), s)
-    m = rng.normal(size=(5, 5))
-    assert np.array_equal(
-        sym3.mobility_from_list(json.loads(json.dumps(sym3.mobility_to_list(m)))), m)
+    assert np.array_equal(sym3.sym_from_list(json.loads(json.dumps(s.tolist()))), s)
 
 
 def test_shape_errors():
@@ -129,4 +126,4 @@ def test_shape_errors():
     with pytest.raises(ValueError):
         sym3.embed(np.zeros(4))
     with pytest.raises(ValueError):
-        sym3.sym_to_list(np.zeros(6))
+        sym3.sym_from_list([0.0] * 6)
