@@ -15,7 +15,7 @@ import argparse
 import csv
 import json
 import sys
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from importlib import resources
 
 import jsonschema
@@ -69,10 +69,6 @@ class ExperimentConfig:
     grid: GridConfig = field(default_factory=GridConfig)
     sweep: dict = field(default_factory=lambda: {"phis": []})
     compare: CompareConfig = field(default_factory=CompareConfig)
-
-    def to_json(self):
-        doc = asdict(self)
-        return doc
 
     @classmethod
     def from_json(cls, doc):
@@ -185,11 +181,10 @@ def run_einstein_sweep(cfg):
     rows = []
     A = sym3.sym_from_list(cfg.strain)
     for phi in cfg.sweep.get("phis", []):
-        a = _radius_for_phi(cfg, phi)
-        cloud = build_cloud(cfg, a=a)
-        first = effective.einstein_coefficient(cloud, A, order="first")
-        conv = effective.einstein_coefficient(cloud, A, order="converged",
-                                              solver_kwargs=_solver_kwargs(cfg))
+        cloud = build_cloud(cfg, a=_radius_for_phi(cfg, phi))
+        sol = reflections.run_reflections(cloud, A, **_solver_kwargs(cfg))
+        first = effective.einstein_coefficient(cloud, A, np.tile(A, (cloud.n, 1)))
+        conv = effective.einstein_coefficient(cloud, A, sol.A_hat)
         rows.append((phi, first, conv))
     return rows
 

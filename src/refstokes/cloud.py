@@ -260,18 +260,7 @@ def validate(cloud):
             pair=pair)
     vol = cloud.box_volume
     phi_global = 4.0 * np.pi * cloud.n * cloud.a ** 3 / (3.0 * vol)
-    if phi_global >= 1.0:
-        raise SeparationError(f"global volume fraction {phi_global:.3g} >= 1")
     phi_local = 0.0 if not np.isfinite(d) else (cloud.a / d) ** 3
-    # count/separation consistency: disjoint balls of radius d/2 around the
-    # centers fit in the box inflated by d (N <= C |K| / d^3 in the dense regime)
-    if cloud.n >= 2:
-        side = cloud.box[1] - cloud.box[0]
-        if cloud.n * (np.pi / 6.0) * d ** 3 > float(np.prod(side + d)):
-            raise SeparationError(
-                f"count/separation inconsistency: N (pi/6) d^3 = "
-                f"{cloud.n * (np.pi / 6.0) * d ** 3:.3g} exceeds the inflated "
-                f"box volume {float(np.prod(side + d)):.3g}")
     return CloudStats(n=cloud.n, d=d, phi_global=phi_global, phi_local=phi_local)
 
 

@@ -22,7 +22,6 @@ from . import kernels
 from .cloud import FIELD_EXCLUSION_FACTOR, validate
 from .errors import GateError, GridMismatchError
 from .fields import GridField
-from .reflections import run_reflections
 from .sym3 import frobenius, project_sym_tracefree
 
 __all__ = [
@@ -56,12 +55,21 @@ _C0_UNIT_CUBE = 7.674124
 # coefficient fields
 
 
+def _subcell_offsets(h, sub):
+    """Midpoints of the sub^3 subcells of a cell of size h, relative to the
+    cell centre, shape (sub^3, 3)."""
+    t = (np.arange(sub) + 0.5) / sub - 0.5
+    grids = np.meshgrid(t * h[0], t * h[1], t * h[2], indexing="ij")
+    return np.stack(grids, axis=-1).reshape(-1, 3)
+
+
 def assemble_MN(cloud, box, n):
     """Rasterize the per-ball coefficient density onto a grid.
 
     Each particle contributes its mobility scaled by 3/(4 pi a^3) on its own
     ball; boundary cells receive the covered fraction (estimated from
-    _RASTER_SUB^3 midpoints per cell), so strictly interior cells carry the
+    _RASTER_SUB^3 midpoints per cell, on the cells `kernels.pairs_within`
+    finds near each ball), so strictly interior cells carry the
     exact matrix and the total integral matches sum of mobilities to a
     fraction of a percent even when the balls are a few cells wide.
     """
@@ -71,28 +79,19 @@ def assemble_MN(cloud, box, n):
         warnings.warn(
             f"grid spacing {np.max(h):.3g} is coarser than a/2 = {cloud.a / 2:.3g}; "
             "rasterization is under-resolved", stacklevel=2)
-    axes = field.axes()
-    t = (np.arange(_RASTER_SUB) + 0.5) / _RASTER_SUB - 0.5
-    sx, sy, sz = np.meshgrid(t * h[0], t * h[1], t * h[2], indexing="ij")
-    offsets = np.stack([sx, sy, sz], axis=-1).reshape(-1, 3)
+    # every subcell midpoint lies within (7/16)|h| of its cell centre
+    cells = field.cell_centers().reshape(-1, 3)
+    t, s, _ = kernels.pairs_within(cells, cloud.centers,
+                                   cloud.a + 0.5 * np.linalg.norm(h))
+    cell, center = cells[t], cloud.centers[s]
+    count = np.zeros(len(t))
+    for offset in _subcell_offsets(h, _RASTER_SUB):
+        rel = cell + offset - center
+        count += np.einsum("...i,...i->...", rel, rel) <= cloud.a ** 2
     scale = 3.0 / (4.0 * np.pi * cloud.a ** 3)
-    values = field.values
-    for center, mob in zip(cloud.centers, cloud.mobilities):
-        ranges = []
-        for k in range(3):
-            lo = int(np.floor((center[k] - cloud.a - field.box[0][k]) / h[k] - 0.5))
-            hi = int(np.ceil((center[k] + cloud.a - field.box[0][k]) / h[k] + 0.5))
-            ranges.append((max(lo, 0), min(hi + 1, n)))
-        (i0, i1), (j0, j1), (k0, k1) = ranges
-        if i0 >= i1 or j0 >= j1 or k0 >= k1:
-            continue
-        cx, cy, cz = np.meshgrid(axes[0][i0:i1], axes[1][j0:j1], axes[2][k0:k1],
-                                 indexing="ij")
-        cells = np.stack([cx, cy, cz], axis=-1)
-        rel = cells[..., None, :] + offsets - center
-        inside = np.einsum("...i,...i->...", rel, rel) <= cloud.a ** 2
-        coverage = inside.mean(axis=-1)
-        values[i0:i1, j0:j1, k0:k1] += (scale * coverage)[..., None, None] * mob
+    # pairs come sorted by (cell, particle): each cell sums in particle order
+    np.add.at(field.values.reshape(-1, 5, 5), t,
+              (scale * (count / _RASTER_SUB ** 3))[:, None, None] * cloud.mobilities[s])
     return field
 
 
@@ -228,12 +227,10 @@ def _subcell_velocity(m, z, h):
     cell. m holds the 5 coefficients of a whole cell, each a scalar or a
     (K, 1) array; a subcell centre within 1e-9 max(h) of its target is
     dropped."""
-    t = (np.arange(_NEAR_SUB) + 0.5) / _NEAR_SUB - 0.5
-    ox, oy, oz = np.meshgrid(t * h[0], t * h[1], t * h[2], indexing="ij")
     w = np.asarray(m) / _NEAR_SUB ** 3
     out = np.zeros((len(z), 3))
-    for delta in zip(ox.ravel(), oy.ravel(), oz.ravel()):
-        zs, r2 = kernels.pair_offsets(z, np.array([delta]),
+    for delta in _subcell_offsets(h, _NEAR_SUB):
+        zs, r2 = kernels.pair_offsets(z, delta[None],
                                       exclude_within=1e-9 * np.max(h))
         out += np.hstack(kernels.stresslet_velocity_kernel(w, zs, r2))
     return out
@@ -351,38 +348,31 @@ def fixed_point_vc(model, A, box, n, tol=1e-8, max_iter=50):
 # dilute-limit work functional
 
 
-def einstein_work(cloud, A, strains, mu=1.0):
-    """First-order excess rate of work of the suspension.
+def einstein_work(cloud, A, strains):
+    """First-order excess rate of work of the suspension, per unit viscosity.
 
-    mu * sum_l < mobility_l(strains_l), A >_F; with sphere mobilities and
-    strains equal to the ambient A this is mu N (20 pi/3) a^3 A:A.
+    sum_l < mobility_l(strains_l), A >_F; with sphere mobilities and strains
+    equal to the ambient A this is N (20 pi/3) a^3 A:A.
     """
     A = np.asarray(A, dtype=float).reshape(5)
     strains = np.asarray(strains, dtype=float).reshape(cloud.n, 5)
     moments = np.einsum("lab,lb->la", cloud.mobilities, strains)
-    return float(mu * np.sum(moments @ A))
+    return float(np.sum(moments @ A))
 
 
-def einstein_coefficient(cloud, A, order="first", solver_kwargs=None):
-    """Excess work normalized by 2 mu A:A |K| phi (mu cancels, so none is
-    taken).
+def einstein_coefficient(cloud, A, strains):
+    """Excess work of the per-particle strains (N, 5) normalized by
+    2 mu A:A |K| phi (mu cancels, so none is taken).
 
-    order="first" uses the ambient strain on every particle (exactly 5/2 for
-    spheres); order="converged" uses the reflected strains.
+    The ambient strain on every particle gives the first-order coefficient
+    (exactly 5/2 for spheres); the reflected strains give the converged one.
     """
-    if order not in ("first", "converged"):
-        raise ValueError(f"unknown order {order!r}")
-    stats = validate(cloud)
-    if stats.phi_global <= 0.0:
+    phi = validate(cloud).phi_global
+    if phi <= 0.0:
         raise ValueError("einstein coefficient undefined at zero volume fraction")
     A = np.asarray(A, dtype=float).reshape(5)
-    if order == "first":
-        strains = np.tile(A, (cloud.n, 1))
-    else:
-        strains = run_reflections(cloud, A, **(solver_kwargs or {})).A_hat
     work = einstein_work(cloud, A, strains)
-    denom = 2.0 * frobenius(A, A) * cloud.box_volume * stats.phi_global
-    return work / denom
+    return work / (2.0 * frobenius(A, A) * cloud.box_volume * phi)
 
 
 # ---------------------------------------------------------------------------

@@ -41,8 +41,6 @@ __all__ = [
     "oseen_pressure",
     "stresslet_field",
     "stresslet_strain",
-    "stresslet_field_from_moment",
-    "stresslet_strain_from_moment",
     "sphere_disturbance",
     "sphere_pressure",
     "sphere_velocity_gradient",
@@ -171,34 +169,28 @@ def _point_kernel(kernel, m, x, r2, **params):
     return np.stack(kernel(m, np.moveaxis(x, -1, 0), r2, **params), axis=-1)
 
 
-def stresslet_field_from_moment(moment, x):
-    """Velocity of a point stresslet with coefficient `moment` (5-vector).
+def stresslet_field(mobility, strain, x):
+    """Far-field stresslet velocity of a particle with the given mobility.
 
-    For symmetric trace-free M = embed(moment) the contraction of M with the
-    Oseen gradient collapses to -(3/8pi) (x.Mx) x / |x|^5.
-    `moment` broadcasts against the leading axes of x.
+    For the symmetric trace-free moment M = embed(mobility . strain) the
+    contraction of M with the Oseen gradient collapses to
+    -(3/8pi) (x.Mx) x / |x|^5. The moment broadcasts against the leading
+    axes of x.
     """
     x, r2 = _radii(x, "stresslet_field")
-    return _point_kernel(stresslet_velocity_kernel, moment, x, r2)
-
-
-def stresslet_strain_from_moment(moment, x):
-    """Symmetric trace-free gradient of the stresslet velocity, as coefficients.
-
-    Closed form of P_sym(grad K)[moment](x); homogeneous of degree -3.
-    """
-    x, r2 = _radii(x, "stresslet_strain")
-    return _point_kernel(stresslet_strain_kernel, moment, x, r2)
-
-
-def stresslet_field(mobility, strain, x):
-    """Far-field stresslet velocity of a particle with the given mobility."""
-    return stresslet_field_from_moment(apply_mobility(mobility, strain), x)
+    return _point_kernel(stresslet_velocity_kernel, apply_mobility(mobility, strain),
+                         x, r2)
 
 
 def stresslet_strain(mobility, strain, x):
-    """Strain coefficients induced at x by a particle with the given mobility."""
-    return stresslet_strain_from_moment(apply_mobility(mobility, strain), x)
+    """Strain coefficients induced at x by a particle with the given mobility.
+
+    Closed form of P_sym(grad K)[mobility . strain](x); homogeneous of
+    degree -3.
+    """
+    x, r2 = _radii(x, "stresslet_strain")
+    return _point_kernel(stresslet_strain_kernel, apply_mobility(mobility, strain),
+                         x, r2)
 
 
 # ---------------------------------------------------------------------------

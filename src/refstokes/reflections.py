@@ -121,21 +121,17 @@ def run_reflections(cloud, A, tol=1e-10, max_iter=100, fixed_n=None,
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
+    if fixed_n is not None and fixed_n < 1:
+        raise ValueError("fixed_n must be >= 1")
     _check_gate(cloud, gate, force)
     A = np.asarray(A, dtype=float).reshape(5)
     ref = np.linalg.norm(A)
     state = init_reflections(cloud, A)
-    if fixed_n is not None:
-        if fixed_n < 1:
-            raise ValueError("fixed_n must be >= 1")
-        for _ in range(fixed_n - 1):
-            state = reflect_step(state)
-        converged = state.n > 0 and state.norm_history[-1] <= tol * ref
-    else:
-        converged = False
-        while not converged and state.n < max_iter:
-            state = reflect_step(state)
-            converged = state.norm_history[-1] <= tol * ref
+    sweeps = max_iter if fixed_n is None else fixed_n - 1
+    converged = False
+    while state.n < sweeps and not (converged and fixed_n is None):
+        state = reflect_step(state)
+        converged = state.norm_history[-1] <= tol * ref
     return StressletSolution(cloud=cloud, A_hat=state.A_total, iterations=state.n,
                              converged=bool(converged), residual=state.norm_history[-1],
                              norm_history=list(state.norm_history))

@@ -1,4 +1,6 @@
+import ast
 import importlib
+from pathlib import Path
 
 import pytest
 
@@ -10,3 +12,36 @@ def test_public_names_resolve(name):
     module = importlib.import_module(f"refstokes.{name}")
     missing = [attr for attr in module.__all__ if not hasattr(module, attr)]
     assert not missing
+
+
+# relative imports each module may make; a module missing here fails the test
+LAYERS = {
+    "sym3": set(),
+    "errors": set(),
+    "fields": set(),
+    "kernels": {"sym3", "errors"},
+    "cloud": {"kernels", "errors"},
+    "reflections": {"kernels", "cloud", "errors", "sym3"},
+    "effective": {"kernels", "cloud", "errors", "fields", "sym3"},
+    "cli": {"sym3", "errors", "fields", "kernels", "cloud", "reflections", "effective"},
+}
+
+
+def relative_imports(path):
+    found = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            if node.module:
+                found.add(node.module.split(".")[0])
+            else:
+                found.update(alias.name for alias in node.names)
+    return found
+
+
+def test_import_layering():
+    package = Path(importlib.import_module("refstokes").__file__).parent
+    modules = {p.stem: p for p in package.glob("*.py") if p.stem != "__init__"}
+    assert set(modules) == set(LAYERS)
+    for name, path in modules.items():
+        extra = relative_imports(path) - LAYERS[name]
+        assert not extra, f"{name} imports {sorted(extra)}"

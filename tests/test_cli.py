@@ -1,4 +1,5 @@
 import json
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -41,7 +42,7 @@ def test_config_roundtrip():
         "compare": {"p": 1.3, "coefficient": 5.0},
     }
     cfg = cli.ExperimentConfig.from_json(doc)
-    assert cli.ExperimentConfig.from_json(cfg.to_json()).to_json() == cfg.to_json()
+    assert cli.ExperimentConfig.from_json(asdict(cfg)) == cfg
     assert cfg.solver.max_iter == 17
     assert cfg.compare.p == 1.3
 

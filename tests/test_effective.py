@@ -4,6 +4,7 @@ import pytest
 from refstokes import cloud as cl
 from refstokes import effective as eff
 from refstokes import kernels, sym3
+from refstokes import reflections as refl
 from refstokes.errors import GateError, GridMismatchError
 from refstokes.fields import GridField
 
@@ -74,6 +75,31 @@ def test_assemble_integral_matches_total_mobility():
     rel = np.linalg.norm(integral - exact) / np.linalg.norm(exact)
     assert rel < 3.0 * h / a
     assert rel < 0.01   # subsampled coverage does much better than the bound
+
+
+def test_assemble_matches_brute_force_loop(rng):
+    # grid 8 on the unit box: the first ball crosses the lower x face, the
+    # other two share boundary cells; anisotropic mobilities pin the order in
+    # which each cell sums its balls
+    a, n = 0.3, 8
+    c = cl.ParticleCloud(centers=[[0.1, 0.5, 0.5], [0.55, 0.3, 0.6], [0.6, 0.75, 0.45]],
+                         a=a, mobilities=rng.normal(size=(3, 5, 5)),
+                         box=[[-1.0] * 3, [2.0] * 3])
+    field = eff.assemble_MN(c, UNIT_BOX, n)
+    h = field.cell_size
+    t = (np.arange(eff._RASTER_SUB) + 0.5) / eff._RASTER_SUB - 0.5
+    offsets = np.stack(np.meshgrid(t * h[0], t * h[1], t * h[2], indexing="ij"),
+                       axis=-1).reshape(-1, 3)
+    scale = 3.0 / (4.0 * np.pi * a ** 3)
+    cells = field.cell_centers()
+    expected = np.zeros((n, n, n, 5, 5))
+    for idx in np.ndindex(n, n, n):
+        for center, mob in zip(c.centers, c.mobilities):
+            rel = cells[idx] + offsets - center
+            count = np.sum(np.einsum("...i,...i->...", rel, rel) <= a ** 2)
+            expected[idx] += (scale * (count / len(offsets))) * mob
+    assert np.any(expected[0] != 0.0)
+    assert np.array_equal(field.values, expected)
 
 
 def test_assemble_warns_when_unresolved():
@@ -292,7 +318,7 @@ def test_fixed_point_contraction():
 def test_einstein_first_order_exact():
     for c in (cl.generate_lattice(UNIT_BOX, 2, 0.05),
               cl.generate_rsa(UNIT_BOX, 40, 0.01, 0.05, seed=4)):
-        coeff = eff.einstein_coefficient(c, UNIAXIAL, order="first")
+        coeff = eff.einstein_coefficient(c, UNIAXIAL, np.tile(UNIAXIAL, (c.n, 1)))
         assert abs(coeff - 2.5) < 1e-12
 
 
@@ -304,8 +330,8 @@ def test_einstein_zero_strains():
 def test_einstein_work_sphere_value():
     c = cl.generate_lattice(UNIT_BOX, 2, 0.05)
     strains = np.tile(UNIAXIAL, (8, 1))
-    w = eff.einstein_work(c, UNIAXIAL, strains, mu=1.3)
-    expected = 1.3 * 8 * (20 * np.pi / 3) * 0.05 ** 3 * sym3.frobenius(UNIAXIAL, UNIAXIAL)
+    w = eff.einstein_work(c, UNIAXIAL, strains)
+    expected = 8 * (20 * np.pi / 3) * 0.05 ** 3 * sym3.frobenius(UNIAXIAL, UNIAXIAL)
     assert np.isclose(w, expected, rtol=1e-13)
 
 
@@ -315,7 +341,7 @@ def test_einstein_anisotropic_mobility():
     c_val = 3.7
     c = cl.ParticleCloud(centers=base.centers, a=1.0,
                          mobilities=np.tile(c_val * np.eye(5), (8, 1, 1)), box=box)
-    coeff = eff.einstein_coefficient(c, UNIAXIAL, order="first")
+    coeff = eff.einstein_coefficient(c, UNIAXIAL, np.tile(UNIAXIAL, (8, 1)))
     assert np.isclose(coeff, 3.0 * c_val / (8.0 * np.pi), rtol=1e-12)
     # brute-force check through the work functional
     work = eff.einstein_work(c, UNIAXIAL, np.tile(UNIAXIAL, (8, 1)))
@@ -328,14 +354,15 @@ def test_einstein_converged_near_first_order_at_low_phi():
     phi = 1e-4
     a = (3 * phi / (4 * np.pi * 27)) ** (1 / 3)
     c = cl.generate_lattice(UNIT_BOX, 3, a)
-    coeff = eff.einstein_coefficient(c, UNIAXIAL, order="converged")
+    coeff = eff.einstein_coefficient(c, UNIAXIAL, refl.run_reflections(c, UNIAXIAL).A_hat)
     assert abs(coeff - 2.5) < 1e-2
 
 
-def test_einstein_rejects_bad_order_and_empty():
-    c = cl.generate_lattice(UNIT_BOX, 2, 0.05)
-    with pytest.raises(ValueError):
-        eff.einstein_coefficient(c, UNIAXIAL, order="third")
+def test_einstein_rejects_empty_cloud():
+    empty = cl.ParticleCloud(centers=np.zeros((0, 3)), a=0.05,
+                             mobilities=np.zeros((0, 5, 5)), box=UNIT_BOX)
+    with pytest.raises(ValueError, match="zero volume fraction"):
+        eff.einstein_coefficient(empty, UNIAXIAL, np.zeros((0, 5)))
 
 
 # ---------------------------------------------------------------------------

@@ -331,8 +331,8 @@ def test_mean_value_errors():
 
 SPHERE_A = 0.05
 PAIR_KERNELS = {
-    "strain": (kernels.stresslet_strain_kernel, kernels.stresslet_strain_from_moment),
-    "velocity": (kernels.stresslet_velocity_kernel, kernels.stresslet_field_from_moment),
+    "strain": (kernels.stresslet_strain_kernel, partial(kernels.stresslet_strain, np.eye(5))),
+    "velocity": (kernels.stresslet_velocity_kernel, partial(kernels.stresslet_field, np.eye(5))),
     "sphere": (partial(kernels.sphere_disturbance_kernel, a=SPHERE_A),
                lambda w, x: kernels.sphere_disturbance(w, SPHERE_A, x)),
 }

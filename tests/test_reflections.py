@@ -89,6 +89,21 @@ def test_non_convergence_reported_not_raised():
     assert len(sol.norm_history) == 4
 
 
+def test_max_iter_zero_runs_no_sweep():
+    sol = refl.run_reflections(two_sphere_cloud(), UNIAXIAL, max_iter=0, force=True)
+    assert sol.iterations == 0
+    assert not sol.converged
+    assert np.array_equal(sol.A_hat, np.tile(UNIAXIAL, (2, 1)))
+
+
+def test_fixed_n_zero_rejected_before_gate():
+    c = two_sphere_cloud(separation=4.5)     # a^3/d^3 = 0.011 > 1e-2
+    with pytest.raises(GateError):
+        refl.run_reflections(c, UNIAXIAL)
+    with pytest.raises(ValueError, match="fixed_n"):
+        refl.run_reflections(c, UNIAXIAL, fixed_n=0)
+
+
 def test_fixed_n_levels():
     c = two_sphere_cloud()
     sol3 = refl.run_reflections(c, UNIAXIAL, fixed_n=3, force=True)
