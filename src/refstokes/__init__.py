@@ -23,14 +23,13 @@ from .cloud import (
 )
 from .effective import (
     EffectiveModel,
-    ExclusionRegion,
     assemble_MN,
     einstein_coefficient,
     einstein_work,
-    exclusion_region_for_cloud,
     fixed_point_vc,
     hminus1_distance,
     lp_field_distance,
+    outside_balls,
     tilde_vc,
     uniform_Meff,
 )

@@ -234,18 +234,11 @@ def run_compare_sweep(cfg):
         Meff = model.rasterize(gbox, n)
         hm1 = effective.hminus1_distance(MN, Meff)
         vc, _ = effective.fixed_point_vc(model, A, gbox, n, max_iter=1)
-        Amat = sym3.embed(A)
-
-        def u_app(pts):
-            return reflections.evaluate_velocity(sol, A, pts, mode="sphere_full")
-
-        def u_eff(pts, Amat=Amat, vc=vc):
-            rel = (pts - vc.box[0]) / vc.cell_size
-            idx = np.clip(rel.astype(int), 0, vc.n - 1)
-            return pts @ Amat.T + vc.values[idx[:, 0], idx[:, 1], idx[:, 2]]
-
-        region = effective.exclusion_region_for_cloud(cloud, box=gbox)
-        lp = effective.lp_field_distance(u_app, u_eff, region, p, gbox, n)
+        pts = vc.cell_centers().reshape(-1, 3)
+        keep = effective.outside_balls(pts, cloud)
+        u_app = reflections.evaluate_velocity(sol, A, pts[keep])
+        u_eff = pts[keep] @ sym3.embed(A).T + vc.values.reshape(-1, 3)[keep]
+        lp = effective.lp_field_distance(u_app, u_eff, p, vc.cell_volume)
         sup = model.sup_norm()
         entry = {
             "phi": float(phi),

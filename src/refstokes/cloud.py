@@ -88,6 +88,11 @@ class ParticleCloud:
         return len(self.centers)
 
     @property
+    def spherical(self):
+        """True when every mobility is the closed-form sphere map (rtol 1e-12)."""
+        return np.allclose(self.mobilities, sphere_mobility(self.a), rtol=1e-12, atol=0.0)
+
+    @property
     def box_volume(self):
         side = self.box[1] - self.box[0]
         return float(side[0] * side[1] * side[2])
@@ -272,8 +277,7 @@ def cloud_to_json(cloud):
         "box": [[float(v) for v in cloud.box[0]], [float(v) for v in cloud.box[1]]],
         "centers": [[float(v) for v in row] for row in cloud.centers],
     }
-    if not np.allclose(cloud.mobilities, sphere_mobility(cloud.a),
-                       rtol=1e-12, atol=0.0):
+    if not cloud.spherical:
         doc["mobilities"] = [[float(v) for v in m.reshape(25)] for m in cloud.mobilities]
     return doc
 

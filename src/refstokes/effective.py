@@ -34,8 +34,7 @@ __all__ = [
     "clear_kernel_cache",
     "einstein_work",
     "einstein_coefficient",
-    "ExclusionRegion",
-    "exclusion_region_for_cloud",
+    "outside_balls",
     "lp_field_distance",
 ]
 
@@ -379,52 +378,22 @@ def einstein_coefficient(cloud, A, strains):
 # local Lp comparison
 
 
-@dataclass(frozen=True)
-class ExclusionRegion:
-    """Axis-aligned box minus a union of balls around particle centers.
-
-    A point is kept when it lies in the closed box and its squared distance
-    to every center exceeds radius^2.
-    """
-
-    box: np.ndarray
-    centers: np.ndarray = None
-    radius: float = 0.0
-
-    def contains(self, points):
-        points = np.atleast_2d(np.asarray(points, dtype=float))
-        box = np.asarray(self.box, dtype=float)
-        mask = np.all((points >= box[0]) & (points <= box[1]), axis=-1)
-        if self.centers is not None and len(self.centers) and self.radius > 0:
-            mask[kernels.pairs_within(points, self.centers, self.radius)[0]] = False
-        return mask
+def outside_balls(points, cloud):
+    """Mask of the points farther than FIELD_EXCLUSION_FACTOR * a from every
+    particle centre (a point at exactly that distance is excluded)."""
+    keep = np.ones(len(points), dtype=bool)
+    keep[kernels.pairs_within(points, cloud.centers, FIELD_EXCLUSION_FACTOR * cloud.a)[0]] = False
+    return keep
 
 
-def exclusion_region_for_cloud(cloud, box=None):
-    return ExclusionRegion(box=np.asarray(cloud.box if box is None else box, float),
-                           centers=cloud.centers, radius=FIELD_EXCLUSION_FACTOR * cloud.a)
-
-
-def lp_field_distance(u_sampler, v_sampler, region, p, box, n):
-    """Midpoint-rule Lp distance of two point-sampled fields over a region.
-
-    Samples both fields at the centers of the n^3 cells of `box` that lie in
-    `region` (excluded balls are skipped entirely). p is restricted to
-    [1, 3/2), the local integrability range of the stresslet kernel.
+def lp_field_distance(u, v, p, cell_volume):
+    """Midpoint-rule Lp distance of two vector fields sampled at cell centres
+    (arrays (P, k)), each sample weighted by the cell volume. p is
+    restricted to [1, 3/2), the local integrability range of the stresslet
+    kernel.
     """
     if not (1.0 <= p < 1.5):
         raise ValueError(f"p must lie in [1, 3/2), got {p}")
-    box = np.asarray(box, dtype=float)
-    h = (box[1] - box[0]) / n
-    vol = float(np.prod(h))
-    axes = [box[0][k] + (np.arange(n) + 0.5) * h[k] for k in range(3)]
-    gx, gy, gz = np.meshgrid(*axes, indexing="ij")
-    pts = np.stack([gx, gy, gz], axis=-1).reshape(-1, 3)
-    pts = pts[region.contains(pts)]
-    du = np.asarray(u_sampler(pts)) - np.asarray(v_sampler(pts))
-    if du.ndim == 1:
-        mags = np.abs(du)
-    else:
-        mags = np.sqrt(np.einsum("pi,pi->p", du, du))
-    total = float(np.sum(mags ** p)) * vol
-    return total ** (1.0 / p)
+    du = np.asarray(u, dtype=float) - np.asarray(v, dtype=float)
+    mags = np.sqrt(np.einsum("pi,pi->p", du, du))
+    return (float(np.sum(mags ** p)) * cell_volume) ** (1.0 / p)

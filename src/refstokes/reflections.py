@@ -24,7 +24,6 @@ from functools import partial
 
 import numpy as np
 from scipy import linalg
-from scipy.spatial import cKDTree
 
 from . import kernels
 from .cloud import ParticleCloud, validate
@@ -178,29 +177,26 @@ def dense_fixed_point(cloud, A):
                              norm_history=[_level_norm(A_hat)])
 
 
-def evaluate_velocity(solution, A, points, mode="far_field"):
+def evaluate_velocity(solution, A, points):
     """Approximate velocity A x plus per-particle disturbances at the points.
 
-    far_field sums the pure point-stresslet fields of the accumulated
-    moments; sphere_full uses the full sphere disturbance solution (all
-    particles must carry the closed-form sphere mobility). Points inside a
-    particle raise KernelDomainError naming it.
+    The cloud picks the kernel: when every particle carries the closed-form
+    sphere mobility (`ParticleCloud.spherical`) each contributes the full
+    sphere disturbance of its accumulated strain; otherwise each contributes
+    the point-stresslet field of its moment. Points inside a particle raise
+    KernelDomainError naming the point and the particle; points on a surface
+    are allowed.
     """
-    if mode not in ("far_field", "sphere_full"):
-        raise ValueError(f"unknown mode {mode!r}")
     cloud = solution.cloud
     points = np.atleast_2d(np.asarray(points, dtype=float))
     A = np.asarray(A, dtype=float).reshape(5)
     u = points @ embed(A).T
-    if mode == "sphere_full" and not np.allclose(
-            cloud.mobilities, kernels.sphere_mobility(cloud.a), rtol=1e-10, atol=0.0):
-        raise ValueError("sphere_full mode requires all particles spherical")
-    dist, nearest = cKDTree(cloud.centers).query(points)
-    inside = np.flatnonzero(dist * dist < cloud.a ** 2 * (1.0 - 1e-12))
+    t, s, z = kernels.pairs_within(points, cloud.centers, cloud.a)
+    inside = np.flatnonzero(np.einsum("ki,ki->k", z, z) < cloud.a ** 2 * (1.0 - 1e-12))
     if len(inside):
         raise KernelDomainError(
-            f"evaluation point {inside[0]} inside particle {nearest[inside[0]]}")
-    if mode == "sphere_full":
+            f"evaluation point {t[inside[0]]} inside particle {s[inside[0]]}")
+    if cloud.spherical:
         kernel = partial(kernels.sphere_disturbance_kernel, a=cloud.a)
         weights = solution.A_hat
     else:

@@ -1,3 +1,4 @@
+import itertools
 import json
 from dataclasses import asdict
 
@@ -6,6 +7,8 @@ import pytest
 
 from refstokes import cli
 from refstokes import cloud as cl
+from refstokes import effective as eff
+from refstokes import kernels
 from refstokes import reflections as refl
 from refstokes import sym3
 from refstokes.errors import SeparationError
@@ -215,6 +218,45 @@ def test_compare_report(tmp_path, capsys):
                 "meff_sup_sq", "bound_sum"):
         assert key in e
     assert report["theta"] == pytest.approx(1 / 1.2 - 2 / 3)
+
+
+@pytest.mark.filterwarnings("ignore:grid spacing")
+def test_compare_lp_proxy_matches_slow_oracle(tmp_path):
+    # lp_proxy by explicit loops over grid cells and particles: points within
+    # 4a of a centre dropped by explicit distances, u_app = A x plus the
+    # sphere disturbances of the fixed_n = 3 strains, u_eff = A x plus the
+    # fixed_point_vc velocity of the same cell
+    strain = [0.3, -0.7, 0.5, 0.2, -0.4]
+    cfg = cli.load_config(lattice_config(tmp_path, n_per_axis=2, strain=strain,
+                                         sweep={"phis": [1e-3, 8e-3]},
+                                         grid={"n": 8, "padding": 0.5}))
+    report = cli.run_compare_sweep(cfg)
+    A = sym3.sym_from_list(strain)
+    Amat = sym3.embed(A)
+    p, n = report["p"], 8
+    gbox = np.array([[-0.5] * 3, [1.5] * 3])
+    h = 2.0 / n
+    excluded = []
+    for entry in report["entries"]:
+        a = entry["a"]
+        cloud = cl.generate_lattice(np.array(UNIT_BOX), 2, a)
+        strains = refl.run_reflections(cloud, A, fixed_n=3).A_hat
+        model = eff.uniform_Meff(cloud.box, entry["phi"])
+        vc, _ = eff.fixed_point_vc(model, A, gbox, n, max_iter=1)
+        total, dropped = 0.0, 0
+        for i, j, k in itertools.product(range(n), repeat=3):
+            x = gbox[0] + (np.array([i, j, k]) + 0.5) * h
+            if any(np.linalg.norm(x - c) <= 4.0 * a for c in cloud.centers):
+                dropped += 1
+                continue
+            u_app = Amat @ x
+            for s, c in zip(strains, cloud.centers):
+                u_app = u_app + kernels.sphere_disturbance(s, a, x - c)
+            u_eff = Amat @ x + vc.values[i, j, k]
+            total += np.linalg.norm(u_app - u_eff) ** p * h ** 3
+        excluded.append(dropped)
+        assert entry["lp_proxy"] == pytest.approx(total ** (1.0 / p), rel=1e-12, abs=0.0)
+    assert excluded == [0, 64]        # 8 cells around each of the 8 balls
 
 
 @pytest.mark.filterwarnings("ignore:grid spacing")

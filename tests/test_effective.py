@@ -369,49 +369,57 @@ def test_einstein_rejects_empty_cloud():
 # Lp field distance
 
 
+def grid_points(n):
+    """Cell centres (n^3, 3) and cell volume of the n^3 grid on the unit box."""
+    g = GridField.zeros(UNIT_BOX, n)
+    return g.cell_centers().reshape(-1, 3), g.cell_volume
+
+
 def test_lp_identical_zero():
-    region = eff.ExclusionRegion(box=UNIT_BOX)
-    u = lambda pts: pts
-    assert eff.lp_field_distance(u, u, region, 1.2, UNIT_BOX, 8) == 0.0
+    pts, vol = grid_points(8)
+    assert eff.lp_field_distance(pts, pts, 1.2, vol) == 0.0
 
 
 def test_lp_constant_difference():
-    region = eff.ExclusionRegion(box=UNIT_BOX)
-    u = lambda pts: np.full(len(pts), 2.0)
-    v = lambda pts: np.full(len(pts), -1.0)
+    pts, vol = grid_points(8)
+    u = np.full((len(pts), 1), 2.0)
+    v = np.full((len(pts), 1), -1.0)
     for p in (1.0, 1.2, 1.4):
-        val = eff.lp_field_distance(u, v, region, p, UNIT_BOX, 8)
+        val = eff.lp_field_distance(u, v, p, vol)
         assert np.isclose(val, 3.0, rtol=1e-12)
 
 
 def test_lp_p_range():
-    region = eff.ExclusionRegion(box=UNIT_BOX)
-    u = lambda pts: pts
+    pts, vol = grid_points(8)
     for p in (0.9, 1.5, 1.6):
         with pytest.raises(ValueError):
-            eff.lp_field_distance(u, u, region, p, UNIT_BOX, 8)
+            eff.lp_field_distance(pts, pts, p, vol)
 
 
 def test_lp_grid_refinement_stable():
-    region = eff.ExclusionRegion(box=UNIT_BOX)
-    u = lambda pts: np.exp(-4 * np.einsum("pi,pi->p", pts - 0.4, pts - 0.4))
-    v = lambda pts: 0.5 * np.exp(-3 * np.einsum("pi,pi->p", pts - 0.6, pts - 0.6))
-    vals = [eff.lp_field_distance(u, v, region, 1.2, UNIT_BOX, n)
-            for n in (16, 32)]
+    def u(pts):
+        return np.exp(-4 * np.einsum("pi,pi->p", pts - 0.4, pts - 0.4))[:, None]
+
+    def v(pts):
+        return 0.5 * np.exp(-3 * np.einsum("pi,pi->p", pts - 0.6, pts - 0.6))[:, None]
+
+    vals = []
+    for n in (16, 32):
+        pts, vol = grid_points(n)
+        vals.append(eff.lp_field_distance(u(pts), v(pts), 1.2, vol))
     assert abs(vals[1] - vals[0]) < 0.02 * vals[0]
 
 
 def test_lp_exclusion_region():
     c = cl.generate_lattice(UNIT_BOX, 2, 0.05)
-    region = eff.exclusion_region_for_cloud(c)
     pts = c.centers + np.array([0.0, 0.0, 0.1])   # within 4a = 0.2 of centers
-    assert not region.contains(pts).any()
-    far = np.array([[0.5, 0.5, 0.5]])
-    assert region.contains(far).all()
-    # indicator of the region: the distance only integrates over it
-    u = lambda pts: np.ones(len(pts))
-    v = lambda pts: np.zeros(len(pts))
-    val = eff.lp_field_distance(u, v, region, 1.0, UNIT_BOX, 16)
+    assert not eff.outside_balls(pts, c).any()
+    assert eff.outside_balls(np.array([[0.5, 0.5, 0.5]]), c).all()
+    # indicator of the kept cells: the distance only integrates over them
+    pts, vol = grid_points(16)
+    keep = eff.outside_balls(pts, c)
+    val = eff.lp_field_distance(np.ones((keep.sum(), 1)), np.zeros((keep.sum(), 1)),
+                                1.0, vol)
     excluded_volume = 8 * (4 / 3) * np.pi * 0.2 ** 3
     assert abs(val - (1.0 - excluded_volume)) < 0.05
 
@@ -421,15 +429,12 @@ def test_exclusion_mask_matches_brute_force(rng):
     radius = 0.125
     centers = np.vstack([[0.5, 0.5, 0.5], [0.25, 0.75, 0.25],
                          rng.uniform(0.3, 0.7, size=(20, 3))])
-    g = np.arange(-1, 18) / 16.0              # the box faces 0 and 1 included
+    c = cl.ParticleCloud.spheres(centers, radius / cl.FIELD_EXCLUSION_FACTOR, UNIT_BOX)
+    g = np.arange(-1, 18) / 16.0              # points on and beyond the box faces too
     pts = np.stack(np.meshgrid(g, g, g, indexing="ij"), axis=-1).reshape(-1, 3)
-    region = eff.ExclusionRegion(box=UNIT_BOX, centers=centers, radius=radius)
-    got = region.contains(pts)
+    got = eff.outside_balls(pts, c)
     z = pts[:, None, :] - centers[None, :, :]
-    in_box = np.all((pts >= 0.0) & (pts <= 1.0), axis=-1)
-    brute = in_box & np.all(np.einsum("pci,pci->pc", z, z) > radius ** 2, axis=1)
+    brute = np.all(np.einsum("pci,pci->pc", z, z) > radius ** 2, axis=1)
     assert np.array_equal(got, brute)
     # exactly 4a = radius from a center: excluded
-    assert not region.contains(np.array([[0.625, 0.5, 0.5], [0.5, 0.5, 0.375]])).any()
-    on_faces = np.any((pts == 0.0) | (pts == 1.0), axis=-1) & in_box
-    assert got[on_faces].all()
+    assert not eff.outside_balls(np.array([[0.625, 0.5, 0.5], [0.5, 0.5, 0.375]]), c).any()

@@ -235,7 +235,7 @@ def test_velocity_single_particle_boundary_rigid():
     rng = np.random.default_rng(2)
     pts = rng.normal(size=(50, 3))
     pts *= 0.5 / np.linalg.norm(pts, axis=1, keepdims=True)
-    u = refl.evaluate_velocity(sol, UNIAXIAL, pts, mode="sphere_full")
+    u = refl.evaluate_velocity(sol, UNIAXIAL, pts)
     # on the surface the disturbance cancels the strain: u is a rigid motion
     # (here exactly zero since the particle sits at the origin)
     assert np.max(np.linalg.norm(u, axis=1)) < 1e-12
@@ -251,8 +251,8 @@ def test_velocity_far_vs_full_modes():
     dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
     pts = r * dirs
     background = pts @ sym3.embed(UNIAXIAL).T
-    u_far = refl.evaluate_velocity(sol, UNIAXIAL, pts, mode="far_field") - background
-    u_full = refl.evaluate_velocity(sol, UNIAXIAL, pts, mode="sphere_full") - background
+    u_far = kernels.stresslet_field(c.mobilities[0], sol.A_hat[0], pts)
+    u_full = refl.evaluate_velocity(sol, UNIAXIAL, pts) - background
     rel = np.linalg.norm(u_far - u_full, axis=1) / np.linalg.norm(u_full, axis=1)
     assert np.max(rel) < (a / r) * 5e-2
 
@@ -260,20 +260,33 @@ def test_velocity_far_vs_full_modes():
 def test_velocity_point_inside_particle_raises():
     c = cl.generate_lattice(UNIT_BOX, 1, 0.1)
     sol = refl.run_reflections(c, UNIAXIAL)
-    with pytest.raises(KernelDomainError):
-        refl.evaluate_velocity(sol, UNIAXIAL, np.array([[0.5, 0.5, 0.52]]))
+    pts = np.array([[0.1, 0.1, 0.1], [0.5, 0.5, 0.52]])
+    with pytest.raises(KernelDomainError, match="evaluation point 1 inside particle 0"):
+        refl.evaluate_velocity(sol, UNIAXIAL, pts)
 
 
-def test_velocity_sphere_full_requires_spheres(rng):
-    centers = [[0.3, 0.3, 0.3], [0.7, 0.7, 0.7]]
+def test_velocity_sphere_full_requires_spheres():
+    # the sphere disturbance only when every mobility is the sphere map,
+    # point stresslets of the moments otherwise
+    centers = np.array([[0.3, 0.3, 0.3], [0.7, 0.7, 0.7]])
+    x = np.array([[0.1, 0.1, 0.1], [0.5, 0.45, 0.6]])
+    background = x @ sym3.embed(UNIAXIAL).T
+    spheres = cl.ParticleCloud.spheres(centers, 0.01, UNIT_BOX)
+    bent = cl.ParticleCloud(centers=centers, a=0.01, box=UNIT_BOX,
+                            mobilities=spheres.mobilities * (1.0 + 1e-10))
     mob = np.tile(np.eye(5) * 1e-3, (2, 1, 1))
-    c = cl.ParticleCloud(centers=np.array(centers), a=0.01, mobilities=mob,
-                         box=UNIT_BOX)
-    sol = refl.run_reflections(c, UNIAXIAL)
-    with pytest.raises(ValueError):
-        refl.evaluate_velocity(sol, UNIAXIAL, np.array([[0.1, 0.1, 0.1]]),
-                               mode="sphere_full")
-    refl.evaluate_velocity(sol, UNIAXIAL, np.array([[0.1, 0.1, 0.1]]))
+    custom = cl.ParticleCloud(centers=centers, a=0.01, mobilities=mob, box=UNIT_BOX)
+    assert spheres.spherical and not bent.spherical and not custom.spherical
+    for c in (bent, custom):
+        sol = refl.run_reflections(c, UNIAXIAL)
+        far = background + sum(kernels.stresslet_field(c.mobilities[m], sol.A_hat[m],
+                                                       x - centers[m]) for m in range(2))
+        assert np.allclose(refl.evaluate_velocity(sol, UNIAXIAL, x), far,
+                           rtol=1e-13, atol=0.0)
+    sol = refl.run_reflections(spheres, UNIAXIAL)
+    full = background + sum(kernels.sphere_disturbance(sol.A_hat[m], 0.01,
+                                                       x - centers[m]) for m in range(2))
+    assert np.allclose(refl.evaluate_velocity(sol, UNIAXIAL, x), full, rtol=1e-13, atol=0.0)
 
 
 # ---------------------------------------------------------------------------
