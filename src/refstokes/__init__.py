@@ -12,7 +12,6 @@ from .cloud import (
     CloudStats,
     ParticleCloud,
     brute_force_min_distance,
-    centers_to_csv,
     cloud_from_json,
     cloud_to_json,
     generate_lattice,
@@ -61,10 +60,8 @@ from .reflections import (
     dense_fixed_point,
     evaluate_velocity,
     init_reflections,
-    load_solution,
     reflect_step,
     run_reflections,
-    save_solution,
 )
 from .sym3 import (
     BASIS,

@@ -3,7 +3,9 @@
 Verbs: generate | reflect | einstein | compare | validate. One JSON config
 document drives every command; a few common fields can be overridden by
 flags. All outputs (cloud files, solution files, CSV tables, reports) are
-deterministic functions of the config, so re-runs are byte-identical.
+deterministic functions of the config, so re-runs are byte-identical. This
+module is the only one that reads or writes them: JSON through one
+schema-checked reader and one writer, tables through one CSV writer.
 
 Exit codes: 0 success, 2 generation infeasible (separation/saturation),
 3 convergence-gate violation, 4 invalid parameter, 1 internal error.
@@ -13,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import sys
 from dataclasses import dataclass, field
@@ -86,20 +89,51 @@ class ExperimentConfig:
         return cfg
 
 
-def _schema(name):
-    path = resources.files("refstokes.schemas").joinpath(name)
-    return json.loads(path.read_text())
+# ---------------------------------------------------------------------------
+# files: every document the CLI reads or writes passes through these
+
+
+@functools.lru_cache(maxsize=4)      # one per file in refstokes/schemas
+def _validator(schema_name):
+    schema = json.loads(resources.files("refstokes.schemas").joinpath(schema_name).read_text())
+    return jsonschema.validators.validator_for(schema)(schema)
 
 
 def validate_document(doc, schema_name):
-    jsonschema.validate(doc, _schema(schema_name))
+    """Raise the error `jsonschema.validate` would raise for doc, if any.
+
+    The schema files are checked against their meta-schema by the tests, not
+    on every call.
+    """
+    error = jsonschema.exceptions.best_match(_validator(schema_name).iter_errors(doc))
+    if error is not None:
+        raise error
+
+
+def _read_json(path, schema_name):
+    with open(path) as fh:
+        doc = json.load(fh)
+    validate_document(doc, schema_name)
+    return doc
+
+
+def _dump_json(doc, path, schema_name):
+    validate_document(doc, schema_name)
+    text = json.dumps(doc, indent=1, sort_keys=True, allow_nan=False)
+    with open(path, "w") as fh:
+        fh.write(text + "\n")
+
+
+def _write_csv(path, header, rows):
+    """Header and rows of str, int and float cells; a float is written as its repr."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 def load_config(path):
-    with open(path) as fh:
-        doc = json.load(fh)
-    validate_document(doc, "config.schema.json")
-    return ExperimentConfig.from_json(doc)
+    return ExperimentConfig.from_json(_read_json(path, "config.schema.json"))
 
 
 def build_cloud(cfg, a=None):
@@ -132,12 +166,6 @@ def _solver_kwargs(cfg):
             "gate": cfg.solver.gate, "force": cfg.solver.force}
 
 
-def _dump_json(doc, path):
-    text = json.dumps(doc, indent=1, sort_keys=True, allow_nan=False)
-    with open(path, "w") as fh:
-        fh.write(text + "\n")
-
-
 # ---------------------------------------------------------------------------
 # commands
 
@@ -145,11 +173,9 @@ def _dump_json(doc, path):
 def cmd_generate(cfg, args):
     cloud = build_cloud(cfg)
     stats = cloudmod.validate(cloud)
-    doc = cloudmod.cloud_to_json(cloud)
-    validate_document(doc, "cloud.schema.json")
-    _dump_json(doc, args.out)
+    _dump_json(cloudmod.cloud_to_json(cloud), args.out, "cloud.schema.json")
     if args.csv:
-        cloudmod.centers_to_csv(cloud, args.csv)
+        _write_csv(args.csv, ["x", "y", "z"], cloud.centers.tolist())
     print(json.dumps({"cloud_file": args.out, "n": stats.n, "d": stats.d,
                       "phi_global": stats.phi_global,
                       "phi_local": stats.phi_local}, sort_keys=True))
@@ -157,15 +183,15 @@ def cmd_generate(cfg, args):
 
 
 def cmd_reflect(cfg, args):
-    cloud = cloudmod.load_cloud(args.cloud)
+    cloud = cloudmod.cloud_from_json(_read_json(args.cloud, "cloud.schema.json"))
     A = sym3.sym_from_list(cfg.strain)
     sol = reflections.run_reflections(cloud, A, fixed_n=cfg.solver.fixed_n,
                                       **_solver_kwargs(cfg))
-    doc = reflections.solution_to_json(sol)
-    validate_document(doc, "solution.schema.json")
-    _dump_json(doc, args.out)
+    _dump_json(reflections.solution_to_json(sol), args.out, "solution.schema.json")
     if args.csv:
-        reflections.convergence_table_to_csv(sol.norm_history, args.csv)
+        ratios = [""] + reflections.level_ratios(sol.norm_history)
+        _write_csv(args.csv, ["iteration", "level_norm", "ratio"],
+                   [[k, v, r] for k, (v, r) in enumerate(zip(sol.norm_history, ratios))])
     summary = {"solution_file": args.out, "iterations": sol.iterations,
                "converged": sol.converged, "residual": sol.residual}
     if args.oracle:
@@ -185,17 +211,13 @@ def run_einstein_sweep(cfg):
         sol = reflections.run_reflections(cloud, A, **_solver_kwargs(cfg))
         first = effective.einstein_coefficient(cloud, A, np.tile(A, (cloud.n, 1)))
         conv = effective.einstein_coefficient(cloud, A, sol.A_hat)
-        rows.append((phi, first, conv))
+        rows.append((float(phi), float(first), float(conv)))
     return rows
 
 
 def cmd_einstein(cfg, args):
     rows = run_einstein_sweep(cfg)
-    with open(args.out, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["phi", "first_order", "converged"])
-        for row in rows:
-            writer.writerow([repr(float(v)) for v in row])
+    _write_csv(args.out, ["phi", "first_order", "converged"], rows)
     print(json.dumps({"table": args.out, "rows": len(rows)}, sort_keys=True))
     return EXIT_OK
 
@@ -257,8 +279,7 @@ def run_compare_sweep(cfg):
 
 def cmd_compare(cfg, args):
     report = run_compare_sweep(cfg)
-    validate_document(report, "compare.schema.json")
-    _dump_json(report, args.out)
+    _dump_json(report, args.out, "compare.schema.json")
     print(json.dumps({"report": args.out, "entries": len(report["entries"])},
                      sort_keys=True))
     return EXIT_OK
@@ -295,9 +316,7 @@ def cmd_validate(cfg, args):
         print(f"{'PASS' if passed else 'FAIL'} {name}")
         ok &= passed
     if args.cloud:
-        with open(args.cloud) as fh:
-            doc = json.load(fh)
-        validate_document(doc, "cloud.schema.json")
+        doc = _read_json(args.cloud, "cloud.schema.json")
         stats = cloudmod.validate(cloudmod.cloud_from_json(doc))
         print(json.dumps({"n": stats.n, "d": stats.d,
                           "phi_global": stats.phi_global,

@@ -14,7 +14,6 @@ a value; they are kept as separate named constants on purpose.
 
 from __future__ import annotations
 
-import csv
 import functools
 import json
 from dataclasses import dataclass
@@ -38,7 +37,6 @@ __all__ = [
     "cloud_from_json",
     "save_cloud",
     "load_cloud",
-    "centers_to_csv",
 ]
 
 SEPARATION_FACTOR = 4.0        # hypothesis: d > SEPARATION_FACTOR * a
@@ -283,7 +281,7 @@ def cloud_to_json(cloud):
 
 
 def cloud_from_json(doc):
-    centers = np.asarray(doc["centers"], dtype=float).reshape(-1, 3)
+    centers = np.asarray(doc["centers"], dtype=float)
     a = float(doc["a"])
     box = np.asarray(doc["box"], dtype=float)
     if "mobilities" in doc:
@@ -303,10 +301,3 @@ def load_cloud(path):
     with open(path) as fh:
         return cloud_from_json(json.load(fh))
 
-
-def centers_to_csv(cloud, path):
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["x", "y", "z"])
-        for row in cloud.centers:
-            writer.writerow([repr(float(v)) for v in row])

@@ -17,8 +17,6 @@ repeated runs on identical input are bit-identical.
 
 from __future__ import annotations
 
-import csv
-import json
 from dataclasses import dataclass, field
 from functools import partial
 
@@ -40,11 +38,9 @@ __all__ = [
     "dense_fixed_point",
     "evaluate_velocity",
     "contraction_diagnostic",
+    "level_ratios",
     "solution_to_json",
     "solution_from_json",
-    "save_solution",
-    "load_solution",
-    "convergence_table_to_csv",
 ]
 
 EPS0_GATE_DEFAULT = 1e-2   # admissible a^3/d^3 for the iterative solver
@@ -222,8 +218,12 @@ def contraction_diagnostic(cloud, A, q=2.0, n_levels=5,
     for _ in range(n_levels):
         state = reflect_step(state)
         norms.append(_level_norm(state.A_current, q))
-    return [0.0 if norms[k] == 0.0 else norms[k + 1] / norms[k]
-            for k in range(n_levels)]
+    return level_ratios(norms)
+
+
+def level_ratios(norms):
+    """Ratios norms[k+1] / norms[k] of consecutive levels; 0 after a vanishing level."""
+    return [0.0 if prev == 0.0 else cur / prev for prev, cur in zip(norms, norms[1:])]
 
 
 def solution_to_json(solution):
@@ -245,26 +245,3 @@ def solution_from_json(doc, cloud):
         residual=float(doc["residual"]),
         norm_history=[float(v) for v in doc["norm_history"]],
     )
-
-
-def save_solution(solution, path):
-    text = json.dumps(solution_to_json(solution), indent=1, sort_keys=True,
-                      allow_nan=False)
-    with open(path, "w") as fh:
-        fh.write(text + "\n")
-
-
-def load_solution(path, cloud):
-    with open(path) as fh:
-        return solution_from_json(json.load(fh), cloud)
-
-
-def convergence_table_to_csv(norm_history, path):
-    """CSV of level norms and consecutive ratios, one row per sweep."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["iteration", "level_norm", "ratio"])
-        for k, v in enumerate(norm_history):
-            ratio = "" if k == 0 else repr(
-                0.0 if norm_history[k - 1] == 0.0 else v / norm_history[k - 1])
-            writer.writerow([k, repr(float(v)), ratio])

@@ -1,8 +1,10 @@
 import ast
 import importlib
+import json
 from pathlib import Path
 
 import pytest
+from jsonschema import Draft202012Validator
 
 MODULES = ["sym3", "kernels", "cloud", "reflections", "effective", "fields", "cli"]
 
@@ -45,3 +47,29 @@ def test_import_layering():
     for name, path in modules.items():
         extra = relative_imports(path) - LAYERS[name]
         assert not extra, f"{name} imports {sorted(extra)}"
+
+
+def absolute_imports(path):
+    found = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            found.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            found.add(node.module.split(".")[0])
+    return found
+
+
+def test_file_formats_stay_at_the_cli_boundary():
+    # cli reads and writes every file; cloud keeps the JSON codec bench/ uses
+    package = Path(importlib.import_module("refstokes").__file__).parent
+    imports = {p.stem: absolute_imports(p) for p in package.glob("*.py")}
+    assert {name for name, found in imports.items() if "json" in found} == {"cli", "cloud"}
+    assert {name for name, found in imports.items() if "csv" in found} == {"cli"}
+
+
+def test_schema_files_are_valid_schemas():
+    schemas = Path(importlib.import_module("refstokes").__file__).parent / "schemas"
+    paths = sorted(schemas.glob("*.json"))
+    assert len(paths) == 4
+    for path in paths:
+        Draft202012Validator.check_schema(json.loads(path.read_text()))

@@ -72,6 +72,10 @@ def test_generate_deterministic_bytes(tmp_path):
     assert cli.main(["generate", "--config", cfgp, "--out", str(o1)]) == 0
     assert cli.main(["generate", "--config", cfgp, "--out", str(o2)]) == 0
     assert o1.read_bytes() == o2.read_bytes()
+    # the library's own cloud writer encodes the same bytes
+    o3 = tmp_path / "c3.json"
+    cl.save_cloud(cli.build_cloud(cli.load_config(cfgp)), o3)
+    assert o3.read_bytes() == o1.read_bytes()
 
 
 def test_generate_infeasible_exit_code(tmp_path, capsys):
@@ -159,6 +163,46 @@ def test_reflect_gate_exit_code(tmp_path, capsys):
     assert rc == 0
 
 
+def test_reflect_tol_override(tmp_path, capsys):
+    doc = {"seed": 4,
+           "cloud": {"kind": "rsa", "box": UNIT_BOX, "n": 40, "a": 0.008,
+                     "dmin": 0.07},
+           "strain": [1, 0, 0, 0, 0]}
+    cfgp = write_config(tmp_path, doc)
+    cloud_path = tmp_path / "cloud.json"
+    cli.main(["generate", "--config", cfgp, "--out", str(cloud_path)])
+    capsys.readouterr()
+    base = ["reflect", "--config", cfgp, "--cloud", str(cloud_path),
+            "--out", str(tmp_path / "s.json")]
+    assert cli.main(base) == 0
+    fine = json.loads(capsys.readouterr().out)
+    assert cli.main(base + ["--tol", "1e-3"]) == 0
+    coarse = json.loads(capsys.readouterr().out)
+    assert fine["converged"] and coarse["converged"]
+    assert coarse["iterations"] < fine["iterations"]
+
+
+GOOD_CLOUD = {"a": 0.01, "box": UNIT_BOX,
+              "centers": [[0.2, 0.2, 0.2], [0.5, 0.5, 0.5], [0.8, 0.8, 0.8]]}
+
+
+@pytest.mark.parametrize("doc, message", [
+    (dict(GOOD_CLOUD, centers=[[0.2, 0.2], [0.5, 0.5], [0.8, 0.8]]), "is too short"),
+    (dict(GOOD_CLOUD, n=3), "'n' was unexpected"),
+], ids=["two_coordinates", "extra_key"])
+def test_reflect_rejects_invalid_cloud_file(tmp_path, capsys, doc, message):
+    cloud_path = write_config(tmp_path, doc, name="cloud.json")
+    assert cli.main(["validate", "--cloud", cloud_path]) == 4
+    validate_err = capsys.readouterr().err
+    assert message in validate_err
+    sol_path = tmp_path / "s.json"
+    rc = cli.main(["reflect", "--config", lattice_config(tmp_path),
+                   "--cloud", cloud_path, "--out", str(sol_path)])
+    assert rc == 4
+    assert capsys.readouterr().err == validate_err
+    assert not sol_path.exists()
+
+
 def test_reflect_determinism(tmp_path, capsys):
     doc = {"seed": 4,
            "cloud": {"kind": "rsa", "box": UNIT_BOX, "n": 40, "a": 0.008,
@@ -200,6 +244,12 @@ def test_compare_p_out_of_range(tmp_path, capsys):
                           compare={"p": 1.6, "coefficient": 5.0})
     rc = cli.main(["compare", "--config", cfgp, "--out", str(tmp_path / "r.json")])
     assert rc == 4
+    # the flag overrides a valid config value
+    cfgp = lattice_config(tmp_path, sweep={"phis": [1e-3]})
+    rc = cli.main(["compare", "--config", cfgp, "--out", str(tmp_path / "r.json"),
+                   "--p", "1.6"])
+    assert rc == 4
+    assert "got 1.6" in capsys.readouterr().err
 
 
 @pytest.mark.filterwarnings("ignore:grid spacing")
@@ -346,7 +396,12 @@ def test_each_cloud_validated_once_per_run(tmp_path, monkeypatch):
 
 
 def test_dump_json_refuses_non_finite(tmp_path):
-    path = tmp_path / "report.json"
-    with pytest.raises(ValueError):
-        cli._dump_json({"hminus1": float("nan")}, path)
-    assert not path.exists()
+    path = tmp_path / "solution.json"
+    for bad in (float("nan"), float("inf")):
+        # a schema-valid solution document: the schema lets NaN/Infinity through
+        doc = {"a_hat": [[1.0, 0.0, 0.0, 0.0, 0.0]], "iterations": 1,
+               "converged": False, "residual": bad, "norm_history": [1.0, bad]}
+        cli.validate_document(doc, "solution.schema.json")
+        with pytest.raises(ValueError):
+            cli._dump_json(doc, path, "solution.schema.json")
+        assert not path.exists()

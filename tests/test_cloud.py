@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from refstokes import cli
 from refstokes import cloud as cl
 from refstokes.errors import SaturationError, SeparationError
 
@@ -130,13 +131,28 @@ def test_json_keeps_custom_mobilities(rng):
     assert np.array_equal(c2.mobilities, mob)
 
 
+def test_json_rejects_malformed_centers():
+    doc = {"a": 0.01, "box": UNIT_BOX.tolist(),
+           "centers": [[0.2, 0.2], [0.5, 0.5], [0.8, 0.8]]}
+    with pytest.raises(ValueError, match=r"centers must have shape \(N, 3\)"):
+        cl.cloud_from_json(doc)
+    assert cl.cloud_from_json(dict(doc, centers=[])).n == 0
+
+
 def test_csv_export(tmp_path):
-    c = cl.generate_lattice(UNIT_BOX, 2, 0.05)
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({
+        "seed": 0,
+        "cloud": {"kind": "lattice", "box": UNIT_BOX.tolist(), "n_per_axis": 2,
+                  "a": 0.05},
+        "strain": [1.0, 0.0, 0.0, 0.0, 0.0]}))
     path = tmp_path / "centers.csv"
-    cl.centers_to_csv(c, path)
+    assert cli.main(["generate", "--config", str(config),
+                     "--out", str(tmp_path / "cloud.json"), "--csv", str(path)]) == 0
     lines = path.read_text().strip().splitlines()
     assert lines[0] == "x,y,z"
-    assert len(lines) == 9
+    rows = np.array([[float(v) for v in line.split(",")] for line in lines[1:]])
+    assert np.array_equal(rows, cl.generate_lattice(UNIT_BOX, 2, 0.05).centers)
 
 
 def test_cloud_immutable():
