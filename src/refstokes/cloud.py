@@ -41,6 +41,14 @@ __all__ = [
 
 SEPARATION_FACTOR = 4.0        # hypothesis: d > SEPARATION_FACTOR * a
 FIELD_EXCLUSION_FACTOR = 4.0   # field comparisons exclude B(x_l, FIELD_EXCLUSION_FACTOR*a)
+_CLOUD_KEYS = {"a", "box", "centers", "mobilities"}   # the keys of a cloud document
+
+
+def _as_centers(centers):
+    """Centers as a float array of rank >= 2; an empty input becomes (0, 3).
+    Any other shape is passed on unchanged for `ParticleCloud` to reject."""
+    centers = np.ascontiguousarray(np.atleast_2d(centers), dtype=float)
+    return centers.reshape(0, 3) if centers.size == 0 else centers
 
 
 @dataclass(frozen=True, eq=False)
@@ -53,9 +61,7 @@ class ParticleCloud:
     box: np.ndarray         # (2, 3): [lower, upper]
 
     def __post_init__(self):
-        centers = np.ascontiguousarray(np.atleast_2d(self.centers), dtype=float)
-        if centers.size == 0:
-            centers = centers.reshape(0, 3)
+        centers = _as_centers(self.centers)
         if centers.ndim != 2 or centers.shape[1] != 3:
             raise ValueError("centers must have shape (N, 3)")
         box = np.ascontiguousarray(self.box, dtype=float)
@@ -77,9 +83,9 @@ class ParticleCloud:
     @classmethod
     def spheres(cls, centers, a, box):
         """Cloud of rigid spheres with the closed-form mobility."""
-        centers = np.atleast_2d(np.asarray(centers, dtype=float))
+        centers = _as_centers(centers)
         mob = np.broadcast_to(sphere_mobility(a), (len(centers), 5, 5)).copy()
-        return cls(centers=centers, a=a, mobilities=mob, box=np.asarray(box, float))
+        return cls(centers=centers, a=a, mobilities=mob, box=box)
 
     @property
     def n(self):
@@ -281,14 +287,14 @@ def cloud_to_json(cloud):
 
 
 def cloud_from_json(doc):
-    centers = np.asarray(doc["centers"], dtype=float)
+    unknown = sorted(set(doc) - _CLOUD_KEYS)
+    if unknown:
+        raise ValueError(f"unknown cloud keys {unknown}; expected {sorted(_CLOUD_KEYS)}")
     a = float(doc["a"])
-    box = np.asarray(doc["box"], dtype=float)
-    if "mobilities" in doc:
-        mob = np.asarray(doc["mobilities"], dtype=float).reshape(-1, 5, 5)
-    else:
-        mob = np.broadcast_to(sphere_mobility(a), (len(centers), 5, 5)).copy()
-    return ParticleCloud(centers=centers, a=a, mobilities=mob, box=box)
+    if "mobilities" not in doc:
+        return ParticleCloud.spheres(doc["centers"], a, doc["box"])
+    mob = np.asarray(doc["mobilities"], dtype=float).reshape(-1, 5, 5)
+    return ParticleCloud(centers=doc["centers"], a=a, mobilities=mob, box=doc["box"])
 
 
 def save_cloud(cloud, path):

@@ -32,7 +32,6 @@ __all__ = [
     "tilde_vc",
     "fixed_point_vc",
     "clear_kernel_cache",
-    "einstein_work",
     "einstein_coefficient",
     "outside_balls",
     "lp_field_distance",
@@ -347,21 +346,10 @@ def fixed_point_vc(model, A, box, n, tol=1e-8, max_iter=50):
 # dilute-limit work functional
 
 
-def einstein_work(cloud, A, strains):
-    """First-order excess rate of work of the suspension, per unit viscosity.
-
-    sum_l < mobility_l(strains_l), A >_F; with sphere mobilities and strains
-    equal to the ambient A this is N (20 pi/3) a^3 A:A.
-    """
-    A = np.asarray(A, dtype=float).reshape(5)
-    strains = np.asarray(strains, dtype=float).reshape(cloud.n, 5)
-    moments = np.einsum("lab,lb->la", cloud.mobilities, strains)
-    return float(np.sum(moments @ A))
-
-
 def einstein_coefficient(cloud, A, strains):
-    """Excess work of the per-particle strains (N, 5) normalized by
-    2 mu A:A |K| phi (mu cancels, so none is taken).
+    """Excess rate of work sum_l < mobility_l(strains_l), A >_F of the
+    per-particle strains (N, 5), normalized by 2 mu A:A |K| phi (mu cancels,
+    so none is taken).
 
     The ambient strain on every particle gives the first-order coefficient
     (exactly 5/2 for spheres); the reflected strains give the converged one.
@@ -370,7 +358,9 @@ def einstein_coefficient(cloud, A, strains):
     if phi <= 0.0:
         raise ValueError("einstein coefficient undefined at zero volume fraction")
     A = np.asarray(A, dtype=float).reshape(5)
-    work = einstein_work(cloud, A, strains)
+    moments = np.einsum("lab,lb->la", cloud.mobilities,
+                        np.asarray(strains, dtype=float).reshape(cloud.n, 5))
+    work = float(np.sum(moments @ A))
     return work / (2.0 * frobenius(A, A) * cloud.box_volume * phi)
 
 

@@ -43,7 +43,7 @@ __all__ = [
     "solution_from_json",
 ]
 
-EPS0_GATE_DEFAULT = 1e-2   # admissible a^3/d^3 for the iterative solver
+EPS0_GATE_DEFAULT = 1e-2   # admissible a^3/d^3 (times the mobility factor) for the solver
 
 
 @dataclass
@@ -96,11 +96,15 @@ def reflect_step(state):
 
 
 def _check_gate(cloud, gate, force):
+    """Gate a^3/d^3 scaled by the largest mobility, max_l |M_l|_2 / |M_sphere|_2
+    (exactly 1 for spheres): the strain of one sweep grows with both."""
     stats = validate(cloud)
-    if not force and stats.phi_local > gate:
+    factor = (np.max(np.linalg.norm(cloud.mobilities, 2, axis=(1, 2)), initial=0.0)
+              / np.linalg.norm(kernels.sphere_mobility(cloud.a), 2))
+    if not force and stats.phi_local * factor > gate:
         raise GateError(
-            f"a^3/d^3 = {stats.phi_local:.3g} above the convergence gate {gate:.3g}; "
-            "pass force=True to override")
+            f"a^3/d^3 = {stats.phi_local:.3g} times the mobility factor {factor:.3g} "
+            f"above the convergence gate {gate:.3g}; pass force=True to override")
     return stats
 
 

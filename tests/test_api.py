@@ -1,6 +1,9 @@
 import ast
 import importlib
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -47,6 +50,23 @@ def test_import_layering():
     for name, path in modules.items():
         extra = relative_imports(path) - LAYERS[name]
         assert not extra, f"{name} imports {sorted(extra)}"
+
+
+def test_package_namespace_imports_nothing():
+    # names are imported from their modules; the package holds only __version__
+    init = Path(importlib.import_module("refstokes").__file__)
+    tree = ast.parse(init.read_text())
+    assert not [node for node in ast.walk(tree) if isinstance(node, (ast.Import, ast.ImportFrom))]
+
+
+def test_cli_import_leaves_out_scipy_integrate():
+    # only `kernels.mean_value_reconstruct` needs it, and it imports it itself
+    src = str(Path(importlib.import_module("refstokes").__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    code = "import sys, refstokes.cli; print('scipy.integrate' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "False"
 
 
 def absolute_imports(path):

@@ -137,6 +137,15 @@ def test_json_rejects_malformed_centers():
     with pytest.raises(ValueError, match=r"centers must have shape \(N, 3\)"):
         cl.cloud_from_json(doc)
     assert cl.cloud_from_json(dict(doc, centers=[])).n == 0
+    assert cl.ParticleCloud.spheres([], 0.01, UNIT_BOX).n == 0
+
+
+def test_json_rejects_unknown_keys(tmp_path):
+    path = tmp_path / "cloud.json"
+    path.write_text(json.dumps({"a": 0.01, "box": UNIT_BOX.tolist(), "n": 1,
+                                "centers": [[0.5, 0.5, 0.5]], "mobilites": []}))
+    with pytest.raises(ValueError, match=r"unknown cloud keys \['mobilites', 'n'\]"):
+        cl.load_cloud(path)
 
 
 def test_csv_export(tmp_path):

@@ -83,6 +83,23 @@ def test_gate_violation():
     assert sol.converged
 
 
+def test_gate_scales_with_mobility():
+    c = cl.generate_rsa(UNIT_BOX, 200, 0.01, 0.08, seed=3)   # a^3/d^3 = 1.9e-3
+    # 500x the sphere mobility makes the sweeps diverge (ratio ~7 per sweep)
+    strong = cl.ParticleCloud(centers=c.centers, a=c.a, mobilities=500.0 * c.mobilities,
+                              box=c.box)
+    with pytest.raises(GateError, match="mobility factor 500 "):
+        refl.run_reflections(strong, UNIAXIAL)
+    sol = refl.run_reflections(strong, UNIAXIAL, max_iter=5, force=True)
+    assert not sol.converged
+    assert sol.norm_history[-1] > sol.norm_history[0]
+    # sphere mobilities: the factor is exactly 1
+    phi_local = cl.validate(c).phi_local
+    refl.run_reflections(c, UNIAXIAL, fixed_n=1, gate=phi_local)
+    with pytest.raises(GateError, match="mobility factor 1 "):
+        refl.run_reflections(c, UNIAXIAL, fixed_n=1, gate=phi_local * (1.0 - 1e-12))
+
+
 def test_non_convergence_reported_not_raised():
     c = two_sphere_cloud()
     sol = refl.run_reflections(c, UNIAXIAL, tol=1e-30, max_iter=3, force=True)
