@@ -293,8 +293,11 @@ def cloud_from_json(doc):
     a = float(doc["a"])
     if "mobilities" not in doc:
         return ParticleCloud.spheres(doc["centers"], a, doc["box"])
-    mob = np.asarray(doc["mobilities"], dtype=float).reshape(-1, 5, 5)
-    return ParticleCloud(centers=doc["centers"], a=a, mobilities=mob, box=doc["box"])
+    mob = np.asarray(doc["mobilities"], dtype=float)
+    if mob.size and mob.shape != (len(mob), 25):
+        raise ValueError("mobilities must be one row of 25 numbers per particle")
+    return ParticleCloud(centers=doc["centers"], a=a, mobilities=mob.reshape(-1, 5, 5),
+                         box=doc["box"])
 
 
 def save_cloud(cloud, path):

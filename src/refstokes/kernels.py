@@ -21,7 +21,9 @@ coefficients m and the offsets z are sequences of separate arrays (5 and 3
 of them) and r2 = |z|^2, all broadcasting together, so a (targets x sources)
 block is plain elementwise arithmetic. An infinite r2 gives exactly zero.
 The public point functions are the single-pair case of these kernels, and
-`pair_sum` sums them over all pairs in chunks of at most `PAIR_BUDGET`.
+`pair_sum` sums them over all pairs in chunks of at most `PAIR_BUDGET`, sized
+so their temporaries stay in cache. Each kernel computes in a few arrays of
+its own (`out=`, in place), never in its inputs, in its docstring's order.
 
 Point functions broadcast over leading axes of the evaluation points.
 """
@@ -34,28 +36,13 @@ from scipy.spatial import cKDTree
 from .errors import KernelDomainError
 from .sym3 import apply_mobility, embed, project_sym_tracefree
 
-__all__ = [
-    "oseen",
-    "oseen_gradient",
-    "oseen_pressure",
-    "stresslet_field",
-    "stresslet_strain",
-    "sphere_disturbance",
-    "sphere_pressure",
-    "sphere_velocity_gradient",
-    "sphere_traction",
-    "sphere_remainder",
-    "sphere_mobility",
-    "mobility_from_boundary_integral",
-    "mean_value_reconstruct",
-    "PAIR_BUDGET",
-    "stresslet_strain_kernel",
-    "stresslet_velocity_kernel",
-    "sphere_disturbance_kernel",
-    "pair_offsets",
-    "pair_sum",
-    "pairs_within",
-]
+__all__ = ["oseen", "oseen_gradient", "oseen_pressure", "stresslet_field",
+           "stresslet_strain", "sphere_disturbance", "sphere_pressure",
+           "sphere_velocity_gradient", "sphere_traction", "sphere_remainder",
+           "sphere_mobility", "mobility_from_boundary_integral",
+           "mean_value_reconstruct", "PAIR_BUDGET", "stresslet_strain_kernel",
+           "stresslet_velocity_kernel", "sphere_disturbance_kernel",
+           "pair_offsets", "pair_sum", "pairs_within"]
 
 _C8 = 1.0 / (8.0 * np.pi)
 _C4 = 1.0 / (4.0 * np.pi)
@@ -63,9 +50,9 @@ _C38 = 3.0 * _C8
 _IS2 = 1.0 / np.sqrt(2.0)
 _IS6 = 1.0 / np.sqrt(6.0)
 
-# (target, source) pairs per chunk of `pair_sum`: each temporary of a chunk
-# holds this many float64 values (16 MB).
-PAIR_BUDGET = 2_000_000
+# (target, source) pairs per chunk of `pair_sum`: each chunk temporary is then
+# 128 KiB, so the dozen a chunk keeps live stay in a core's L2 cache.
+PAIR_BUDGET = 16_384
 
 
 def _radii(x, what):
@@ -108,28 +95,30 @@ def oseen_gradient(x):
 # component-major pair kernels
 
 
-def _moment_terms(m, z, r2):
-    """b = embed(m) z (components), s = z.b and |z|^5."""
+def _products(out, t, *pairs):
+    """out = a0 b0 + a1 b1 + ... over the (a, b) pairs, summed left to right
+    with t as scratch; only the first pair may read out."""
+    np.multiply(*pairs[0], out=out)
+    for a, b in pairs[1:]:
+        out += np.multiply(a, b, out=t)
+    return out
+
+
+def _moment_terms(m, z, r2, rows):
+    """`rows` fresh arrays w over the broadcast shape of m, z and r2: b = Mz
+    in w[0:3], s = z.b in w[3], |z|^5 in w[4], and w[-1] for scratch."""
     mxx = m[0] * _IS2 + m[1] * _IS6
     myy = m[1] * _IS6 - m[0] * _IS2
     mzz = -2.0 * _IS6 * m[1]
     mxy, mxz, myz = m[2] * _IS2, m[3] * _IS2, m[4] * _IS2
-    b = (mxx * z[0] + mxy * z[1] + mxz * z[2],
-         mxy * z[0] + myy * z[1] + myz * z[2],
-         mxz * z[0] + myz * z[1] + mzz * z[2])
-    return b, z[0] * b[0] + z[1] * b[1] + z[2] * b[2], r2 * r2 * np.sqrt(r2)
-
-
-def _basis_coeffs(u, v):
-    """Coefficients <E_a, u (x) v> in the sym3 basis, written out component by
-    component (each basis matrix has at most three nonzero entries). Must
-    stay in sync with sym3.BASIS; pinned by a test."""
-    xx, yy = u[0] * v[0], u[1] * v[1]
-    return [(xx - yy) * _IS2,
-            (xx + yy - 2.0 * u[2] * v[2]) * _IS6,
-            (u[0] * v[1] + u[1] * v[0]) * _IS2,
-            (u[0] * v[2] + u[2] * v[0]) * _IS2,
-            (u[1] * v[2] + u[2] * v[1]) * _IS2]
+    shape = np.broadcast_shapes(np.shape(m[0]), np.shape(z[0]), np.shape(r2))
+    w = [np.empty(shape) for _ in range(rows)]
+    for bi, mi in zip(w, ((mxx, mxy, mxz), (mxy, myy, myz), (mxz, myz, mzz))):
+        _products(bi, w[-1], *zip(mi, z))
+    _products(w[3], w[-1], *zip(z, w))
+    np.multiply(r2, r2, out=w[4])
+    w[4] *= np.sqrt(r2, out=w[-1])
+    return w
 
 
 def stresslet_strain_kernel(m, z, r2):
@@ -137,29 +126,45 @@ def stresslet_strain_kernel(m, z, r2):
 
     <E_a, D(K)> = -(3/8pi) [ 2 <E_a, z (x) b>/r^5 - 5 s <E_a, z (x) z>/r^7 ]
     with b = Mz and s = z.Mz; the delta term drops because the basis is
-    trace-free. Even in z and homogeneous of degree -3.
+    trace-free. Even in z and homogeneous of degree -3. Evaluated as
+    <E_a, z (x) v> with v = p b - q z, p = (-2 C38)/r5, q = (-5 C38) s/(r5 r2),
+    written out per component (x = z0 v0, y = z1 v1): (x - y)/sqrt2,
+    (x + y - 2 z2 v2)/sqrt6 and (zi vj + zj vi)/sqrt2 for i < j; a test pins
+    this to sym3.BASIS.
     """
-    b, s, r5 = _moment_terms(m, z, r2)
-    p = (-2.0 * _C38) / r5
-    q = (-5.0 * _C38) * s / (r5 * r2)
-    return _basis_coeffs(z, [p * bi - q * zi for bi, zi in zip(b, z)])
+    v0, v1, v2, q, r5, p, t = _moment_terms(m, z, r2, 7)
+    np.divide(-2.0 * _C38, r5, out=p)
+    q *= -5.0 * _C38
+    q /= np.multiply(r5, r2, out=t)
+    for vi, zi in zip((v0, v1, v2), z):
+        vi *= p
+        vi -= np.multiply(q, zi, out=t)
+    x, y, c1 = np.multiply(z[0], v0, out=r5), np.multiply(z[1], v1, out=p), q
+    np.add(x, y, out=c1)
+    x -= y
+    c1 -= np.multiply(np.multiply(2.0, z[2], out=y), v2, out=y)
+    c = [x, c1, _products(y, t, (z[0], v1), (z[1], v0)),
+         _products(v0, t, (z[2], v0), (z[0], v2)), _products(v1, t, (z[2], v1), (z[1], v2))]
+    return [np.multiply(ca, scale, out=ca) for ca, scale in zip(c, (_IS2, _IS6, _IS2, _IS2, _IS2))]
 
 
 def stresslet_velocity_kernel(m, z, r2):
-    """Velocity of a point stresslet: -(3/8pi) (z.Mz) z/|z|^5."""
-    b, s, r5 = _moment_terms(m, z, r2)
-    k = (-_C38) * s / r5
-    return [k * zi for zi in z]
+    """Velocity of a point stresslet: k z with k = -(3/8pi) (z.Mz)/|z|^5."""
+    w = _moment_terms(m, z, r2, 6)
+    w[3] *= -_C38
+    w[3] /= w[4]
+    return [np.multiply(w[3], zi, out=bi) for bi, zi in zip(w, z)]
 
 
 def sphere_disturbance_kernel(m, z, r2, a):
-    """Disturbance of a sphere of radius a in the strain m (see
-    `sphere_disturbance`), grouped as z (5/2)(z.Az)(a^5/r^2 - a^3)/r^5 -
-    a^5 Az/r^5."""
-    b, s, r5 = _moment_terms(m, z, r2)
-    k = 2.5 * s * (a ** 5 / r2 - a ** 3) / r5
-    c = -a ** 5 / r5
-    return [k * zi + c * bi for zi, bi in zip(z, b)]
+    """Disturbance of a sphere of radius a in the strain m (see `sphere_disturbance`),
+    evaluated as k z + c b with k = 2.5 s (a^5/r2 - a^3)/r5 and c = -a^5/r5."""
+    b0, b1, b2, k, c, t = _moment_terms(m, z, r2, 6)
+    k *= 2.5
+    k *= np.subtract(np.divide(a ** 5, r2, out=t), a ** 3, out=t)
+    k /= c
+    np.divide(-a ** 5, c, out=c)
+    return [_products(bi, t, (c, bi), (k, zi)) for bi, zi in zip((b0, b1, b2), z)]
 
 
 def _point_kernel(kernel, m, x, r2, **params):
@@ -215,7 +220,7 @@ def pair_sum(kernel, weights, targets, sources, out, exclude_within=None):
     each target's sum over sources is numpy's pairwise sum, so reruns on
     identical input are bit-identical. Returns out.
     """
-    w = np.asarray(weights, dtype=float).T
+    w = np.ascontiguousarray(np.asarray(weights, dtype=float).T)
     rows = max(1, PAIR_BUDGET // max(len(sources), 1))
     for start in range(0, len(targets), rows):
         z, r2 = pair_offsets(targets[start:start + rows], sources, exclude_within)

@@ -145,9 +145,8 @@ def pair_interaction_matrix(cloud):
     n = cloud.n
     z, r2 = kernels.pair_offsets(cloud.centers, cloud.centers, exclude_within=0.0)
     T = np.empty((n, 5, n, 5))
-    for c in range(5):
-        columns = kernels.stresslet_strain_kernel(cloud.mobilities[:, :, c].T, z, r2)
-        for a, part in enumerate(columns):
+    for c, mob in enumerate(np.moveaxis(cloud.mobilities, 2, 0)):   # mob[l] = M_l e_c
+        for a, part in enumerate(kernels.stresslet_strain_kernel(mob.T, z, r2)):
             T[:, a, :, c] = part
     return T.reshape(5 * n, 5 * n)
 

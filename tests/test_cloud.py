@@ -131,6 +131,15 @@ def test_json_keeps_custom_mobilities(rng):
     assert np.array_equal(c2.mobilities, mob)
 
 
+def test_json_rejects_mobilities_not_one_row_per_particle(rng):
+    doc = {"a": 0.01, "box": UNIT_BOX.tolist(), "centers": [[0.3, 0.3, 0.3], [0.7, 0.7, 0.7]]}
+    rows = rng.normal(size=(2, 25))
+    assert cl.cloud_from_json(dict(doc, mobilities=rows.tolist())).n == 2
+    for bad in ([rows.ravel().tolist()], rows[:, :20].tolist(), rows.ravel().tolist()):
+        with pytest.raises(ValueError, match="one row of 25 numbers per particle"):
+            cl.cloud_from_json(dict(doc, mobilities=bad))
+
+
 def test_json_rejects_malformed_centers():
     doc = {"a": 0.01, "box": UNIT_BOX.tolist(),
            "centers": [[0.2, 0.2], [0.5, 0.5], [0.8, 0.8]]}

@@ -1,3 +1,4 @@
+import tracemalloc
 from functools import partial
 
 import numpy as np
@@ -374,3 +375,51 @@ def test_pair_sum_excludes_self_pairs(monkeypatch, rng, name):
                            np.zeros(expected.shape), exclude_within=0.0)
     assert np.all(np.isfinite(got))
     assert np.max(np.abs(got - expected)) < 1e-13 * np.max(np.abs(expected))
+
+
+@pytest.mark.parametrize("name", sorted(PAIR_KERNELS))
+def test_pair_sum_bits_do_not_depend_on_chunking(monkeypatch, rng, name):
+    # 200 x 200 pairs: budget 16 gives one-row chunks, the default three
+    # chunks, and 40,000 one chunk; each target sums its sources in one row
+    kernel, _ = PAIR_KERNELS[name]
+    centers = rng.uniform(-1.0, 1.0, size=(200, 3))
+    weights = rng.normal(size=(200, 5))
+    width = 5 if name == "strain" else 3
+    sums = []
+    for budget in (16, kernels.PAIR_BUDGET, 200 * 200):
+        monkeypatch.setattr(kernels, "PAIR_BUDGET", budget)
+        sums.append(kernels.pair_sum(kernel, weights, centers, centers,
+                                     np.zeros((200, width)), exclude_within=0.0))
+    assert all(np.array_equal(sums[0], other) for other in sums[1:])
+
+
+@pytest.mark.parametrize("name", sorted(PAIR_KERNELS))
+def test_pair_kernels_leave_their_inputs_alone(rng, name):
+    # pair_interaction_matrix passes one z and r2 to five kernel calls, so a
+    # kernel that wrote to its inputs would corrupt the dense oracle silently
+    kernel, _ = PAIR_KERNELS[name]
+    z = rng.normal(size=(3, 6, 7))
+    r2 = np.einsum("i...,i...->...", z, z)
+    r2[2, 3] = np.inf
+    inputs = (rng.normal(size=(5, 6, 7)), rng.normal(size=(5, 7)), z, r2)
+    before = [a.copy() for a in inputs]
+    for m in inputs[:2]:
+        first = np.stack(kernel(m, z, r2))
+        assert np.array_equal(first, np.stack(kernel(m, z, r2)))
+    assert all(np.array_equal(a, b) for a, b in zip(inputs, before))
+
+
+def test_strain_pair_sum_memory_is_bounded(rng):
+    # the chunk temporaries, not the 2000 x 2000 pairs, set the peak
+    centers = rng.uniform(-1.0, 1.0, size=(2000, 3))
+    weights = rng.normal(size=(2000, 5))
+    out = np.zeros((2000, 5))
+    tracemalloc.start()
+    try:
+        kernels.pair_sum(kernels.stresslet_strain_kernel, weights, centers, centers,
+                         out, exclude_within=0.0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert np.all(np.isfinite(out))
+    assert peak < 8 * 2 ** 20

@@ -133,13 +133,29 @@ def test_fixed_n_levels():
 
 
 def test_outer_coeffs_matches_basis_contraction(rng):
+    # the strain kernel writes <E_a, z (x) v> out component by component
     from refstokes.sym3 import BASIS
-    u = rng.normal(size=(40, 7, 3))
-    v = rng.normal(size=(40, 7, 3))
-    fast = np.stack(kernels._basis_coeffs(np.moveaxis(u, -1, 0),
-                                          np.moveaxis(v, -1, 0)), axis=-1)
-    ref = np.einsum("aij,...i,...j->...a", BASIS, u, v)
-    assert np.max(np.abs(fast - ref)) < 1e-14
+    m = rng.normal(size=(40, 7, 5))
+    z = rng.normal(size=(40, 7, 3))
+    r2 = np.einsum("...i,...i->...", z, z)
+    b = np.einsum("...ij,...j->...i", sym3.embed(m), z)
+    s = np.einsum("...i,...i->...", z, b)
+    c38 = 3.0 / (8.0 * np.pi)
+    v = (-2.0 * c38 / r2 ** 2.5)[..., None] * b + (5.0 * c38 * s / r2 ** 3.5)[..., None] * z
+    ref = np.einsum("aij,...i,...j->...a", BASIS, z, v)
+    fast = np.stack(kernels.stresslet_strain_kernel(
+        np.moveaxis(m, -1, 0), np.moveaxis(z, -1, 0), r2), axis=-1)
+    assert np.max(np.abs(fast - ref)) < 1e-14 * np.max(np.abs(ref))
+
+
+def test_pair_chunking_keeps_reflection_bits(monkeypatch):
+    c = small_rsa(3, n=300, a=0.004, dmin=0.04)
+    solutions = []
+    for budget in (16_384, 2_000_000):
+        monkeypatch.setattr(kernels, "PAIR_BUDGET", budget)
+        solutions.append(refl.run_reflections(c, UNIAXIAL))
+    assert solutions[0].converged and solutions[0].iterations >= 2
+    assert np.array_equal(solutions[0].A_hat, solutions[1].A_hat)
 
 
 def test_norm_history_length_tracks_sweeps():
