@@ -142,19 +142,17 @@ def _refined_weights(kmax):
     m = (2 * kmax + 1) * _HM1_SUB
     s = 1.0 / _HM1_SUB
     c1 = (np.arange(m) + 0.5) * s - (kmax + 0.5)
-    CX, CY, CZ = np.meshgrid(c1, c1, c1, indexing="ij")
-    r2 = CX ** 2 + CY ** 2 + CZ ** 2
-    w = s ** 3 / r2
+    c2 = c1 ** 2
+    w = s ** 3 / (c2[:, None, None] + c2[None, :, None] + c2[None, None, :])
     # subdivide subcells within a couple of subcells of the origin
-    mid = np.max(np.abs(np.stack([CX, CY, CZ], axis=-1)), axis=-1) < 2.6 * s
     t = ((np.arange(24) + 0.5) / 24 - 0.5) * s
-    TX, TY, TZ = np.meshgrid(t, t, t, indexing="ij")
-    for i, j, l in np.argwhere(mid):
-        rr = (c1[i] + TX) ** 2 + (c1[j] + TY) ** 2 + (c1[l] + TZ) ** 2
+    row, mid = (c1[:, None] + t) ** 2, np.abs(c1) < 2.6 * s
+    for i, j, l in np.argwhere(mid[:, None, None] & mid[None, :, None] & mid[None, None, :]):
+        rr = row[i][:, None, None] + row[j][None, :, None] + row[l][None, None, :]
         w[i, j, l] = np.mean(1.0 / rr) * s ** 3
     # the 8 subcells whose corner touches the origin, exactly
-    corner = (np.abs(CX) < 0.6 * s) & (np.abs(CY) < 0.6 * s) & (np.abs(CZ) < 0.6 * s)
-    w[corner] = (_C0_UNIT_CUBE / 4.0) * s
+    c = np.abs(c1) < 0.6 * s
+    w[c[:, None, None] & c[None, :, None] & c[None, None, :]] = (_C0_UNIT_CUBE / 4.0) * s
     w.setflags(write=False)
     return w
 
@@ -170,7 +168,9 @@ def hminus1_distance(f, g):
     weights. The whole estimate is a fixed positive quadratic form of the
     field difference, so it is a genuine grid norm: symmetric, triangle
     inequality and translation invariance hold to rounding. Requires cubic
-    cells.
+    cells. Each distinct nonzero component is integrated once, and its sum
+    is added again, in component order, for every equal one (the diagonal of
+    a sphere field against c phi I, the (b, a) twin of a symmetric (a, b)).
     """
     if not f.same_grid(g):
         raise GridMismatchError("fields must share one grid")
@@ -199,19 +199,22 @@ def hminus1_distance(f, g):
     x1 = lo + (np.arange(n) + 0.5) * dx
     E = np.exp(-1j * np.outer(xi, x1))
     diff = (f.values - g.values).reshape(n, n, n, -1)
-    total = 0.0
+    total, done = 0.0, []                    # (component, its far + near sum)
     for c in range(diff.shape[-1]):
         arr = diff[..., c]
         if not arr.any():
             continue
-        H = np.fft.fftn(arr, s=(npad,) * 3, axes=(0, 1, 2))
-        far_sq = float(np.sum((H.real ** 2 + H.imag ** 2) / k2)) * dx ** 6 * dxi ** 3
-        Z = np.tensordot(E, arr, axes=(1, 0))            # (m, n, n)
-        Z = np.tensordot(E, Z, axes=(1, 1))              # (m_y, m_x, n)
-        Z = np.tensordot(E, Z, axes=(1, 2))              # (m_z, m_y, m_x)
-        Z = Z.transpose(2, 1, 0) * dx ** 3
-        near_sq = float(np.sum((Z.real ** 2 + Z.imag ** 2) * weights)) * dxi
-        total += far_sq + near_sq
+        sq = next((v for a, v in done if np.array_equal(a, arr)), None)
+        if sq is None:
+            H = np.fft.fftn(arr, s=(npad,) * 3, axes=(0, 1, 2))
+            far_sq = float(np.sum((H.real ** 2 + H.imag ** 2) / k2)) * dx ** 6 * dxi ** 3
+            Z = np.tensordot(E, arr, axes=(1, 0))            # (m, n, n)
+            Z = np.tensordot(E, Z, axes=(1, 1))              # (m_y, m_x, n)
+            Z = np.tensordot(E, Z, axes=(1, 2))              # (m_z, m_y, m_x)
+            Z = Z.transpose(2, 1, 0) * dx ** 3
+            sq = far_sq + float(np.sum((Z.real ** 2 + Z.imag ** 2) * weights)) * dxi
+            done.append((arr, sq))
+        total += sq
     return float(np.sqrt(total / (2.0 * np.pi) ** 3))
 
 
@@ -224,13 +227,20 @@ def _subcell_velocity(m, z, h):
     of size h, by the midpoint rule over the _NEAR_SUB^3 subcells of each
     cell. m holds the 5 coefficients of a whole cell, each a scalar or a
     (K, 1) array; a subcell centre within 1e-9 max(h) of its target is
-    dropped."""
+    dropped. The kernel is evaluated on one (K, _NEAR_SUB^3) block per
+    chunk of at most kernels.PAIR_BUDGET pairs, and each row adds its
+    subcells one after another in subcell order."""
     w = np.asarray(m) / _NEAR_SUB ** 3
+    offsets = _subcell_offsets(h, _NEAR_SUB)
+    rows = max(1, kernels.PAIR_BUDGET // len(offsets))
     out = np.zeros((len(z), 3))
-    for delta in _subcell_offsets(h, _NEAR_SUB):
-        zs, r2 = kernels.pair_offsets(z, delta[None],
-                                      exclude_within=1e-9 * np.max(h))
-        out += np.hstack(kernels.stresslet_velocity_kernel(w, zs, r2))
+    for start in range(0, len(z), rows):
+        part = slice(start, start + rows)
+        zs, r2 = kernels.pair_offsets(z[part], offsets, exclude_within=1e-9 * np.max(h))
+        v = np.stack(kernels.stresslet_velocity_kernel(
+            w if w.ndim == 1 else w[:, part], zs, r2), axis=-1)
+        for j in range(len(offsets)):
+            out[part] += v[:, j]
     return out
 
 
@@ -289,17 +299,19 @@ clear_kernel_cache = _stresslet_cell_kernels.cache_clear
 
 def _convolve_sources(sources, box, n):
     """FFT convolution of per-cell stresslet coefficients (n,n,n,5) with the
-    cell-averaged kernels; returns the velocity on the same grid."""
+    cell-averaged kernels; returns the velocity on the same grid. The
+    inverse is `irfftn` axis by axis (the same 1-D transforms), dropping
+    the padded half of each axis as soon as it is transformed."""
     box = tuple(np.asarray(box, float).ravel().tolist())
     khat = _stresslet_cell_kernels(int(n), box)
-    s = (2 * n,) * 3
-    shat = [np.fft.rfftn(sources[..., c], s=s, axes=(0, 1, 2)) for c in range(5)]
+    shat = [np.fft.rfftn(sources[..., c], s=(2 * n,) * 3, axes=(0, 1, 2)) for c in range(5)]
     out = np.empty((n, n, n, 3))
     for i in range(3):
         acc = shat[0] * khat[i, 0]
         for c in range(1, 5):
             acc += shat[c] * khat[i, c]
-        out[..., i] = np.fft.irfftn(acc, s=s, axes=(0, 1, 2))[:n, :n, :n]
+        acc = np.fft.ifft(np.fft.ifft(acc, axis=0)[:n], axis=1)[:, :n]
+        out[..., i] = np.fft.irfft(acc, 2 * n, axis=2)[..., :n]
     return out
 
 

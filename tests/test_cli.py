@@ -1,6 +1,10 @@
 import itertools
 import json
+import os
+import subprocess
+import sys
 from dataclasses import asdict
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -217,6 +221,35 @@ def test_reflect_determinism(tmp_path, capsys):
     assert cli.main(["reflect", "--config", cfgp, "--cloud", str(cloud_path),
                      "--out", str(s2)]) == 0
     assert s1.read_bytes() == s2.read_bytes()
+
+
+def test_outputs_do_not_depend_on_blas_threads(tmp_path):
+    # reflect (without --oracle, whose dense LAPACK solve is thread-dependent
+    # in its last digits) and compare write the same bytes under 1 and 2
+    # BLAS threads
+    doc = {"seed": 4,
+           "cloud": {"kind": "rsa", "box": UNIT_BOX, "n": 40, "a": 0.008,
+                     "dmin": 0.07},
+           "strain": [0.3, -0.2, 0.5, 0.1, -0.4],
+           "grid": {"n": 16, "padding": 0.5}, "sweep": {"phis": [1e-4]}}
+    cfgp = write_config(tmp_path, doc)
+    assert cli.main(["generate", "--config", cfgp, "--out", str(tmp_path / "cloud.json")]) == 0
+    src = str(Path(cli.__file__).parents[1])
+    outputs = ("solution.json", "convergence.csv", "report.json")
+    for threads in ("1", "2"):
+        env = {k: v for k, v in os.environ.items() if not k.endswith("_NUM_THREADS")}
+        env.update(PYTHONPATH=src, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+                   MKL_NUM_THREADS=threads)
+        out = tmp_path / threads
+        out.mkdir()
+        argv = [["reflect", "--config", cfgp, "--cloud", str(tmp_path / "cloud.json"),
+                 "--out", str(out / outputs[0]), "--csv", str(out / outputs[1])],
+                ["compare", "--config", cfgp, "--out", str(out / outputs[2])]]
+        code = f"import sys; from refstokes import cli; sys.exit(any(cli.main(a) for a in {argv!r}))"
+        subprocess.run([sys.executable, "-W", "ignore", "-c", code], env=env, check=True,
+                       capture_output=True)
+    for name in outputs:
+        assert (tmp_path / "1" / name).read_bytes() == (tmp_path / "2" / name).read_bytes()
 
 
 def test_einstein_sweep_table(tmp_path):

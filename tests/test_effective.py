@@ -183,6 +183,93 @@ def test_hminus1_componentwise(rng):
                       2.0 * eff.hminus1_distance(f, g), rtol=1e-12)
 
 
+def reference_hminus1(f, g):
+    """`hminus1_distance` as a plain per-component loop: one spectral sum
+    for every nonzero component, equal ones included."""
+    n, dx, lo = f.n, float(f.cell_size[0]), float(f.box[0][0])
+    npad = n * eff._HM1_PAD
+    kmax = min(eff._HM1_KMAX, npad // 2 - 1)
+    k1 = np.fft.fftfreq(npad, d=dx) * 2.0 * np.pi
+    dxi = k1[1]
+    k2 = k1[:, None, None] ** 2 + k1[None, :, None] ** 2 + k1[None, None, :] ** 2
+    j1 = np.abs(np.rint(np.fft.fftfreq(npad) * npad).astype(int))
+    nx = j1 <= kmax
+    k2[nx[:, None, None] & nx[None, :, None] & nx[None, None, :]] = np.inf
+    weights = eff._refined_weights(kmax)
+    xi = ((np.arange(weights.shape[0]) + 0.5) / eff._HM1_SUB - (kmax + 0.5)) * dxi
+    E = np.exp(-1j * np.outer(xi, lo + (np.arange(n) + 0.5) * dx))
+    diff = (f.values - g.values).reshape(n, n, n, -1)
+    total = 0.0
+    for c in range(diff.shape[-1]):
+        arr = diff[..., c]
+        if not arr.any():
+            continue
+        H = np.fft.fftn(arr, s=(npad,) * 3, axes=(0, 1, 2))
+        far_sq = float(np.sum((H.real ** 2 + H.imag ** 2) / k2)) * dx ** 6 * dxi ** 3
+        Z = np.tensordot(E, arr, axes=(1, 0))
+        Z = np.tensordot(E, Z, axes=(1, 1))
+        Z = np.tensordot(E, Z, axes=(1, 2))
+        Z = Z.transpose(2, 1, 0) * dx ** 3
+        near_sq = float(np.sum((Z.real ** 2 + Z.imag ** 2) * weights)) * dxi
+        total += far_sq + near_sq
+    return float(np.sqrt(total / (2.0 * np.pi) ** 3))
+
+
+def test_hminus1_reuses_equal_components_bit_for_bit(rng):
+    # zero, equal (the diagonal), symmetric-pair and distinct components
+    f = GridField.zeros(np.array([[-4.0] * 3, [4.0] * 3]), 16, (5, 5))
+    bumps = [bump_field(rng, n=16).values for _ in range(4)]
+    for i in range(5):
+        f.values[..., i, i] = bumps[0]
+    f.values[..., 0, 1] = f.values[..., 1, 0] = bumps[1]
+    f.values[..., 2, 4] = f.values[..., 4, 2] = bumps[2]
+    f.values[..., 3, 4] = bumps[3]
+    f.values[..., 1, 3] = -bumps[3]
+    g = GridField.zeros(f.box, f.n, (5, 5))
+    g.values[..., 3, 4] = 0.5 * bumps[0]
+    assert eff.hminus1_distance(f, g) == reference_hminus1(f, g)
+    assert eff.hminus1_distance(g, f) == reference_hminus1(g, f)
+
+
+def test_hminus1_one_fft_per_distinct_component(rng, monkeypatch):
+    box = np.array([[-0.5] * 3, [1.5] * 3])
+    c = cl.generate_rsa(UNIT_BOX, 20, 0.03, 0.15, seed=2)
+    with pytest.warns(UserWarning, match="under-resolved"):
+        MN = eff.assemble_MN(c, box, 16)
+    Meff = eff.uniform_Meff(UNIT_BOX, 0.01).rasterize(box, 16)
+    B = rng.normal(size=(16, 16, 16, 5, 5))
+    sym = GridField(box=box, n=16, values=B + np.swapaxes(B, -1, -2))
+    calls, fftn = [], np.fft.fftn
+    monkeypatch.setattr(np.fft, "fftn", lambda *a, **k: calls.append(1) or fftn(*a, **k))
+    eff.hminus1_distance(MN, Meff)
+    assert len(calls) == 1
+    eff.hminus1_distance(sym, Meff)
+    assert len(calls) == 1 + 15
+
+
+def reference_refined_weights(kmax):
+    """`_refined_weights` built on (m, m, m) coordinate grids."""
+    m = (2 * kmax + 1) * eff._HM1_SUB
+    s = 1.0 / eff._HM1_SUB
+    c1 = (np.arange(m) + 0.5) * s - (kmax + 0.5)
+    CX, CY, CZ = np.meshgrid(c1, c1, c1, indexing="ij")
+    w = s ** 3 / (CX ** 2 + CY ** 2 + CZ ** 2)
+    mid = np.max(np.abs(np.stack([CX, CY, CZ], axis=-1)), axis=-1) < 2.6 * s
+    t = ((np.arange(24) + 0.5) / 24 - 0.5) * s
+    TX, TY, TZ = np.meshgrid(t, t, t, indexing="ij")
+    for i, j, l in np.argwhere(mid):
+        rr = (c1[i] + TX) ** 2 + (c1[j] + TY) ** 2 + (c1[l] + TZ) ** 2
+        w[i, j, l] = np.mean(1.0 / rr) * s ** 3
+    corner = (np.abs(CX) < 0.6 * s) & (np.abs(CY) < 0.6 * s) & (np.abs(CZ) < 0.6 * s)
+    w[corner] = (eff._C0_UNIT_CUBE / 4.0) * s
+    return w
+
+
+@pytest.mark.parametrize("kmax", range(1, 7))
+def test_refined_weights_bit_for_bit(kmax):
+    assert np.array_equal(eff._refined_weights(kmax), reference_refined_weights(kmax))
+
+
 def test_hminus1_grid_refinement_stable():
     vals = []
     for n in (64, 128):
@@ -249,6 +336,39 @@ def test_tilde_vc_divergence_free_far():
     fd = central_difference(
         lambda y: eff.tilde_vc(field, UNIAXIAL, y[None, :])[0], x, 1e-5)
     assert abs(np.trace(fd)) < 1e-4 * np.max(np.abs(fd))
+
+
+def reference_subcell_velocity(m, z, h):
+    """`_subcell_velocity` as one kernel call per subcell offset."""
+    w = np.asarray(m) / eff._NEAR_SUB ** 3
+    out = np.zeros((len(z), 3))
+    for delta in eff._subcell_offsets(h, eff._NEAR_SUB):
+        zs, r2 = kernels.pair_offsets(z, delta[None], exclude_within=1e-9 * np.max(h))
+        out += np.hstack(kernels.stresslet_velocity_kernel(w, zs, r2))
+    return out
+
+
+def test_subcell_velocity_bit_for_bit(rng):
+    # more rows than one pair chunk holds, and a target on a subcell centre
+    h = np.array([0.05, 0.04, 0.06])
+    z = rng.uniform(-0.1, 0.1, size=(kernels.PAIR_BUDGET // 64 * 2 + 7, 3))
+    z[5] = eff._subcell_offsets(h, eff._NEAR_SUB)[9]
+    for m in (np.prod(h) * rng.normal(size=5), rng.normal(size=(5, len(z), 1))):
+        assert np.array_equal(eff._subcell_velocity(m, z, h),
+                              reference_subcell_velocity(m, z, h))
+
+
+def test_convolve_sources_bit_for_bit(rng):
+    # the pruned inverse against the full padded irfftn
+    n, gbox = 8, np.array([[-0.5] * 3, [1.5] * 3])
+    sources = rng.normal(size=(n, n, n, 5))
+    khat = eff._stresslet_cell_kernels(n, tuple(gbox.ravel().tolist()))
+    shat = [np.fft.rfftn(sources[..., c], s=(2 * n,) * 3, axes=(0, 1, 2)) for c in range(5)]
+    for i, v in enumerate(np.moveaxis(eff._convolve_sources(sources, gbox, n), -1, 0)):
+        acc = shat[0] * khat[i, 0]
+        for c in range(1, 5):
+            acc += shat[c] * khat[i, c]
+        assert np.array_equal(v, np.fft.irfftn(acc, s=(2 * n,) * 3, axes=(0, 1, 2))[:n, :n, :n])
 
 
 def test_fixed_point_zero_model():
