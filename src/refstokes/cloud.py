@@ -19,10 +19,9 @@ import json
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .errors import SaturationError, SeparationError
-from .kernels import sphere_mobility
+from .kernels import pairs_within, sphere_mobility
 
 __all__ = [
     "SEPARATION_FACTOR",
@@ -228,20 +227,27 @@ def brute_force_min_distance(centers):
 
 
 def _min_distance(centers):
-    """Exact minimum separation via a KD-tree (nearest neighbor per center).
+    """Exact minimum separation via `kernels.pairs_within`, at a radius that
+    starts at the cloud's extent over N and doubles until it finds a pair.
 
-    The tree only selects candidate pairs; distances are recomputed with the
-    same arithmetic as the brute-force oracle so the two agree bit-for-bit.
+    The search only selects candidate pairs, in sorted order; distances are
+    recomputed with the same arithmetic as the brute-force oracle, so the two
+    agree bit-for-bit, pair included.
     """
     n = len(centers)
     if n <= 1:
         return np.inf, None
-    tree = cKDTree(centers)
-    _, idx = tree.query(centers, k=2)
-    diff = centers - centers[idx[:, 1]]
-    d2 = np.einsum("li,li->l", diff, diff)
+    r = float(np.ptp(centers, axis=0).max()) / n or 1.0
+    while True:
+        t, s, z = pairs_within(centers, centers, r)
+        if len(t) > n:                  # more than the n self-pairs
+            break
+        r *= 2.0
+    other = t != s
+    t, s, z = t[other], s[other], z[other]
+    d2 = np.einsum("li,li->l", z, z)
     l = int(np.argmin(d2))
-    return float(np.sqrt(d2[l])), (l, int(idx[l, 1]))
+    return float(np.sqrt(d2[l])), (int(t[l]), int(s[l]))
 
 
 @functools.lru_cache(maxsize=1)

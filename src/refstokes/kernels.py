@@ -31,7 +31,6 @@ Point functions broadcast over leading axes of the evaluation points.
 from __future__ import annotations
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .errors import KernelDomainError
 from .sym3 import apply_mobility, embed, project_sym_tracefree
@@ -233,17 +232,44 @@ def pairs_within(targets, sources, radius):
     """Index pairs (l, m), sorted, with |targets_l - sources_m| <= radius,
     and their offsets (K, 3).
 
-    A KD-tree proposes candidates; the distance test itself uses the
-    arithmetic of `pair_offsets`, so a pair is kept here exactly when
-    `pair_offsets(..., exclude_within=radius)` excludes it.
+    A cell list proposes candidates: the larger set is binned in cubes of side
+    at least radius, and each point of the smaller set looks in the 27 cubes
+    around its own, as 9 runs of 3 consecutive cell keys. The distance test
+    itself uses the arithmetic of `pair_offsets`, so a pair is kept here
+    exactly when `pair_offsets(..., exclude_within=radius)` excludes it.
     """
-    found = cKDTree(targets).sparse_distance_matrix(
-        cKDTree(sources), radius * (1.0 + 1e-9), output_type="ndarray")
-    order = np.lexsort((found["j"], found["i"]))
-    t, s = found["i"][order], found["j"][order]
+    swap = len(targets) > len(sources)
+    big, small = (targets, sources) if swap else (sources, targets)
+    if len(small) == 0:
+        return np.zeros(0, np.intp), np.zeros(0, np.intp), np.zeros((0, 3))
+    lo = big.min(axis=0)
+    # at most 2**20 cubes a side, so the cell keys fit in int64
+    h = max(radius * (1.0 + 1e-9), float((big.max(axis=0) - lo).max()) / 2 ** 20) or 1.0
+    cells = np.floor((big - lo) / h).astype(np.int64)
+    n = cells.max(axis=0) + 1
+    # cube indices shifted by +3 have key (i*(n1+6) + j)*(n2+6) + k; a small point
+    # more than a cube outside the binned box is clipped to a cube with no
+    # binned neighbour, and its runs start at cubes (i+a, j+b, k-1), a, b in -1..1
+    strides = np.array([(n[1] + 6) * (n[2] + 6), n[2] + 6, 1])
+    keys = (cells + 3) @ strides
+    order = np.argsort(keys, kind="stable")
+    keys = keys[order]
+    near = (np.clip(np.floor((small - lo) / h), -2, n + 1).astype(np.int64) + 3) @ strides
+    # looking the small points up in cube order keeps the searches local
+    by_cube = np.argsort(near)
+    starts = (near[by_cube, None]
+              + (np.indices((3, 3, 1)).reshape(3, -1).T - 1) @ strides).ravel()
+    first = np.searchsorted(keys, starts, "left")
+    count = np.searchsorted(keys, starts + 2, "right") - first
+    ends = np.cumsum(count)
+    rows = np.repeat(np.repeat(by_cube, 9), count)
+    cols = order[np.arange(ends[-1]) + np.repeat(first + count - ends, count)]
+    t, s = (cols, rows) if swap else (rows, cols)
     z = targets[t] - sources[s]
     keep = z[:, 0] * z[:, 0] + z[:, 1] * z[:, 1] + z[:, 2] * z[:, 2] <= radius ** 2
-    return t[keep], s[keep], z[keep]
+    t, s, z = t[keep], s[keep], z[keep]
+    order = np.lexsort((s, t))
+    return t[order], s[order], z[order]
 
 
 def _sphere_terms(strain, a, x):

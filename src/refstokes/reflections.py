@@ -21,7 +21,6 @@ from dataclasses import dataclass, field
 from functools import partial
 
 import numpy as np
-from scipy import linalg
 
 from . import kernels
 from .cloud import ParticleCloud, validate
@@ -165,9 +164,9 @@ def dense_fixed_point(cloud, A):
     np.fill_diagonal(I_minus_T, 1.0)      # the diagonal blocks of T are zero
     rhs = np.tile(A, n)
     try:
-        x = linalg.solve(I_minus_T, rhs)
-    except linalg.LinAlgError as exc:
-        raise linalg.LinAlgError(
+        x = np.linalg.solve(I_minus_T, rhs)
+    except np.linalg.LinAlgError as exc:
+        raise np.linalg.LinAlgError(
             f"(I - T) singular; configuration outside the contraction regime: {exc}")
     A_hat = x.reshape(n, 5)
     residual = float(np.linalg.norm(I_minus_T @ x - rhs))

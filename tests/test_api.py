@@ -59,14 +59,28 @@ def test_package_namespace_imports_nothing():
     assert not [node for node in ast.walk(tree) if isinstance(node, (ast.Import, ast.ImportFrom))]
 
 
-def test_cli_import_leaves_out_scipy_integrate():
-    # only `kernels.mean_value_reconstruct` needs it, and it imports it itself
+def test_cli_leaves_out_scipy(tmp_path):
+    # only `kernels.mean_value_reconstruct` needs scipy, and it imports it
+    # itself; no verb may import it either, or every run pays it in wall time
     src = str(Path(importlib.import_module("refstokes").__file__).parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    code = "import sys, refstokes.cli; print('scipy.integrate' in sys.modules)"
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({
+        "seed": 1, "strain": [1.0, 0.0, 0.0, 0.0, 0.0],
+        "cloud": {"kind": "lattice", "box": [[0, 0, 0], [1, 1, 1]], "n_per_axis": 2, "a": 0.02},
+        "grid": {"n": 8, "padding": 0.5}, "sweep": {"phis": [1e-3]}}))
+    cloud = str(tmp_path / "cloud.json")
+    argv = [["generate", "--config", str(config), "--out", cloud],
+            ["reflect", "--config", str(config), "--cloud", cloud,
+             "--out", str(tmp_path / "s.json"), "--oracle"],
+            ["compare", "--config", str(config), "--out", str(tmp_path / "r.json")]]
+    code = ("import sys; from refstokes import cli; "
+            "loaded = lambda: sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'); "
+            f"print(loaded()); codes = [cli.main(a) for a in {argv!r}]; print(codes, loaded())")
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
-    assert out.strip() == "False"
+    assert out.splitlines()[0] == "[]"
+    assert out.splitlines()[-1] == "[0, 0, 0] []"
 
 
 def absolute_imports(path):

@@ -63,10 +63,12 @@ def test_rsa_dmin_violation():
 
 
 def test_validate_coincident_centers():
-    c = cl.ParticleCloud.spheres([[0.3, 0.3, 0.3], [0.3, 0.3, 0.3]], 0.01, UNIT_BOX)
+    # the pair names two particles, never one particle with itself
+    centers = [[0.5, 0.5, 0.5], [0.5, 0.5, 0.5], [0.2, 0.2, 0.2]]
+    c = cl.ParticleCloud.spheres(centers, 0.01, UNIT_BOX)
     with pytest.raises(SeparationError) as err:
         cl.validate(c)
-    assert err.value.pair is not None
+    assert err.value.pair == (0, 1)
 
 
 def test_validate_containment():
@@ -98,13 +100,28 @@ def test_generators_always_validate(rng):
         assert stats.d >= dmin
 
 
-def test_min_distance_matches_brute_force(rng):
+def min_distance_clouds(rng):
     for _ in range(200):
-        n = int(rng.integers(2, 500))
-        centers = rng.uniform(0, 1, size=(n, 3))
-        d_brute, _ = cl.brute_force_min_distance(centers)
-        d_tree, _ = cl._min_distance(centers)
-        assert d_tree == d_brute
+        yield rng.uniform(0, 1, size=(int(rng.integers(2, 500)), 3))
+    for n in (2, 3, 5):     # every nearest pair ties with many others
+        yield np.stack(np.meshgrid(*[np.linspace(0.1, 0.9, n)] * 3, indexing="ij"),
+                       axis=-1).reshape(-1, 3)
+    for _ in range(20):
+        centers = rng.uniform(0, 1, size=(int(rng.integers(2, 60)), 3))
+        yield np.concatenate([centers, centers[rng.integers(0, len(centers), 3)]])
+    yield np.zeros((4, 3))
+    direction = np.array([1.0, 2.0, 3.0]) / np.sqrt(14.0)
+    yield np.linspace(0, 1, 9)[:, None] * direction
+    yield rng.uniform(0, 1, size=(50, 1)) * direction
+    yield np.linspace(0, 1, 7)[:, None] * np.array([0.0, 1.0, 0.0])
+
+
+def test_min_distance_matches_brute_force(rng):
+    for centers in min_distance_clouds(rng):
+        d_brute, pair_brute = cl.brute_force_min_distance(centers)
+        d, pair = cl._min_distance(centers)
+        assert d == d_brute
+        assert pair == pair_brute
 
 
 def test_json_roundtrip(tmp_path):

@@ -423,3 +423,46 @@ def test_strain_pair_sum_memory_is_bounded(rng):
         tracemalloc.stop()
     assert np.all(np.isfinite(out))
     assert peak < 8 * 2 ** 20
+
+
+def brute_force_pairs(targets, sources, radius):
+    # every pair, kept by the arithmetic of pair_offsets, in (target, source) order
+    z, r2 = kernels.pair_offsets(targets, sources)
+    t, s = np.nonzero(r2 <= radius ** 2)
+    return t, s, np.stack([part[t, s] for part in z], axis=-1)
+
+
+def pair_search_cases(rng):
+    box = rng.uniform(0, 1, size=(300, 3))
+    yield box, box[:40], 0.15               # more targets than sources
+    yield box[:40], box, 0.15               # more sources than targets
+    yield box, box, 0.1                     # self-pairs
+    yield box[:0], box, 0.1                 # empty sets
+    yield box, box[:0], 0.1
+    yield box[:1], box[1:2], 2.0            # single points
+    yield box[:1], box, 0.3
+    yield box[:1], box[:1], 0.0             # a zero radius keeps coincident points
+    grid = np.stack(np.meshgrid(*[np.arange(5) * 0.25] * 3, indexing="ij"),
+                    axis=-1).reshape(-1, 3)
+    yield grid, grid[::3], 0.25             # many pairs exactly at the radius
+    steps = rng.normal(size=(40, 3))
+    steps *= 0.1 / np.linalg.norm(steps, axis=1, keepdims=True)
+    yield box[:40] + steps, box, 0.1        # pairs at the radius up to rounding
+    yield rng.uniform(-3, 4, size=(500, 3)), box, 0.3   # targets outside the sources
+    yield rng.uniform(-3, 4, size=(100, 3)), box, 0.3
+    near = box + rng.uniform(-1e-7, 1e-7, size=box.shape)
+    yield near, box, 1e-7                   # 10^7 cubes a side: keys past int64
+    yield box, box[:50], 1e-300             # cube indices past int64
+    # a pair exactly at the radius that would span three cubes of side
+    # 0.25 * (1 - 1e-9): the cubes must be no smaller than the radius
+    edge = np.array([[0.0, 0.0, 0.0], [0.5 - 2.0 ** -31, 0.5, 0.5], [1.0, 1.0, 1.0]])
+    yield edge[1:2] - [0.25, 0.0, 0.0], edge, 0.25
+
+
+def test_pairs_within_matches_brute_force(rng):
+    for targets, sources, radius in pair_search_cases(rng):
+        expected = brute_force_pairs(targets, sources, radius)
+        got = kernels.pairs_within(targets, sources, radius)
+        for a, b in zip(got, expected):
+            assert a.shape == b.shape
+            assert np.array_equal(a, b)

@@ -187,6 +187,24 @@ def test_dense_guard():
         refl.dense_fixed_point(c, UNIAXIAL)
 
 
+def test_dense_solve_matches_scipy():
+    from scipy import linalg
+    c = cl.generate_rsa(UNIT_BOX, 200, 0.004, 0.05, seed=3)
+    I_minus_T = -refl.pair_interaction_matrix(c)
+    np.fill_diagonal(I_minus_T, 1.0)
+    expected = linalg.solve(I_minus_T, np.tile(UNIAXIAL, c.n)).reshape(c.n, 5)
+    assert np.array_equal(refl.dense_fixed_point(c, UNIAXIAL).A_hat, expected)
+
+
+def test_dense_singular_system_raises(monkeypatch):
+    # T swaps the two particles' levels, so (I - T) maps (A, A) to zero
+    c = two_sphere_cloud()
+    monkeypatch.setattr(refl, "pair_interaction_matrix",
+                        lambda cloud: np.kron([[0.0, 1.0], [1.0, 0.0]], np.eye(5)))
+    with pytest.raises(np.linalg.LinAlgError, match="outside the contraction regime"):
+        refl.dense_fixed_point(c, UNIAXIAL)
+
+
 def test_oracle_equivalence_rsa(rng):
     for seed in (11, 12, 13, 14, 15):
         c = small_rsa(seed)
