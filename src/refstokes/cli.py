@@ -17,16 +17,16 @@ import argparse
 import csv
 import functools
 import json
+import math
 import sys
 from dataclasses import dataclass, field
 from importlib import resources
 
-import jsonschema
 import numpy as np
 
 from . import cloud as cloudmod
 from . import effective, kernels, reflections, sym3
-from .errors import GateError, KernelDomainError, SaturationError, SeparationError
+from .errors import GateError, KernelDomainError, SaturationError, SchemaError, SeparationError
 
 __all__ = ["main", "ExperimentConfig", "load_config", "run_compare_sweep",
            "run_einstein_sweep"]
@@ -94,20 +94,57 @@ class ExperimentConfig:
 
 
 @functools.lru_cache(maxsize=4)      # one per file in refstokes/schemas
-def _validator(schema_name):
-    schema = json.loads(resources.files("refstokes.schemas").joinpath(schema_name).read_text())
-    return jsonschema.validators.validator_for(schema)(schema)
+def _schema(schema_name):
+    return json.loads(resources.files("refstokes.schemas").joinpath(schema_name).read_text())
+
+
+_TYPES = {"object": dict, "array": list, "string": str, "boolean": bool,
+          "null": type(None), "number": (int, float), "integer": int}
+_KEYWORDS = {"$schema", "title", "type", "enum", "required", "properties", "additionalProperties",
+             "items", "minItems", "maxItems", "minimum", "exclusiveMinimum"}
+
+
+def _proven(x, schema):
+    """True only if x is valid under schema by Draft 2020-12. False means "not proven":
+    another keyword, neither `type` nor `enum`, an integral float as an integer, etc."""
+    if isinstance(schema, bool):
+        return schema
+    types = [schema["type"]] if isinstance(schema.get("type"), str) else schema.get("type", ())
+    number = isinstance(x, (int, float)) and not isinstance(x, bool)
+    if (not _KEYWORDS.issuperset(schema) or ("type" not in schema and "enum" not in schema)
+            # a bool is an int to Python, but neither a number nor an integer to JSON
+            or types and not ("boolean" in types if isinstance(x, bool) else
+                              any(isinstance(x, _TYPES[t]) for t in types))
+            or "enum" in schema and not (isinstance(x, str) and x in schema["enum"])
+            # a missing bound defaults to NaN, with which every comparison is False
+            or number and (x < schema.get("minimum", math.nan)
+                           or x <= schema.get("exclusiveMinimum", math.nan))):
+        return False
+    if isinstance(x, list):
+        items = schema.get("items", True)
+        # rows of plain numbers, the bulk of every document, at C speed
+        return (schema.get("minItems", 0) <= len(x) <= schema.get("maxItems", len(x))
+                and (items == {"type": "number"} and set(map(type, x)) <= {int, float}
+                     or all(_proven(v, items) for v in x)))
+    if isinstance(x, dict):
+        props, extra = schema.get("properties", {}), schema.get("additionalProperties", True)
+        return (all(k in x for k in schema.get("required", ()))
+                and all(_proven(v, props[k] if k in props else extra) for k, v in x.items()))
+    return True
 
 
 def validate_document(doc, schema_name):
-    """Raise the error `jsonschema.validate` would raise for doc, if any.
+    """Raise SchemaError with jsonschema's `best_match` message if doc fails its schema.
 
-    The schema files are checked against their meta-schema by the tests, not
-    on every call.
+    jsonschema is imported only for a document `_proven` cannot accept. The
+    schema files are checked against their meta-schema by the tests.
     """
-    error = jsonschema.exceptions.best_match(_validator(schema_name).iter_errors(doc))
-    if error is not None:
-        raise error
+    schema = _schema(schema_name)
+    if not _proven(doc, schema):
+        from jsonschema import Draft202012Validator, exceptions
+        error = exceptions.best_match(Draft202012Validator(schema).iter_errors(doc))
+        if error is not None:
+            raise SchemaError(error.message)
 
 
 def _read_json(path, schema_name):
@@ -122,6 +159,17 @@ def _dump_json(doc, path, schema_name):
     text = json.dumps(doc, indent=1, sort_keys=True, allow_nan=False)
     with open(path, "w") as fh:
         fh.write(text + "\n")
+
+
+def _print_json(doc):
+    """One stdout summary line; like the JSON files, it refuses NaN and Infinity."""
+    print(json.dumps(doc, sort_keys=True, allow_nan=False))
+
+
+def _stats_json(stats):
+    # a cloud of fewer than 2 particles has no separation: null, not Infinity
+    return {"n": stats.n, "d": stats.d if stats.n > 1 else None,
+            "phi_global": stats.phi_global, "phi_local": stats.phi_local}
 
 
 def _write_csv(path, header, rows):
@@ -176,9 +224,7 @@ def cmd_generate(cfg, args):
     _dump_json(cloudmod.cloud_to_json(cloud), args.out, "cloud.schema.json")
     if args.csv:
         _write_csv(args.csv, ["x", "y", "z"], cloud.centers.tolist())
-    print(json.dumps({"cloud_file": args.out, "n": stats.n, "d": stats.d,
-                      "phi_global": stats.phi_global,
-                      "phi_local": stats.phi_local}, sort_keys=True))
+    _print_json(dict(_stats_json(stats), cloud_file=args.out))
     return EXIT_OK
 
 
@@ -198,7 +244,7 @@ def cmd_reflect(cfg, args):
         dense = reflections.dense_fixed_point(cloud, A)
         dev = float(np.linalg.norm(sol.A_hat - dense.A_hat))
         summary["oracle_max_deviation"] = dev
-    print(json.dumps(summary, sort_keys=True))
+    _print_json(summary)
     return EXIT_OK
 
 
@@ -218,7 +264,7 @@ def run_einstein_sweep(cfg):
 def cmd_einstein(cfg, args):
     rows = run_einstein_sweep(cfg)
     _write_csv(args.out, ["phi", "first_order", "converged"], rows)
-    print(json.dumps({"table": args.out, "rows": len(rows)}, sort_keys=True))
+    _print_json({"table": args.out, "rows": len(rows)})
     return EXIT_OK
 
 
@@ -280,8 +326,7 @@ def run_compare_sweep(cfg):
 def cmd_compare(cfg, args):
     report = run_compare_sweep(cfg)
     _dump_json(report, args.out, "compare.schema.json")
-    print(json.dumps({"report": args.out, "entries": len(report["entries"])},
-                     sort_keys=True))
+    _print_json({"report": args.out, "entries": len(report["entries"])})
     return EXIT_OK
 
 
@@ -318,9 +363,7 @@ def cmd_validate(cfg, args):
     if args.cloud:
         doc = _read_json(args.cloud, "cloud.schema.json")
         stats = cloudmod.validate(cloudmod.cloud_from_json(doc))
-        print(json.dumps({"n": stats.n, "d": stats.d,
-                          "phi_global": stats.phi_global,
-                          "phi_local": stats.phi_local}, sort_keys=True))
+        _print_json(_stats_json(stats))
     return EXIT_OK if ok else EXIT_INTERNAL
 
 
@@ -400,9 +443,6 @@ def main(argv=None):
         return EXIT_GATE
     except (ValueError, KernelDomainError, KeyError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARAM
-    except jsonschema.ValidationError as exc:
-        print(f"error: {exc.message}", file=sys.stderr)
         return EXIT_PARAM
     except Exception as exc:
         print(f"internal error: {exc}", file=sys.stderr)

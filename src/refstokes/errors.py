@@ -28,3 +28,7 @@ class GateError(RuntimeError):
 
 class GridMismatchError(ValueError):
     """Operation requires two fields sampled on the same grid."""
+
+
+class SchemaError(ValueError):
+    """JSON document that fails its schema; the message is jsonschema's."""

@@ -123,6 +123,26 @@ def test_reflect_two_sphere_fixture(tmp_path, capsys):
     assert summary["converged"]
 
 
+def refuse_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+def test_one_particle_summaries_are_json(tmp_path, capsys):
+    # a single particle has no separation: `d` is null, never Infinity
+    doc = {"seed": 3, "cloud": {"kind": "rsa", "box": UNIT_BOX, "n": 1, "a": 0.01,
+                                "dmin": 0.05},
+           "strain": [1, 0, 0, 0, 0]}
+    cloud_path = str(tmp_path / "cloud.json")
+    assert cli.main(["generate", "--config", write_config(tmp_path, doc),
+                     "--out", cloud_path]) == 0
+    assert cli.main(["validate", "--cloud", cloud_path]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    generated = json.loads(lines[0], parse_constant=refuse_constant)
+    validated = json.loads(lines[-1], parse_constant=refuse_constant)
+    assert generated == dict(validated, cloud_file=cloud_path)
+    assert validated["n"] == 1 and validated["d"] is None
+
+
 def test_reflect_single_particle_one_row(tmp_path, capsys):
     cfgp = lattice_config(tmp_path, n_per_axis=1)
     cloud_path = tmp_path / "cloud.json"
