@@ -284,11 +284,11 @@ def cloud_to_json(cloud):
     differ from the sphere default."""
     doc = {
         "a": float(cloud.a),
-        "box": [[float(v) for v in cloud.box[0]], [float(v) for v in cloud.box[1]]],
-        "centers": [[float(v) for v in row] for row in cloud.centers],
+        "box": cloud.box.tolist(),
+        "centers": cloud.centers.tolist(),
     }
     if not cloud.spherical:
-        doc["mobilities"] = [[float(v) for v in m.reshape(25)] for m in cloud.mobilities]
+        doc["mobilities"] = cloud.mobilities.reshape(-1, 25).tolist()
     return doc
 
 

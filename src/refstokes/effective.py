@@ -269,21 +269,32 @@ def tilde_vc(field, A, points):
     return out
 
 
+def _padded_length(n, span):
+    """FFT length of an axis of n target and `span` source cells: the smallest
+    even 2^a 3^b >= n + span - 1 (Hockney and Eastwood's free-space size),
+    but never above 2n, so a full span keeps the 2n layout."""
+    bits = int(n).bit_length()
+    smooth = (2 ** a * 3 ** b for a in range(1, bits + 2) for b in range(bits))
+    return int(min(2 * n, min(m for m in smooth if m >= n + span - 1)))
+
+
 @functools.lru_cache(maxsize=1)
-def _stresslet_cell_kernels(n, box):
-    """rfft of the cell-averaged stresslet velocity kernels on the padded lag
-    grid of the n^3 grid on box (a flat 6-tuple): [i, c] is velocity
-    component i of one cell carrying unit coefficient c. Near lags are
-    subdivided exactly as in `tilde_vc`. Only the last grid is kept."""
+def _stresslet_cell_kernels(n, box, lo=(0, 0, 0), m=None):
+    """rfft of the cell-averaged stresslet velocity kernels of the n^3 grid on
+    box (a flat 6-tuple) for sources from cell lo on, padded to lengths m
+    (default 2n): index q holds lag q for q <= n - 1 - lo, else lag q - m.
+    [i, c] is velocity component i of one cell carrying unit coefficient c.
+    Near lags are subdivided exactly as in `tilde_vc`. One grid is kept."""
     h = (np.array(box[3:]) - np.array(box[:3])) / n
-    m = 2 * n
-    lag = np.where(np.arange(m) < n, np.arange(m), np.arange(m) - m)
-    z = np.meshgrid(lag * h[0], lag * h[1], lag * h[2], indexing="ij")
+    m = m or (2 * n,) * 3
+    lags = [np.where(np.arange(k) <= n - 1 - l, np.arange(k), np.arange(k) - k)
+            for l, k in zip(lo, m)]
+    z = np.meshgrid(*(lag * hk for lag, hk in zip(lags, h)), indexing="ij")
     r2 = z[0] * z[0] + z[1] * z[1] + z[2] * z[2]
     near = r2 <= (_NEAR_FACTOR * float(np.max(h))) ** 2
     r2[near] = np.inf
     zn = np.stack([zi[near] for zi in z], axis=-1)
-    khat = np.empty((3, 5, m, m, n + 1), dtype=complex)
+    khat = np.empty((3, 5, m[0], m[1], m[2] // 2 + 1), dtype=complex)
     for c, unit in enumerate(np.prod(h) * np.eye(5)):
         kern = kernels.stresslet_velocity_kernel(unit, z, r2)
         close = _subcell_velocity(unit, zn, h)
@@ -297,21 +308,35 @@ def _stresslet_cell_kernels(n, box):
 clear_kernel_cache = _stresslet_cell_kernels.cache_clear
 
 
+def _source_block(sources, n):
+    """Slices, first cells and padded FFT lengths of the bounding block of the
+    nonzero sources (n,n,n,5), which must not all vanish."""
+    nonzero = np.any(sources != 0.0, axis=-1)
+    cells = [np.flatnonzero(nonzero.any(axis=tuple({0, 1, 2} - {k}))) for k in range(3)]
+    return (tuple(slice(c[0], c[-1] + 1) for c in cells), tuple(int(c[0]) for c in cells),
+            tuple(_padded_length(n, int(c[-1] - c[0]) + 1) for c in cells))
+
+
 def _convolve_sources(sources, box, n):
     """FFT convolution of per-cell stresslet coefficients (n,n,n,5) with the
-    cell-averaged kernels; returns the velocity on the same grid. The
-    inverse is `irfftn` axis by axis (the same 1-D transforms), dropping
-    the padded half of each axis as soon as it is transformed."""
+    cell-averaged kernels; returns the velocity on the same grid. Only the
+    bounding block of the nonzero sources is transformed (`_source_block`);
+    the inverse is `irfftn` axis by axis, keeping the n cells (i - lo) mod m
+    of each axis as soon as it is transformed."""
+    if not np.any(sources):
+        return np.zeros((n, n, n, 3))
+    cut, lo, m = _source_block(sources, n)
     box = tuple(np.asarray(box, float).ravel().tolist())
-    khat = _stresslet_cell_kernels(int(n), box)
-    shat = [np.fft.rfftn(sources[..., c], s=(2 * n,) * 3, axes=(0, 1, 2)) for c in range(5)]
+    khat = _stresslet_cell_kernels(int(n), box, lo, m)
+    shat = [np.fft.rfftn(sources[cut + (c,)], s=m, axes=(0, 1, 2)) for c in range(5)]
+    keep = [(np.arange(n) - l) % k for l, k in zip(lo, m)]
     out = np.empty((n, n, n, 3))
     for i in range(3):
         acc = shat[0] * khat[i, 0]
         for c in range(1, 5):
             acc += shat[c] * khat[i, c]
-        acc = np.fft.ifft(np.fft.ifft(acc, axis=0)[:n], axis=1)[:, :n]
-        out[..., i] = np.fft.irfft(acc, 2 * n, axis=2)[..., :n]
+        acc = np.fft.ifft(np.fft.ifft(acc, axis=0)[keep[0]], axis=1)[:, keep[1]]
+        out[..., i] = np.fft.irfft(acc, m[2], axis=2)[..., keep[2]]
     return out
 
 
@@ -322,7 +347,9 @@ def fixed_point_vc(model, A, box, n, tol=1e-8, max_iter=50):
     differences, convolution by padded FFT with the cell-averaged stresslet
     kernel. The coefficient's sup norm must not exceed 1/8 (the contraction
     gate). The first iterate coincides with `tilde_vc` sampled on the grid.
-    Returns (velocity GridField, log dict).
+    Returns (velocity GridField, log dict); the log also holds the padded FFT
+    lengths of the last iterate (`fft_shape`, None when every source
+    vanishes) and whether the solve built no kernels (`kernels_cached`).
     """
     sup = model.sup_norm()
     if sup > 0.125 + 1e-12:
@@ -334,6 +361,7 @@ def fixed_point_vc(model, A, box, n, tol=1e-8, max_iter=50):
     v = np.zeros((n, n, n, 3))
     increments = []
     converged = False
+    misses = _stresslet_cell_kernels.cache_info().misses
     for _ in range(max_iter):
         if increments:
             grads = np.gradient(v, *h, axis=(0, 1, 2))
@@ -349,8 +377,9 @@ def fixed_point_vc(model, A, box, n, tol=1e-8, max_iter=50):
         if inc <= tol:
             converged = True
             break
-    log = {"increments": increments, "iterations": len(increments),
-           "converged": converged}
+    log = {"increments": increments, "iterations": len(increments), "converged": converged,
+           "fft_shape": list(_source_block(rhs, n)[2]) if increments and rhs.any() else None,
+           "kernels_cached": _stresslet_cell_kernels.cache_info().misses == misses}
     return GridField(box=np.asarray(box, float), n=n, values=v), log
 
 

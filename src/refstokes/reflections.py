@@ -230,7 +230,7 @@ def level_ratios(norms):
 
 def solution_to_json(solution):
     return {
-        "a_hat": [[float(v) for v in row] for row in solution.A_hat],
+        "a_hat": np.asarray(solution.A_hat, float).tolist(),
         "iterations": int(solution.iterations),
         "converged": bool(solution.converged),
         "residual": float(solution.residual),

@@ -148,6 +148,22 @@ def test_json_keeps_custom_mobilities(rng):
     assert np.array_equal(c2.mobilities, mob)
 
 
+def test_json_same_bytes_as_per_value_floats(rng):
+    centers = rng.uniform(size=(6, 3))
+    centers[0] = [-0.0, 5e-324, 2.2e-308]
+    mob = rng.normal(size=(6, 5, 5)) * 10.0 ** rng.integers(-320, 308, size=(6, 5, 5))
+    mob[0, 0, :3] = [-0.0, 1e308, -1e308]
+    c = cl.ParticleCloud(centers=centers, a=0.01, mobilities=mob, box=UNIT_BOX)
+    per_value = {
+        "a": 0.01,
+        "box": [[float(v) for v in c.box[0]], [float(v) for v in c.box[1]]],
+        "centers": [[float(v) for v in row] for row in c.centers],
+        "mobilities": [[float(v) for v in m.reshape(25)] for m in c.mobilities],
+    }
+    assert (json.dumps(cl.cloud_to_json(c), sort_keys=True, allow_nan=False)
+            == json.dumps(per_value, sort_keys=True, allow_nan=False))
+
+
 def test_json_rejects_mobilities_not_one_row_per_particle(rng):
     doc = {"a": 0.01, "box": UNIT_BOX.tolist(), "centers": [[0.3, 0.3, 0.3], [0.7, 0.7, 0.7]]}
     rows = rng.normal(size=(2, 25))

@@ -371,6 +371,61 @@ def test_convolve_sources_bit_for_bit(rng):
         assert np.array_equal(v, np.fft.irfftn(acc, s=(2 * n,) * 3, axes=(0, 1, 2))[:n, :n, :n])
 
 
+def full_padding_convolution(sources, box, n):
+    """The convolution on the 2n-padded grid, whatever the sources' support:
+    kernels on lags 0..n-1, -n..-1 per axis and a full irfftn."""
+    h = (box[1] - box[0]) / n
+    lag = np.where(np.arange(2 * n) < n, np.arange(2 * n), np.arange(2 * n) - 2 * n)
+    z = np.meshgrid(lag * h[0], lag * h[1], lag * h[2], indexing="ij")
+    r2 = z[0] * z[0] + z[1] * z[1] + z[2] * z[2]
+    near = r2 <= (eff._NEAR_FACTOR * float(np.max(h))) ** 2
+    r2[near] = np.inf
+    zn = np.stack([zi[near] for zi in z], axis=-1)
+    out = np.zeros((n, n, n, 3))
+    for c, unit in enumerate(np.prod(h) * np.eye(5)):
+        kern = kernels.stresslet_velocity_kernel(unit, z, r2)
+        close = eff._subcell_velocity(unit, zn, h)
+        shat = np.fft.rfftn(sources[..., c], s=(2 * n,) * 3, axes=(0, 1, 2))
+        for i in range(3):
+            kern[i][near] = close[:, i]
+            acc = shat * np.fft.rfftn(kern[i])
+            out[..., i] += np.fft.irfftn(acc, s=(2 * n,) * 3, axes=(0, 1, 2))[:n, :n, :n]
+    return out
+
+
+@pytest.mark.parametrize("block", [
+    (slice(0, 3), slice(0, 5), slice(0, 2)),        # touches the low faces
+    (slice(7, 10), slice(4, 10), slice(9, 10)),     # touches the high faces
+    (slice(3, 6), slice(5, 6), slice(2, 8)),        # neither; unequal spans
+    (slice(4, 5),) * 3,                             # a single cell
+    (slice(0, 10), slice(2, 4), slice(0, 10)),      # two axes spanned
+])
+def test_convolve_sources_block_matches_full_padding(rng, block):
+    n = 10
+    for gbox in (np.array([[-0.5] * 3, [1.5] * 3]),
+                 np.array([[-0.5, -0.2, 0.0], [1.5, 1.0, 0.9]])):    # non-cubic cells
+        sources = np.zeros((n, n, n, 5))
+        sources[block] = rng.normal(size=sources[block].shape)
+        want = full_padding_convolution(sources, gbox, n)
+        got = eff._convolve_sources(sources, gbox, n)
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+    spans = [s.stop - s.start for s in block]
+    assert eff._source_block(sources, n)[2] == tuple(eff._padded_length(n, s) for s in spans)
+
+
+def test_convolve_sources_zero_sources_give_exact_zeros():
+    out = eff._convolve_sources(np.zeros((6, 6, 6, 5)), UNIT_BOX, 6)
+    assert out.shape == (6, 6, 6, 3) and not out.any()
+
+
+def test_padded_length():
+    # n + span - 1 rounded up to an even 2^a 3^b, never above 2n
+    assert [eff._padded_length(32, s) for s in (1, 16, 17, 32)] == [32, 48, 48, 64]
+    assert eff._padded_length(10, 3) == 12 and eff._padded_length(10, 7) == 16
+    for n in (5, 7, 10, 13, 32):
+        assert eff._padded_length(n, n) == 2 * n
+
+
 def test_fixed_point_zero_model():
     model = eff.uniform_Meff(UNIT_BOX, 0.0)
     v, log = eff.fixed_point_vc(model, UNIAXIAL, UNIT_BOX, 8)
@@ -409,6 +464,27 @@ def test_kernel_cache_holds_one_grid():
     assert khat.shape == (3, 5, 8, 8, 5) and not khat.flags.writeable
     eff.clear_kernel_cache()
     assert eff._stresslet_cell_kernels.cache_info().currsize == 0
+
+
+def test_kernels_built_once_per_support():
+    # two solves at different phi on one support share the cached spectra
+    gbox, n = np.array([[-0.5] * 3, [1.5] * 3]), 32
+    eff.clear_kernel_cache()
+    assert eff._stresslet_cell_kernels.cache_info().currsize == 0
+    logs = [eff.fixed_point_vc(eff.uniform_Meff(UNIT_BOX, phi), UNIAXIAL, gbox, n,
+                               max_iter=2)[1] for phi in (0.02, 0.01)]
+    info = eff._stresslet_cell_kernels.cache_info()
+    assert (info.misses, info.hits) == (1, 3)
+    assert [log["kernels_cached"] for log in logs] == [False, True]
+    assert all(log["fft_shape"] == [48, 48, 48] for log in logs)
+    # the unit box covers cells 8..23 of 32 per axis: 32 + 16 - 1 -> 48
+    khat = eff._stresslet_cell_kernels(n, tuple(gbox.ravel().tolist()), (8, 8, 8), (48, 48, 48))
+    assert khat.shape == (3, 5, 48, 48, 25)
+    assert eff._stresslet_cell_kernels.cache_info().misses == 1
+    eff.clear_kernel_cache()
+    assert eff._stresslet_cell_kernels.cache_info().currsize == 0
+    v, log = eff.fixed_point_vc(eff.uniform_Meff(UNIT_BOX, 0.0), UNIAXIAL, gbox, 8)
+    assert log["fft_shape"] is None and log["kernels_cached"]
 
 
 def test_fixed_point_non_convergence_reported():

@@ -401,6 +401,18 @@ def test_solution_json_roundtrip():
     assert back.residual == sol.residual
 
 
+def test_solution_json_same_bytes_as_per_value_floats(rng):
+    c = small_rsa(8, n=10)
+    A_hat = rng.normal(size=(10, 5)) * 10.0 ** rng.integers(-320, 308, size=(10, 5))
+    A_hat[0] = [-0.0, 5e-324, -2.2e-308, 1e308, -1e308]
+    sol = refl.StressletSolution(cloud=c, A_hat=A_hat, iterations=3, converged=True,
+                                 residual=1e-12, norm_history=[1.0, 0.1, 1e-12])
+    per_value = dict(refl.solution_to_json(sol),
+                     a_hat=[[float(v) for v in row] for row in A_hat])
+    assert (json.dumps(refl.solution_to_json(sol), sort_keys=True, allow_nan=False)
+            == json.dumps(per_value, sort_keys=True, allow_nan=False))
+
+
 def test_level_ratios():
     assert refl.level_ratios([1.0, 0.5, 0.25]) == [0.5, 0.5]
     assert refl.level_ratios([2.0, 0.0, 0.0]) == [0.0, 0.0]   # 0 after a vanishing level
