@@ -15,6 +15,7 @@ a value; they are kept as separate named constants on purpose.
 from __future__ import annotations
 
 import functools
+import itertools
 import json
 from dataclasses import dataclass
 
@@ -141,34 +142,13 @@ def generate_lattice(box, n_per_axis, a):
     return ParticleCloud.spheres(centers, a, box)
 
 
-class _HashGrid:
-    """Uniform spatial hash with cell size = the exclusion distance."""
-
-    def __init__(self, cell):
-        self.cell = cell
-        self.table = {}
-
-    def key(self, p):
-        return tuple(np.floor(p / self.cell).astype(np.int64))
-
-    def neighbors(self, p):
-        kx, ky, kz = self.key(p)
-        for i in (kx - 1, kx, kx + 1):
-            for j in (ky - 1, ky, ky + 1):
-                for k in (kz - 1, kz, kz + 1):
-                    yield from self.table.get((i, j, k), ())
-
-    def insert(self, p, idx):
-        self.table.setdefault(self.key(p), []).append(idx)
-
-
 def generate_rsa(box, n, a, dmin, seed):
     """Random sequential addition of n centers with pairwise distance >= dmin.
 
-    Reproducible for a fixed seed. Uses a spatial hash with cell size dmin so
-    each trial checks only 27 cells. Raises SaturationError when the request
-    is provably infeasible or when placement exceeds the attempt budget of
-    10^4 * n trials.
+    Reproducible for a fixed seed. Placed centers are kept by their cube of
+    side dmin, so each trial checks only the 27 cubes around its own. Raises
+    SaturationError when the request is provably infeasible or when
+    placement exceeds the attempt budget of 10^4 * n trials.
     """
     box = np.asarray(box, dtype=float)
     if dmin <= SEPARATION_FACTOR * a:
@@ -188,7 +168,7 @@ def generate_rsa(box, n, a, dmin, seed):
             f"(packing bound {region / ((np.pi / 6.0) * dmin ** 3):.0f})")
     budget = 10_000 * n
     rng = np.random.default_rng(seed)
-    grid = _HashGrid(dmin)
+    cubes = {}                      # cube (i, j, k) of side dmin -> placed indices
     centers = np.empty((n, 3))
     placed = 0
     attempts = 0
@@ -199,15 +179,12 @@ def generate_rsa(box, n, a, dmin, seed):
                 f"saturation: placed {placed}/{n} centers after {attempts} attempts")
         attempts += 1
         p = lo + rng.random(3) * (hi - lo)
-        ok = True
-        for j in grid.neighbors(p):
-            diff = centers[j] - p
-            if diff @ diff < dmin2:
-                ok = False
-                break
-        if ok:
+        i, j, k = np.floor(p / dmin).astype(np.int64).tolist()
+        near = itertools.product(range(i - 1, i + 2), range(j - 1, j + 2), range(k - 1, k + 2))
+        if not any((centers[q] - p) @ (centers[q] - p) < dmin2
+                   for cube in near for q in cubes.get(cube, ())):
             centers[placed] = p
-            grid.insert(p, placed)
+            cubes.setdefault((i, j, k), []).append(placed)
             placed += 1
     return ParticleCloud.spheres(centers, a, box)
 

@@ -227,20 +227,17 @@ def _subcell_velocity(m, z, h):
     of size h, by the midpoint rule over the _NEAR_SUB^3 subcells of each
     cell. m holds the 5 coefficients of a whole cell, each a scalar or a
     (K, 1) array; a subcell centre within 1e-9 max(h) of its target is
-    dropped. The kernel is evaluated on one (K, _NEAR_SUB^3) block per
-    chunk of at most kernels.PAIR_BUDGET pairs, and each row adds its
-    subcells one after another in subcell order."""
+    dropped. The kernel is evaluated on the `kernels.pair_blocks` of the
+    (K x _NEAR_SUB^3) block, and each row adds its subcells one after
+    another in subcell order."""
     w = np.asarray(m) / _NEAR_SUB ** 3
     offsets = _subcell_offsets(h, _NEAR_SUB)
-    rows = max(1, kernels.PAIR_BUDGET // len(offsets))
     out = np.zeros((len(z), 3))
-    for start in range(0, len(z), rows):
-        part = slice(start, start + rows)
-        zs, r2 = kernels.pair_offsets(z[part], offsets, exclude_within=1e-9 * np.max(h))
+    for rows, zs, r2 in kernels.pair_blocks(z, offsets, exclude_within=1e-9 * np.max(h)):
         v = np.stack(kernels.stresslet_velocity_kernel(
-            w if w.ndim == 1 else w[:, part], zs, r2), axis=-1)
+            w if w.ndim == 1 else w[:, rows], zs, r2), axis=-1)
         for j in range(len(offsets)):
-            out[part] += v[:, j]
+            out[rows] += v[:, j]
     return out
 
 
@@ -279,14 +276,13 @@ def _padded_length(n, span):
 
 
 @functools.lru_cache(maxsize=1)
-def _stresslet_cell_kernels(n, box, lo=(0, 0, 0), m=None):
+def _stresslet_cell_kernels(n, box, lo, m):
     """rfft of the cell-averaged stresslet velocity kernels of the n^3 grid on
-    box (a flat 6-tuple) for sources from cell lo on, padded to lengths m
-    (default 2n): index q holds lag q for q <= n - 1 - lo, else lag q - m.
+    box (a flat 6-tuple) for sources from cell lo on, padded to lengths m:
+    index q holds lag q for q <= n - 1 - lo, else lag q - m.
     [i, c] is velocity component i of one cell carrying unit coefficient c.
     Near lags are subdivided exactly as in `tilde_vc`. One grid is kept."""
     h = (np.array(box[3:]) - np.array(box[:3])) / n
-    m = m or (2 * n,) * 3
     lags = [np.where(np.arange(k) <= n - 1 - l, np.arange(k), np.arange(k) - k)
             for l, k in zip(lo, m)]
     z = np.meshgrid(*(lag * hk for lag, hk in zip(lags, h)), indexing="ij")
@@ -322,19 +318,21 @@ def _convolve_sources(sources, box, n):
     cell-averaged kernels; returns the velocity on the same grid. Only the
     bounding block of the nonzero sources is transformed (`_source_block`);
     the inverse is `irfftn` axis by axis, keeping the n cells (i - lo) mod m
-    of each axis as soon as it is transformed."""
+    of each axis as soon as it is transformed. Only the nonzero components
+    are transformed, and their products summed in component order."""
     if not np.any(sources):
         return np.zeros((n, n, n, 3))
     cut, lo, m = _source_block(sources, n)
     box = tuple(np.asarray(box, float).ravel().tolist())
     khat = _stresslet_cell_kernels(int(n), box, lo, m)
-    shat = [np.fft.rfftn(sources[cut + (c,)], s=m, axes=(0, 1, 2)) for c in range(5)]
+    comps = [c for c in range(5) if sources[cut + (c,)].any()]
+    shat = [np.fft.rfftn(sources[cut + (c,)], s=m, axes=(0, 1, 2)) for c in comps]
     keep = [(np.arange(n) - l) % k for l, k in zip(lo, m)]
     out = np.empty((n, n, n, 3))
     for i in range(3):
-        acc = shat[0] * khat[i, 0]
-        for c in range(1, 5):
-            acc += shat[c] * khat[i, c]
+        acc = shat[0] * khat[i, comps[0]]
+        for c, sc in zip(comps[1:], shat[1:]):
+            acc += sc * khat[i, c]
         acc = np.fft.ifft(np.fft.ifft(acc, axis=0)[keep[0]], axis=1)[:, keep[1]]
         out[..., i] = np.fft.irfft(acc, m[2], axis=2)[..., keep[2]]
     return out

@@ -20,10 +20,12 @@ each written once, as a component-major pair kernel `f(m, z, r2)`: the
 coefficients m and the offsets z are sequences of separate arrays (5 and 3
 of them) and r2 = |z|^2, all broadcasting together, so a (targets x sources)
 block is plain elementwise arithmetic. An infinite r2 gives exactly zero.
-The public point functions are the single-pair case of these kernels, and
-`pair_sum` sums them over all pairs in chunks of at most `PAIR_BUDGET`, sized
-so their temporaries stay in cache. Each kernel computes in a few arrays of
-its own (`out=`, in place), never in its inputs, in its docstring's order.
+The public point functions are the single-pair case of these kernels.
+`pair_blocks` is the one chunk loop: row blocks of at most `PAIR_BUDGET`
+pairs, sized so their temporaries stay in cache, from which `pair_sum`, the
+dense reflection matrix and the near-cell quadrature all evaluate. Each
+kernel computes in a few arrays of its own (`out=`, in place), never in its
+inputs, in its docstring's order.
 
 Point functions broadcast over leading axes of the evaluation points.
 """
@@ -35,13 +37,12 @@ import numpy as np
 from .errors import KernelDomainError
 from .sym3 import apply_mobility, embed, project_sym_tracefree
 
-__all__ = ["oseen", "oseen_gradient", "oseen_pressure", "stresslet_field",
-           "stresslet_strain", "sphere_disturbance", "sphere_pressure",
-           "sphere_velocity_gradient", "sphere_traction", "sphere_remainder",
-           "sphere_mobility", "mobility_from_boundary_integral",
+__all__ = ["oseen", "oseen_pressure", "stresslet_field", "stresslet_strain",
+           "sphere_disturbance", "sphere_pressure", "sphere_velocity_gradient",
+           "sphere_traction", "sphere_mobility", "mobility_from_boundary_integral",
            "mean_value_reconstruct", "PAIR_BUDGET", "stresslet_strain_kernel",
            "stresslet_velocity_kernel", "sphere_disturbance_kernel",
-           "pair_offsets", "pair_sum", "pairs_within"]
+           "pair_offsets", "pair_blocks", "pair_sum", "pairs_within"]
 
 _C8 = 1.0 / (8.0 * np.pi)
 _C4 = 1.0 / (4.0 * np.pi)
@@ -49,8 +50,8 @@ _C38 = 3.0 * _C8
 _IS2 = 1.0 / np.sqrt(2.0)
 _IS6 = 1.0 / np.sqrt(6.0)
 
-# (target, source) pairs per chunk of `pair_sum`: each chunk temporary is then
-# 128 KiB, so the dozen a chunk keeps live stay in a core's L2 cache.
+# (target, source) pairs per block of `pair_blocks`: each block temporary is
+# then 128 KiB, so the dozen a block keeps live stay in a core's L2 cache.
 PAIR_BUDGET = 16_384
 
 
@@ -76,18 +77,6 @@ def oseen_pressure(x):
     """Pressure vector q(x) = x/(4 pi |x|^3) paired with the Oseen tensor."""
     x, r2 = _radii(x, "oseen_pressure")
     return _C4 * x / np.sqrt(r2)[..., None] ** 3
-
-
-def oseen_gradient(x):
-    """Gradient d_k O_ij(x), shape (...,3,3,3) indexed [i,j,k]."""
-    x, r2 = _radii(x, "oseen_gradient")
-    r = np.sqrt(r2)[..., None, None, None]
-    I = np.eye(3)
-    xi = x[..., :, None, None]
-    xj = x[..., None, :, None]
-    xk = x[..., None, None, :]
-    return _C8 * ((-I[:, :, None] * xk + I[:, None, :] * xj + I[None, :, :] * xi) / r ** 3
-                  - 3.0 * xi * xj * xk / r ** 5)
 
 
 # ---------------------------------------------------------------------------
@@ -211,20 +200,28 @@ def pair_offsets(targets, sources, exclude_within=None):
     return z, r2
 
 
+def pair_blocks(targets, sources, exclude_within=None):
+    """The (targets x sources) pairs as `pair_offsets` blocks of whole target
+    rows, at most PAIR_BUDGET pairs each (one row when a row is larger):
+    yields (rows, z, r2), rows the slice of targets, in target order."""
+    step = max(1, PAIR_BUDGET // max(len(sources), 1))
+    for start in range(0, len(targets), step):
+        rows = slice(start, start + step)
+        yield (rows, *pair_offsets(targets[rows], sources, exclude_within))
+
+
 def pair_sum(kernel, weights, targets, sources, out, exclude_within=None):
     """Add sum_m kernel(weights_m, targets_l - sources_m) to out[l] for every l.
 
     weights has one row of coefficients per source; out has one row per
-    target. Targets are taken in chunks of at most PAIR_BUDGET pairs, and
-    each target's sum over sources is numpy's pairwise sum, so reruns on
-    identical input are bit-identical. Returns out.
+    target. Each target's sum over sources is numpy's pairwise sum within
+    its `pair_blocks` row, so the bits do not depend on the block size and
+    reruns on identical input are bit-identical. Returns out.
     """
     w = np.ascontiguousarray(np.asarray(weights, dtype=float).T)
-    rows = max(1, PAIR_BUDGET // max(len(sources), 1))
-    for start in range(0, len(targets), rows):
-        z, r2 = pair_offsets(targets[start:start + rows], sources, exclude_within)
+    for rows, z, r2 in pair_blocks(targets, sources, exclude_within):
         for c, part in enumerate(kernel(w, z, r2)):
-            out[start:start + rows, c] += part.sum(axis=1)
+            out[rows, c] += part.sum(axis=1)
     return out
 
 
@@ -330,22 +327,6 @@ def sphere_traction(strain, a, x):
     sigma = grad + np.swapaxes(grad, -1, -2) - p[..., None, None] * np.eye(3)
     r = np.sqrt(np.einsum("...i,...i->...", x, x))
     return np.einsum("...ij,...j->...i", sigma, x / r[..., None])
-
-
-def sphere_remainder(strain, a, x):
-    """Sphere far-field remainder: disturbance minus the point stresslet.
-
-    H(x) = -a^5 [Ax/|x|^5 - (5/2)(x.Ax) x/|x|^7]; exactly degree 5 in a,
-    decays like |x|^{-3}. Defined for |x| > 4a.
-    """
-    xb, A, r2, b, s = _sphere_terms(strain, a, x)
-    if np.any(r2 <= (4.0 * a) ** 2):
-        raise KernelDomainError("sphere_remainder requires |x| > 4a")
-    r = np.sqrt(r2)
-    r5 = r ** 5
-    r7 = r5 * r2
-    u = -a ** 5 * (b / r5[..., None] - 2.5 * (s / r7)[..., None] * xb)
-    return u.reshape(np.shape(x))
 
 
 def sphere_mobility(a):

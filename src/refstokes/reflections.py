@@ -10,9 +10,10 @@ and accumulates the levels into running totals. The accumulated totals are
 the Neumann series of the linear fixed-point problem (I - T) total = ambient,
 which `dense_fixed_point` solves directly as an independent oracle.
 
-Every pair sum goes through `kernels.pair_sum`, so the strain and velocity
-kernels here are the ones the point functions in `kernels` evaluate, and
-repeated runs on identical input are bit-identical.
+Every pair sum goes through `kernels.pair_sum`, and the dense matrix through
+the same `kernels.pair_blocks`, so the strain and velocity kernels here are
+the ones the point functions in `kernels` evaluate, and repeated runs on
+identical input are bit-identical.
 """
 
 from __future__ import annotations
@@ -139,14 +140,15 @@ def pair_interaction_matrix(cloud):
     """Dense (5N, 5N) matrix of one reflection sweep (zero diagonal blocks).
 
     Column c of block (l, m) is the strain at x_l of the moment
-    mobility_m e_c at x_m.
+    mobility_m e_c at x_m. Filled one `kernels.pair_blocks` row block at a time.
     """
     n = cloud.n
-    z, r2 = kernels.pair_offsets(cloud.centers, cloud.centers, exclude_within=0.0)
     T = np.empty((n, 5, n, 5))
-    for c, mob in enumerate(np.moveaxis(cloud.mobilities, 2, 0)):   # mob[l] = M_l e_c
-        for a, part in enumerate(kernels.stresslet_strain_kernel(mob.T, z, r2)):
-            T[:, a, :, c] = part
+    columns = [mob.T for mob in np.moveaxis(cloud.mobilities, 2, 0)]   # mob[l] = M_l e_c
+    for rows, z, r2 in kernels.pair_blocks(cloud.centers, cloud.centers, exclude_within=0.0):
+        for c, moment in enumerate(columns):
+            for a, part in enumerate(kernels.stresslet_strain_kernel(moment, z, r2)):
+                T[rows, a, :, c] = part
     return T.reshape(5 * n, 5 * n)
 
 

@@ -52,6 +52,16 @@ def test_import_layering():
         assert not extra, f"{name} imports {sorted(extra)}"
 
 
+def test_pair_budget_read_only_in_kernels():
+    # one chunk policy: every other module takes its blocks from kernels.pair_blocks
+    package = Path(importlib.import_module("refstokes").__file__).parent
+    readers = {path.stem for path in package.glob("*.py")
+               for node in ast.walk(ast.parse(path.read_text()))
+               if (isinstance(node, ast.Name) and node.id == "PAIR_BUDGET")
+               or (isinstance(node, ast.Attribute) and node.attr == "PAIR_BUDGET")}
+    assert readers == {"kernels"}
+
+
 def test_package_namespace_imports_nothing():
     # names are imported from their modules; the package holds only __version__
     init = Path(importlib.import_module("refstokes").__file__)

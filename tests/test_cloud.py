@@ -57,6 +57,58 @@ def test_rsa_saturation():
         cl.generate_rsa(UNIT_BOX, 10 ** 6, 0.01, 0.05, seed=0)
 
 
+def hash_grid_rsa(box, n, a, dmin, seed):
+    """The placement loop of `generate_rsa` with a spatial-hash class, one
+    cell per cube of side dmin; returns the centers or the error text."""
+    class HashGrid:
+        def __init__(self, cell):
+            self.cell, self.table = cell, {}
+
+        def key(self, p):
+            return tuple(np.floor(p / self.cell).astype(np.int64))
+
+        def neighbors(self, p):
+            kx, ky, kz = self.key(p)
+            for i in (kx - 1, kx, kx + 1):
+                for j in (ky - 1, ky, ky + 1):
+                    for k in (kz - 1, kz, kz + 1):
+                        yield from self.table.get((i, j, k), ())
+
+        def insert(self, p, idx):
+            self.table.setdefault(self.key(p), []).append(idx)
+
+    lo, hi = box[0] + a, box[1] - a
+    rng = np.random.default_rng(seed)
+    grid, centers, placed, attempts = HashGrid(dmin), np.empty((n, 3)), 0, 0
+    dmin2 = dmin * dmin
+    while placed < n:
+        if attempts >= 10_000 * n:
+            return f"saturation: placed {placed}/{n} centers after {attempts} attempts"
+        attempts += 1
+        p = lo + rng.random(3) * (hi - lo)
+        if not any((centers[j] - p) @ (centers[j] - p) < dmin2 for j in grid.neighbors(p)):
+            centers[placed] = p
+            grid.insert(p, placed)
+            placed += 1
+    return centers
+
+
+@pytest.mark.parametrize("n, a, dmin", [(1, 0.01, 0.05), (200, 0.01, 0.05), (300, 0.02, 0.1)])
+def test_rsa_matches_hash_grid_loop(n, a, dmin):
+    for seed in (1, 2, 7):
+        want = hash_grid_rsa(UNIT_BOX, n, a, dmin, seed)
+        assert np.array_equal(cl.generate_rsa(UNIT_BOX, n, a, dmin, seed).centers, want)
+
+
+def test_rsa_saturation_matches_hash_grid_loop():
+    # two centers 1.5 apart do not fit in a placement cube of diagonal 0.8 sqrt3
+    want = hash_grid_rsa(UNIT_BOX, 2, 0.1, 1.5, 3)
+    assert want == "saturation: placed 1/2 centers after 20000 attempts"
+    with pytest.raises(SaturationError) as err:
+        cl.generate_rsa(UNIT_BOX, 2, 0.1, 1.5, seed=3)
+    assert str(err.value) == want
+
+
 def test_rsa_dmin_violation():
     with pytest.raises(SeparationError):
         cl.generate_rsa(UNIT_BOX, 10, 0.02, 0.05, seed=0)   # dmin <= 4a

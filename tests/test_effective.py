@@ -358,17 +358,36 @@ def test_subcell_velocity_bit_for_bit(rng):
                               reference_subcell_velocity(m, z, h))
 
 
+def five_component_convolution(sources, gbox, n):
+    """`_convolve_sources` of sources filling the grid: all five components
+    transformed, their products summed, and one full padded irfftn."""
+    khat = eff._stresslet_cell_kernels(n, tuple(gbox.ravel().tolist()), (0, 0, 0), (2 * n,) * 3)
+    shat = [np.fft.rfftn(sources[..., c], s=(2 * n,) * 3, axes=(0, 1, 2)) for c in range(5)]
+    out = np.empty((n, n, n, 3))
+    for i in range(3):
+        acc = shat[0] * khat[i, 0]
+        for c in range(1, 5):
+            acc += shat[c] * khat[i, c]
+        out[..., i] = np.fft.irfftn(acc, s=(2 * n,) * 3, axes=(0, 1, 2))[:n, :n, :n]
+    return out
+
+
 def test_convolve_sources_bit_for_bit(rng):
     # the pruned inverse against the full padded irfftn
     n, gbox = 8, np.array([[-0.5] * 3, [1.5] * 3])
     sources = rng.normal(size=(n, n, n, 5))
-    khat = eff._stresslet_cell_kernels(n, tuple(gbox.ravel().tolist()))
-    shat = [np.fft.rfftn(sources[..., c], s=(2 * n,) * 3, axes=(0, 1, 2)) for c in range(5)]
-    for i, v in enumerate(np.moveaxis(eff._convolve_sources(sources, gbox, n), -1, 0)):
-        acc = shat[0] * khat[i, 0]
-        for c in range(1, 5):
-            acc += shat[c] * khat[i, c]
-        assert np.array_equal(v, np.fft.irfftn(acc, s=(2 * n,) * 3, axes=(0, 1, 2))[:n, :n, :n])
+    assert np.array_equal(eff._convolve_sources(sources, gbox, n),
+                          five_component_convolution(sources, gbox, n))
+
+
+@pytest.mark.parametrize("nonzero", [(1,), (0, 2, 4)])
+def test_convolve_sources_skips_zero_components(rng, nonzero):
+    # transforming only the nonzero components drops terms that add exact zeros
+    n, gbox = 8, np.array([[-0.5] * 3, [1.5] * 3])
+    sources = np.zeros((n, n, n, 5))
+    sources[..., list(nonzero)] = rng.normal(size=(n, n, n, len(nonzero)))
+    assert np.array_equal(eff._convolve_sources(sources, gbox, n),
+                          five_component_convolution(sources, gbox, n))
 
 
 def full_padding_convolution(sources, box, n):
@@ -460,7 +479,7 @@ def test_kernel_cache_holds_one_grid():
     for n in (8, 4):
         eff.fixed_point_vc(model, UNIAXIAL, gbox, n, max_iter=1)
     assert eff._stresslet_cell_kernels.cache_info().currsize == 1
-    khat = eff._stresslet_cell_kernels(4, tuple(gbox.ravel().tolist()))
+    khat = eff._stresslet_cell_kernels(4, tuple(gbox.ravel().tolist()), (0, 0, 0), (8, 8, 8))
     assert khat.shape == (3, 5, 8, 8, 5) and not khat.flags.writeable
     eff.clear_kernel_cache()
     assert eff._stresslet_cell_kernels.cache_info().currsize == 0

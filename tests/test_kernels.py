@@ -33,11 +33,8 @@ def test_oseen_homogeneity():
 
 
 def test_oseen_row_divergence():
+    # sum_i d_i O_ij = 0, by central differences
     x = np.array([1.0, 2.0, 3.0])
-    grad = kernels.oseen_gradient(x)           # [i, j, k] = d_k O_ij
-    div = np.einsum("iji->j", grad)            # sum_i d_i O_ij
-    assert np.max(np.abs(div)) < 1e-12
-    # finite-difference version of the same identity
     fd = np.zeros(3)
     for i in range(3):
         e = np.zeros(3)
@@ -51,14 +48,6 @@ def test_oseen_zero_input_raises():
         kernels.oseen(np.zeros(3))
     with pytest.raises(KernelDomainError):
         kernels.oseen_pressure(np.zeros(3))
-
-
-def test_oseen_gradient_matches_fd(rng):
-    for _ in range(20):
-        x = rng.uniform(1.0, 3.0, size=3) * rng.choice([-1, 1], size=3)
-        grad = kernels.oseen_gradient(x)
-        fd = central_difference(lambda y: kernels.oseen(y).reshape(9), x, 1e-6)
-        assert np.max(np.abs(grad.reshape(9, 3) - fd)) < 1e-7
 
 
 def test_pressure_reference_and_homogeneity():
@@ -107,6 +96,12 @@ def test_stresslet_field_far_limit_of_sphere():
     full = kernels.sphere_disturbance(UNIAXIAL, 1.0, x)
     ff = kernels.stresslet_field(mob, UNIAXIAL, x)
     assert np.linalg.norm(full - ff) < 1e-3 * np.linalg.norm(ff)
+    # the sphere disturbance is the point stresslet plus a part exactly degree 5 in a
+    y = np.array([5.0, 1.0, -2.0])
+    h1, h2 = (kernels.sphere_disturbance(UNIAXIAL, a, y)
+              - kernels.stresslet_field(kernels.sphere_mobility(a), UNIAXIAL, y)
+              for a in (1.0, 0.5))
+    assert np.max(np.abs(h1 - 32.0 * h2)) < 1e-13 * np.max(np.abs(h1))
 
 
 def test_stresslet_field_homogeneity(rng):
@@ -173,7 +168,7 @@ def test_stresslet_strain_homogeneity_and_trace(rng):
 
 
 # ---------------------------------------------------------------------------
-# sphere disturbance, remainder, traction
+# sphere disturbance, traction
 
 
 def test_sphere_boundary_condition(rng):
@@ -210,52 +205,6 @@ def test_sphere_stokes_residual(rng):
         gp = central_difference(
             lambda y: np.atleast_1d(kernels.sphere_pressure(UNIAXIAL, a, y)), x, 1e-5)
         assert np.max(np.abs(-lap + gp[0])) < 1e-4
-
-
-def test_sphere_remainder_example_value():
-    # oracle: disturbance minus the point stresslet
-    a = 1.0
-    x = np.array([5.0, 0.0, 0.0])
-    h = kernels.sphere_remainder(UNIAXIAL, a, x)
-    oracle = (kernels.sphere_disturbance(UNIAXIAL, a, x)
-              - kernels.stresslet_field(kernels.sphere_mobility(a), UNIAXIAL, x))
-    assert np.allclose(h, oracle, atol=1e-15)
-    assert np.allclose(h, [0.0024, 0.0, 0.0], atol=1e-15)
-
-
-def test_sphere_remainder_is_degree_five_in_radius():
-    x = np.array([5.0, 1.0, -2.0])
-    h1 = kernels.sphere_remainder(UNIAXIAL, 1.0, x)
-    h2 = kernels.sphere_remainder(UNIAXIAL, 0.5, x)
-    assert np.allclose(h1, 32.0 * h2, rtol=1e-13)
-
-
-def test_sphere_remainder_decay():
-    x = np.array([5.0, 0.0, 3.0])
-    vals = []
-    for lam in (1.0, 2.0, 4.0, 8.0):
-        h = kernels.sphere_remainder(UNIAXIAL, 1.0, lam * x)
-        vals.append(np.linalg.norm(h) * lam ** 3)
-    assert max(vals) < 2.0 * vals[0] + 1e-12   # lam^3 H(lam x) stays bounded
-
-
-def test_sphere_remainder_bound_constant():
-    # |H(x)| |x|^3 / (|A| a^4) bounded over a sample of directions and radii
-    a = 0.5
-    rng = np.random.default_rng(7)
-    worst = 0.0
-    for _ in range(200):
-        x = rng.normal(size=3)
-        x *= rng.uniform(4.01 * a, 40 * a) / np.linalg.norm(x)
-        h = kernels.sphere_remainder(UNIAXIAL, a, x)
-        worst = max(worst, np.linalg.norm(h) * np.linalg.norm(x) ** 3
-                    / (np.linalg.norm(UNIAXIAL) * a ** 4))
-    assert worst <= 4.0
-
-
-def test_sphere_remainder_domain():
-    with pytest.raises(KernelDomainError):
-        kernels.sphere_remainder(UNIAXIAL, 1.0, np.array([4.0, 0.0, 0.0]))
 
 
 # ---------------------------------------------------------------------------
@@ -345,6 +294,21 @@ def loop_pair_sum(point, weights, targets, sources, skip_self=False):
     return np.array([np.sum([point(weights[m], x - y) for m, y in enumerate(sources)
                              if not (skip_self and m == l)], axis=0)
                      for l, x in enumerate(targets)])
+
+
+@pytest.mark.parametrize("budget, starts", [(3, range(11)), (16, [0, 3, 6, 9])])
+def test_pair_blocks_cover_each_target_row_once(monkeypatch, rng, budget, starts):
+    # 11 targets x 5 sources: budget 3 is less than one row, 16 holds three
+    monkeypatch.setattr(kernels, "PAIR_BUDGET", budget)
+    targets, sources = rng.normal(size=(11, 3)), rng.normal(size=(5, 3))
+    blocks = list(kernels.pair_blocks(targets, sources, exclude_within=0.5))
+    assert [rows.start for rows, _, _ in blocks] == list(starts)
+    assert np.array_equal(np.concatenate([np.arange(11)[rows] for rows, _, _ in blocks]),
+                          np.arange(11))
+    for rows, z, r2 in blocks:
+        want_z, want_r2 = kernels.pair_offsets(targets[rows], sources, exclude_within=0.5)
+        assert np.array_equal(z, want_z) and np.array_equal(r2, want_r2)
+    assert not list(kernels.pair_blocks(targets[:0], sources))
 
 
 @pytest.mark.parametrize("budget", [5, 16])

@@ -196,6 +196,28 @@ def test_dense_solve_matches_scipy():
     assert np.array_equal(refl.dense_fixed_point(c, UNIAXIAL).A_hat, expected)
 
 
+def unchunked_interaction_matrix(cloud):
+    """`pair_interaction_matrix` as one (N x N) block of pair offsets."""
+    n = cloud.n
+    z, r2 = kernels.pair_offsets(cloud.centers, cloud.centers, exclude_within=0.0)
+    T = np.empty((n, 5, n, 5))
+    for c, mob in enumerate(np.moveaxis(cloud.mobilities, 2, 0)):
+        for a, part in enumerate(kernels.stresslet_strain_kernel(mob.T, z, r2)):
+            T[:, a, :, c] = part
+    return T.reshape(5 * n, 5 * n)
+
+
+def test_interaction_matrix_blocks_keep_the_bits(monkeypatch, rng):
+    # 40 particles, 3 rows per block: 13 full blocks and a one-row tail;
+    # random mobilities tell the five moment columns apart
+    c = small_rsa(3, n=40)
+    mob = rng.normal(size=(c.n, 5, 5))
+    c = cl.ParticleCloud(centers=c.centers, a=c.a, mobilities=mob + mob.transpose(0, 2, 1),
+                         box=c.box)
+    monkeypatch.setattr(kernels, "PAIR_BUDGET", 3 * c.n)
+    assert np.array_equal(refl.pair_interaction_matrix(c), unchunked_interaction_matrix(c))
+
+
 def test_dense_singular_system_raises(monkeypatch):
     # T swaps the two particles' levels, so (I - T) maps (A, A) to zero
     c = two_sphere_cloud()
