@@ -78,6 +78,11 @@ class ExperimentConfig:
         cfg = cls()
         cfg.seed = int(doc.get("seed", 0))
         cfg.cloud = dict(doc.get("cloud", {}))
+        kind = cfg.cloud.get("kind")
+        missing = sorted({"lattice": {"n_per_axis"}, "rsa": {"n", "dmin"}}.get(kind, set())
+                         - set(cfg.cloud))
+        if missing:
+            raise ValueError(f"cloud kind {kind!r} needs keys {missing}")
         cfg.strain = [float(v) for v in doc.get("strain", cfg.strain)]
         solver = dict(doc.get("solver", {}))
         # old configs may set it; summation is always ordered, so it is dropped
@@ -295,12 +300,13 @@ def run_compare_sweep(cfg):
         a = _radius_for_phi(cfg, phi)
         cloud = build_cloud(cfg, a=a)
         stats = cloudmod.validate(cloud)
-        sol = reflections.run_reflections(cloud, A, fixed_n=3,
-                                          **_solver_kwargs(cfg))
+        # the grid checks (cubic cells, power-of-two n) fail here, before the solve
         MN = effective.assemble_MN(cloud, gbox, n)
         model = effective.uniform_Meff(cloud.box, phi, cfg.compare.coefficient)
         Meff = model.rasterize(gbox, n)
         hm1 = effective.hminus1_distance(MN, Meff)
+        sol = reflections.run_reflections(cloud, A, fixed_n=3,
+                                          **_solver_kwargs(cfg))
         vc, _ = effective.fixed_point_vc(model, A, gbox, n, max_iter=1)
         pts = vc.cell_centers().reshape(-1, 3)
         keep = effective.outside_balls(pts, cloud)

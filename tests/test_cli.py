@@ -305,6 +305,44 @@ def test_compare_p_out_of_range(tmp_path, capsys):
     assert "got 1.6" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("kind, message", [
+    ("rsa", "cloud kind 'rsa' needs keys ['dmin', 'n']"),
+    ("lattice", "cloud kind 'lattice' needs keys ['n_per_axis']")])
+def test_config_names_missing_size_keys(tmp_path, capsys, kind, message):
+    cfgp = write_config(tmp_path, {"seed": 1, "cloud": {"kind": kind, "box": UNIT_BOX, "a": 0.01},
+                                   "strain": [1, 0, 0, 0, 0]})
+    assert cli.main(["generate", "--config", cfgp, "--out", str(tmp_path / "c.json")]) == 4
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+@pytest.mark.filterwarnings("ignore:grid spacing")
+@pytest.mark.parametrize("box, grid_n, message", [
+    ([[0, 0, 0], [2, 2, 0.5]], 16, "the spectral quadrature requires cubic cells"),
+    (UNIT_BOX, 12, "grid resolution must be a power of two, got 12")])
+def test_compare_checks_its_grid_before_the_solve(tmp_path, capsys, monkeypatch,
+                                                  box, grid_n, message):
+    def solve(*args, **kwargs):
+        raise AssertionError("the reflection solve ran")
+
+    monkeypatch.setattr(refl, "run_reflections", solve)
+    cfgp = write_config(tmp_path, {
+        "seed": 1, "cloud": {"kind": "lattice", "box": box, "n_per_axis": 3, "a": 0.01},
+        "strain": [1, 0, 0, 0, 0], "grid": {"n": grid_n, "padding": 0.5},
+        "sweep": {"phis": [1e-3]}})
+    assert cli.main(["compare", "--config", cfgp, "--out", str(tmp_path / "r.json")]) == 4
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+@pytest.mark.filterwarnings("ignore:grid spacing")
+def test_compare_reaches_the_mean_field_gate(tmp_path, capsys):
+    # a^3/d^3 = 0.0072 passes the reflection gate; the coefficient 5 phi = 0.15
+    # of the uniform model then exceeds the 1/8 gate of the mean-field solve
+    cfgp = lattice_config(tmp_path, sweep={"phis": [0.03]}, grid={"n": 16, "padding": 0.5})
+    assert cli.main(["compare", "--config", cfgp, "--out", str(tmp_path / "r.json")]) == 3
+    assert capsys.readouterr().err == (
+        "error: sup-norm 0.15 of the coefficient exceeds the 1/8 gate\n")
+
+
 @pytest.mark.filterwarnings("ignore:grid spacing")
 def test_compare_report(tmp_path, capsys):
     cfgp = lattice_config(

@@ -269,6 +269,20 @@ def test_mean_value_affine_exact(rng):
         assert abs(val - (c @ x + 1.0)) < 1e-10
 
 
+@pytest.mark.parametrize("r", [0.1, 1.0, 2.0])
+@pytest.mark.parametrize("avg", [lambda rho: np.exp(-rho * rho),
+                                 lambda rho: 1.0 / (1.0 + rho * rho),
+                                 lambda rho: np.cos(3.0 * rho)], ids=["gauss", "lorentz", "cos3"])
+def test_mean_value_matches_adaptive_quadrature(avg, r):
+    # the fixed radial rule against adaptive quadrature, on smooth averages no
+    # polynomial rule integrates exactly
+    from scipy import integrate
+
+    ref, _ = integrate.quad(lambda rho: (rho ** 4 / r ** 3 - rho) * avg(rho), 0.0, r,
+                            epsabs=1e-13, limit=200)
+    assert abs(kernels.mean_value_reconstruct(0.5, r, avg) - (0.5 + ref / 3.0)) <= 1e-13
+
+
 def test_mean_value_errors():
     with pytest.raises(ValueError):
         kernels.mean_value_reconstruct(0.0, -1.0, lambda rho: 0.0)
