@@ -78,11 +78,13 @@ class ExperimentConfig:
         cfg = cls()
         cfg.seed = int(doc.get("seed", 0))
         cfg.cloud = dict(doc.get("cloud", {}))
-        kind = cfg.cloud.get("kind")
-        missing = sorted({"lattice": {"n_per_axis"}, "rsa": {"n", "dmin"}}.get(kind, set())
-                         - set(cfg.cloud))
-        if missing:
-            raise ValueError(f"cloud kind {kind!r} needs keys {missing}")
+        kind, keys = cfg.cloud.get("kind"), set(cfg.cloud)
+        sizes = {"lattice": {"n_per_axis"}, "rsa": {"n", "dmin"}}
+        if kind in sizes:
+            if missing := sorted(sizes[kind] - keys):
+                raise ValueError(f"cloud kind {kind!r} needs keys {missing}")
+            if extra := sorted(keys & {"n_per_axis", "n", "dmin"} - sizes[kind]):
+                raise ValueError(f"cloud kind {kind!r} does not take keys {extra}")
         cfg.strain = [float(v) for v in doc.get("strain", cfg.strain)]
         solver = dict(doc.get("solver", {}))
         # old configs may set it; summation is always ordered, so it is dropped
@@ -235,6 +237,9 @@ def cmd_generate(cfg, args):
 
 def cmd_reflect(cfg, args):
     cloud = cloudmod.cloud_from_json(_read_json(args.cloud, "cloud.schema.json"))
+    if args.oracle and 5 * cloud.n > reflections.DENSE_MAX_UNKNOWNS:
+        raise ValueError(f"--oracle: dense solve guarded to 5N <= "
+                         f"{reflections.DENSE_MAX_UNKNOWNS} (got N = {cloud.n})")
     A = sym3.sym_from_list(cfg.strain)
     sol = reflections.run_reflections(cloud, A, fixed_n=cfg.solver.fixed_n,
                                       **_solver_kwargs(cfg))
@@ -400,7 +405,8 @@ def _build_parser():
     ref.add_argument("--out", default="solution.json")
     ref.add_argument("--csv", default=None, help="convergence table CSV")
     ref.add_argument("--oracle", action="store_true",
-                     help="cross-check against the dense solve (5N <= 5000)")
+                     help="cross-check against the dense solve "
+                          f"(5N <= {reflections.DENSE_MAX_UNKNOWNS})")
     ref.add_argument("--force", action="store_true",
                      help="override the volume-fraction gate")
     ref.add_argument("--tol", type=float, default=None)

@@ -397,10 +397,13 @@ def einstein_coefficient(cloud, A, strains):
     if phi <= 0.0:
         raise ValueError("einstein coefficient undefined at zero volume fraction")
     A = np.asarray(A, dtype=float).reshape(5)
+    norm2 = frobenius(A, A)
+    if norm2 == 0.0:
+        raise ValueError("einstein coefficient undefined at zero strain")
     moments = np.einsum("lab,lb->la", cloud.mobilities,
                         np.asarray(strains, dtype=float).reshape(cloud.n, 5))
     work = float(np.sum(moments @ A))
-    return work / (2.0 * frobenius(A, A) * cloud.box_volume * phi)
+    return work / (2.0 * norm2 * cloud.box_volume * phi)
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,8 @@ each written once, as a component-major pair kernel `f(m, z, r2)`: the
 coefficients m and the offsets z are sequences of separate arrays (5 and 3
 of them) and r2 = |z|^2, all broadcasting together, so a (targets x sources)
 block is plain elementwise arithmetic. An infinite r2 gives exactly zero.
-The public point functions are the single-pair case of these kernels.
+The public point functions are the single-pair case of these kernels; the
+sphere's pressure and traction are closed forms on the same moment terms.
 `pair_blocks` is the one chunk loop: row blocks of at most `PAIR_BUDGET`
 pairs, sized so their temporaries stay in cache, from which `pair_sum`, the
 dense reflection matrix and the near-cell quadrature all evaluate. Each
@@ -35,11 +36,11 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import KernelDomainError
-from .sym3 import apply_mobility, embed, project_sym_tracefree
+from .sym3 import apply_mobility, project_sym_tracefree
 
 __all__ = ["oseen", "oseen_pressure", "stresslet_field", "stresslet_strain",
-           "sphere_disturbance", "sphere_pressure", "sphere_velocity_gradient",
-           "sphere_traction", "sphere_mobility", "mobility_from_boundary_integral",
+           "sphere_disturbance", "sphere_pressure", "sphere_traction",
+           "sphere_mobility", "mobility_from_boundary_integral",
            "mean_value_reconstruct", "PAIR_BUDGET", "stresslet_strain_kernel",
            "stresslet_velocity_kernel", "sphere_disturbance_kernel",
            "pair_offsets", "pair_blocks", "pair_sum", "pairs_within"]
@@ -269,13 +270,14 @@ def pairs_within(targets, sources, radius):
     return t[order], s[order], z[order]
 
 
-def _sphere_terms(strain, a, x):
-    x = np.atleast_2d(np.asarray(x, dtype=float))
-    A = embed(np.asarray(strain, dtype=float))
-    r2 = np.einsum("...i,...i->...", x, x)
-    b = np.einsum("ij,...j->...i", A, x)
-    s = np.einsum("...i,...i->...", x, b)
-    return x, A, r2, b, s
+def _sphere_point(strain, a, x, what):
+    """Component-major strain m, points z and r2 = |x|^2 (see `_radii`) for a
+    function of the sphere solution, which is defined on and outside |x| = a:
+    a point inside raises KernelDomainError."""
+    x, r2 = _radii(x, what)
+    if np.any(r2 < a * a * (1.0 - 1e-12)):
+        raise KernelDomainError(f"{what} evaluated inside the sphere")
+    return np.moveaxis(np.asarray(strain, dtype=float), -1, 0), np.moveaxis(x, -1, 0), r2
 
 
 def sphere_disturbance(strain, a, x):
@@ -285,48 +287,31 @@ def sphere_disturbance(strain, a, x):
     On |x| = a this equals -Ax (the two quintic terms cancel the strain).
     Force- and torque-free; defined for |x| >= a.
     """
-    x, r2 = _radii(x, "sphere_disturbance")
-    if np.any(r2 < a * a * (1.0 - 1e-12)):
-        raise KernelDomainError("sphere_disturbance evaluated inside the sphere")
-    return _point_kernel(sphere_disturbance_kernel, strain, x, r2, a=a)
+    return np.stack(sphere_disturbance_kernel(*_sphere_point(strain, a, x, "sphere_disturbance"),
+                                              a=a), axis=-1)
 
 
 def sphere_pressure(strain, a, x):
     """Pressure of the sphere disturbance solution: p = -5 a^3 (x.Ax)/|x|^5."""
-    xb, A, r2, b, s = _sphere_terms(strain, a, x)
-    if np.any(r2 < a * a * (1.0 - 1e-12)):
-        raise KernelDomainError("sphere_pressure evaluated inside the sphere")
-    return (-5.0 * a ** 3 * s / np.sqrt(r2) ** 5).reshape(np.shape(x)[:-1])
-
-
-def sphere_velocity_gradient(strain, a, x):
-    """Analytic gradient du_i/dx_j of `sphere_disturbance`, shape (...,3,3)."""
-    xb, A, r2, b, s = _sphere_terms(strain, a, x)
-    if np.any(r2 < a * a * (1.0 - 1e-12)):
-        raise KernelDomainError("sphere_velocity_gradient evaluated inside the sphere")
-    r = np.sqrt(r2)
-    r5 = (r ** 5)[..., None, None]
-    r7 = (r ** 7)[..., None, None]
-    r9 = (r ** 9)[..., None, None]
-    I = np.eye(3)
-    xi_bj = xb[..., :, None] * b[..., None, :]
-    bi_xj = b[..., :, None] * xb[..., None, :]
-    xi_xj = xb[..., :, None] * xb[..., None, :]
-    sI = s[..., None, None] * I
-    g = -2.5 * a ** 3 * ((2.0 * xi_bj + sI) / r5 - 5.0 * s[..., None, None] * xi_xj / r7)
-    g += -a ** 5 * (A / r5 - 5.0 * bi_xj / r7)
-    g += 2.5 * a ** 5 * ((2.0 * xi_bj + sI) / r7 - 7.0 * s[..., None, None] * xi_xj / r9)
-    return g.reshape(np.shape(x) + (3,))
+    w = _moment_terms(*_sphere_point(strain, a, x, "sphere_pressure"), 6)
+    return -5.0 * a ** 3 * w[3] / w[4]
 
 
 def sphere_traction(strain, a, x):
-    """Traction Sigma.n of the disturbance solution, n the outward unit normal."""
-    x = np.asarray(x, dtype=float)
-    grad = sphere_velocity_gradient(strain, a, x)
-    p = sphere_pressure(strain, a, x)
-    sigma = grad + np.swapaxes(grad, -1, -2) - p[..., None, None] * np.eye(3)
-    r = np.sqrt(np.einsum("...i,...i->...", x, x))
-    return np.einsum("...ij,...j->...i", sigma, x / r[..., None])
+    """Traction (grad u + grad u^T - p) n of the disturbance solution on the
+    sphere through x, n = x/r the outward normal and r = |x|:
+
+        t = [(8 a^5/r^5 - 5 a^3/r^3) Ax + 20 (x.Ax)(a^3/r^5 - a^5/r^7) x] / r.
+
+    On |x| = a it is 3An; with the ambient 2An the total is 5An (Kim and
+    Karrila, Microhydrodynamics, ch. 2-3).
+    """
+    m, z, r2 = _sphere_point(strain, a, x, "sphere_traction")
+    b0, b1, b2, s, r5, _ = _moment_terms(m, z, r2, 6)
+    r6 = r5 * np.sqrt(r2)
+    c = a ** 3 * (8.0 * a * a - 5.0 * r2) / r6
+    k = 20.0 * a ** 3 * s * (r2 - a * a) / (r6 * r2)
+    return np.stack([c * bi + k * zi for bi, zi in zip((b0, b1, b2), z)], axis=-1)
 
 
 def sphere_mobility(a):

@@ -35,6 +35,7 @@ __all__ = [
     "init_reflections",
     "reflect_step",
     "run_reflections",
+    "DENSE_MAX_UNKNOWNS",
     "dense_fixed_point",
     "evaluate_velocity",
     "contraction_diagnostic",
@@ -44,6 +45,7 @@ __all__ = [
 ]
 
 EPS0_GATE_DEFAULT = 1e-2   # admissible a^3/d^3 (times the mobility factor) for the solver
+DENSE_MAX_UNKNOWNS = 5000  # largest 5N that `dense_fixed_point` solves
 
 
 @dataclass
@@ -155,12 +157,13 @@ def pair_interaction_matrix(cloud):
 def dense_fixed_point(cloud, A):
     """Direct solve of (I - T) total = ambient; oracle for `run_reflections`.
 
-    T is the dense matrix of one reflection sweep. Guarded to 5N <= 5000
-    unknowns. Raises on a singular system (outside the contraction regime).
+    T is the dense matrix of one reflection sweep. Guarded to 5N <=
+    DENSE_MAX_UNKNOWNS. Raises on a singular system (outside the contraction
+    regime).
     """
     n = cloud.n
-    if 5 * n > 5000:
-        raise ValueError(f"dense solve guarded to 5N <= 5000 (got N = {n})")
+    if 5 * n > DENSE_MAX_UNKNOWNS:
+        raise ValueError(f"dense solve guarded to 5N <= {DENSE_MAX_UNKNOWNS} (got N = {n})")
     A = np.asarray(A, dtype=float).reshape(5)
     I_minus_T = -pair_interaction_matrix(cloud)
     np.fill_diagonal(I_minus_T, 1.0)      # the diagonal blocks of T are zero

@@ -292,6 +292,14 @@ def test_einstein_empty_sweep(tmp_path):
     assert out.read_text().strip() == "phi,first_order,converged"
 
 
+def test_einstein_zero_strain_exit_code(tmp_path, capsys):
+    cfgp = lattice_config(tmp_path, n_per_axis=2, strain=[0.0] * 5, sweep={"phis": [1e-3]})
+    out = tmp_path / "einstein.csv"
+    assert cli.main(["einstein", "--config", cfgp, "--out", str(out)]) == 4
+    assert capsys.readouterr().err == "error: einstein coefficient undefined at zero strain\n"
+    assert not out.exists()
+
+
 def test_compare_p_out_of_range(tmp_path, capsys):
     cfgp = lattice_config(tmp_path, sweep={"phis": [1e-3]},
                           compare={"p": 1.6, "coefficient": 5.0})
@@ -313,6 +321,18 @@ def test_config_names_missing_size_keys(tmp_path, capsys, kind, message):
                                    "strain": [1, 0, 0, 0, 0]})
     assert cli.main(["generate", "--config", cfgp, "--out", str(tmp_path / "c.json")]) == 4
     assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_config_refuses_size_keys_of_another_kind(tmp_path, capsys):
+    cfgp = write_config(tmp_path, {"seed": 1, "cloud": {"kind": "lattice", "box": UNIT_BOX,
+                                                        "n_per_axis": 2, "a": 0.01,
+                                                        "n": 500, "dmin": 0.5},
+                                   "strain": [1, 0, 0, 0, 0]})
+    out = tmp_path / "c.json"
+    assert cli.main(["generate", "--config", cfgp, "--out", str(out)]) == 4
+    assert (capsys.readouterr().err
+            == "error: cloud kind 'lattice' does not take keys ['dmin', 'n']\n")
+    assert not out.exists()
 
 
 @pytest.mark.filterwarnings("ignore:grid spacing")
@@ -460,6 +480,18 @@ def test_reflect_oracle_size_limit_exit_code(tmp_path, capsys):
                    "--out", str(tmp_path / "solution.json"), "--oracle"])
     assert rc == 4
     assert "5N <= 5000" in capsys.readouterr().err
+
+
+def test_reflect_oracle_guard_before_the_solve(tmp_path, capsys):
+    cfgp = lattice_config(tmp_path, n_per_axis=11, a=0.002)
+    cloud_path, out = tmp_path / "cloud.json", tmp_path / "solution.json"
+    assert cli.main(["generate", "--config", cfgp, "--out", str(cloud_path)]) == 0
+    capsys.readouterr()
+    rc = cli.main(["reflect", "--config", cfgp, "--cloud", str(cloud_path),
+                   "--out", str(out), "--oracle"])
+    assert rc == 4
+    assert "5N <= 5000 (got N = 1331)" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.filterwarnings("ignore:grid spacing")

@@ -194,6 +194,35 @@ def test_sphere_disturbance_inside_raises():
         kernels.sphere_disturbance(UNIAXIAL, 1.0, np.array([0.5, 0.0, 0.0]))
 
 
+@pytest.mark.parametrize("fn", [kernels.sphere_disturbance, kernels.sphere_pressure,
+                                kernels.sphere_traction])
+def test_sphere_point_functions_refuse_the_interior(fn):
+    a = 0.3
+    on_surface = np.array([[0.0, a, 0.0], [a, 0.0, 0.0]])
+    assert np.all(np.isfinite(fn(UNIAXIAL, a, on_surface)))
+    with pytest.raises(KernelDomainError, match=f"{fn.__name__} evaluated inside the sphere"):
+        fn(UNIAXIAL, a, np.array([[2 * a, 0.0, 0.0], [0.0, 0.99 * a, 0.0]]))
+    with pytest.raises(KernelDomainError, match=f"{fn.__name__} evaluated at x = 0"):
+        fn(UNIAXIAL, a, np.zeros(3))
+
+
+@pytest.mark.parametrize("a", [1.0, 0.05])
+def test_sphere_traction_matches_finite_differences(rng, a):
+    # t = (grad u + grad u^T) n - p n (mu = 1) away from the surface
+    for _ in range(5):
+        strain = rng.normal(size=5)
+        x = rng.normal(size=(50, 3))
+        x *= rng.uniform(1.05 * a, 4.0 * a, size=(50, 1)) / np.linalg.norm(x, axis=1, keepdims=True)
+        n = x / np.linalg.norm(x, axis=1, keepdims=True)
+        grad = central_difference(lambda y: kernels.sphere_disturbance(strain, a, y), x, 1e-5 * a)
+        sigma = grad + np.swapaxes(grad, -1, -2)
+        p = kernels.sphere_pressure(strain, a, x)
+        fd = np.einsum("pij,pj->pi", sigma, n) - p[:, None] * n
+        t = kernels.sphere_traction(strain, a, x)
+        assert t.shape == x.shape and p.shape == (50,)
+        assert np.max(np.abs(t - fd)) <= 1e-7 * np.max(np.abs(t))
+
+
 def test_sphere_stokes_residual(rng):
     # -lap u + grad p = 0 outside the sphere (mu = 1)
     a = 1.0
