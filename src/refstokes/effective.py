@@ -230,12 +230,12 @@ def _subcell_velocity(m, z, h):
     dropped. The kernel is evaluated on the `kernels.pair_blocks` of the
     (K x _NEAR_SUB^3) block, and each row adds its subcells one after
     another in subcell order."""
-    w = np.asarray(m) / _NEAR_SUB ** 3
+    w = kernels.sym_matrix(np.asarray(m) / _NEAR_SUB ** 3)
     offsets = _subcell_offsets(h, _NEAR_SUB)
     out = np.zeros((len(z), 3))
     for rows, zs, r2 in kernels.pair_blocks(z, offsets, exclude_within=1e-9 * np.max(h)):
         v = np.stack(kernels.stresslet_velocity_kernel(
-            w if w.ndim == 1 else w[:, rows], zs, r2), axis=-1)
+            w if w.ndim == 2 else w[:, :, rows], zs, r2), axis=-1)
         for j in range(len(offsets)):
             out[rows] += v[:, j]
     return out
@@ -285,18 +285,18 @@ def _stresslet_cell_kernels(n, box, lo, m):
     h = (np.array(box[3:]) - np.array(box[:3])) / n
     lags = [np.where(np.arange(k) <= n - 1 - l, np.arange(k), np.arange(k) - k)
             for l, k in zip(lo, m)]
-    z = np.meshgrid(*(lag * hk for lag, hk in zip(lags, h)), indexing="ij")
+    z = np.stack(np.meshgrid(*(lag * hk for lag, hk in zip(lags, h)), indexing="ij", copy=False))
     r2 = z[0] * z[0] + z[1] * z[1] + z[2] * z[2]
     near = r2 <= (_NEAR_FACTOR * float(np.max(h))) ** 2
     r2[near] = np.inf
     zn = np.stack([zi[near] for zi in z], axis=-1)
     khat = np.empty((3, 5, m[0], m[1], m[2] // 2 + 1), dtype=complex)
     for c, unit in enumerate(np.prod(h) * np.eye(5)):
-        kern = kernels.stresslet_velocity_kernel(unit, z, r2)
-        close = _subcell_velocity(unit, zn, h)
+        kern = kernels.stresslet_velocity_kernel(kernels.sym_matrix(unit), z, r2)
+        kern[:, near] = _subcell_velocity(unit, zn, h).T
         for i in range(3):
-            kern[i][near] = close[:, i]
             khat[i, c] = np.fft.rfftn(kern[i])
+        del kern   # freed before the next unit's kernel is built
     khat.setflags(write=False)
     return khat
 

@@ -16,17 +16,18 @@ All strain/stresslet coefficients are 5-vectors in the `sym3` basis. The
 units of length^3 because particle mobilities carry the a^3 scaling.
 
 The stresslet strain, the stresslet velocity and the sphere disturbance are
-each written once, as a component-major pair kernel `f(m, z, r2)`: the
-coefficients m and the offsets z are sequences of separate arrays (5 and 3
-of them) and r2 = |z|^2, all broadcasting together, so a (targets x sources)
-block is plain elementwise arithmetic. An infinite r2 gives exactly zero.
-The public point functions are the single-pair case of these kernels; the
-sphere's pressure and traction are closed forms on the same moment terms.
-`pair_blocks` is the one chunk loop: row blocks of at most `PAIR_BUDGET`
-pairs, sized so their temporaries stay in cache, from which `pair_sum`, the
-dense reflection matrix and the near-cell quadrature all evaluate. Each
-kernel computes in a few arrays of its own (`out=`, in place), never in its
-inputs, in its docstring's order.
+each written once, as a component-major pair kernel `f(m, z, r2)`: the moment
+m is a (3, 3, ...) `sym_matrix`, the offsets z a (3, ...) array and r2 = |z|^2,
+all broadcasting together, so a (targets x sources) block is plain elementwise
+arithmetic; a kernel returns its components stacked, and an infinite r2 gives
+exactly zero. The strain kernel returns six entries of sym(z (x) v), which the
+linear `sym_coefficients` projects, so a sweep projects once per target after
+the sum. The point functions are the single-pair case; the sphere's pressure
+and traction are closed forms on the same moment terms. `pair_blocks` is the
+one chunk loop (row blocks of at most `PAIR_BUDGET` pairs, sized to stay in
+cache) of `pair_sum`, which embeds its weights once per call, of the dense
+reflection matrix and of the near-cell quadrature. Each kernel computes in one
+array of its own (`out=`, in place), never in its inputs, in its docstring's order.
 
 Point functions broadcast over leading axes of the evaluation points.
 """
@@ -41,8 +42,8 @@ from .sym3 import apply_mobility, project_sym_tracefree
 __all__ = ["oseen", "oseen_pressure", "stresslet_field", "stresslet_strain",
            "sphere_disturbance", "sphere_pressure", "sphere_traction",
            "sphere_mobility", "mobility_from_boundary_integral",
-           "mean_value_reconstruct", "PAIR_BUDGET", "stresslet_strain_kernel",
-           "stresslet_velocity_kernel", "sphere_disturbance_kernel",
+           "mean_value_reconstruct", "PAIR_BUDGET", "sym_matrix", "sym_coefficients",
+           "stresslet_strain_kernel", "stresslet_velocity_kernel", "sphere_disturbance_kernel",
            "pair_offsets", "pair_blocks", "pair_sum", "pairs_within"]
 
 _C8 = 1.0 / (8.0 * np.pi)
@@ -84,57 +85,58 @@ def oseen_pressure(x):
 # component-major pair kernels
 
 
-def _products(out, t, *pairs):
-    """out = a0 b0 + a1 b1 + ... over the (a, b) pairs, summed left to right
-    with t as scratch; only the first pair may read out."""
-    np.multiply(*pairs[0], out=out)
-    for a, b in pairs[1:]:
-        out += np.multiply(a, b, out=t)
-    return out
+def sym_matrix(c):
+    """The symmetric matrices with the component-major coefficients c (5
+    arrays), as one (3, 3, ...) array of entries."""
+    xx, yy, zz = c[0] * _IS2 + c[1] * _IS6, c[1] * _IS6 - c[0] * _IS2, -2.0 * _IS6 * c[1]
+    xy, xz, yz = c[2] * _IS2, c[3] * _IS2, c[4] * _IS2
+    return np.array([[xx, xy, xz], [xy, yy, yz], [xz, yz, zz]])
+
+
+def sym_coefficients(e):
+    """The 5 coefficients <E_a, S> of the symmetric S with diagonal e[0:3] and off-diagonal
+    xy, xz, yz = e[3:6] / 2, each counted twice as in a Frobenius product."""
+    return [(e[0] - e[1]) * _IS2, (e[0] + e[1] - 2.0 * e[2]) * _IS6,
+            e[3] * _IS2, e[4] * _IS2, e[5] * _IS2]
 
 
 def _moment_terms(m, z, r2, rows):
-    """`rows` fresh arrays w over the broadcast shape of m, z and r2: b = Mz
-    in w[0:3], s = z.b in w[3], |z|^5 in w[4], and w[-1] for scratch."""
-    mxx = m[0] * _IS2 + m[1] * _IS6
-    myy = m[1] * _IS6 - m[0] * _IS2
-    mzz = -2.0 * _IS6 * m[1]
-    mxy, mxz, myz = m[2] * _IS2, m[3] * _IS2, m[4] * _IS2
-    shape = np.broadcast_shapes(np.shape(m[0]), np.shape(z[0]), np.shape(r2))
-    w = [np.empty(shape) for _ in range(rows)]
-    for bi, mi in zip(w, ((mxx, mxy, mxz), (mxy, myy, myz), (mxz, myz, mzz))):
-        _products(bi, w[-1], *zip(mi, z))
-    _products(w[3], w[-1], *zip(z, w))
-    np.multiply(r2, r2, out=w[4])
-    w[4] *= np.sqrt(r2, out=w[-1])
+    """One fresh array w of `rows` >= 6 rows over the broadcast shape of m, z
+    and r2: b = mz in w[0:3], s = z.b in w[3], |z|^5 in w[4], the rest scratch.
+    b sums the symmetric m over its slowest axis, so numpy's einsum loop (never
+    BLAS) adds the 3 terms in order whatever the layout; s is added explicitly."""
+    w = np.empty((rows,) + np.broadcast_shapes(np.shape(m)[2:], np.shape(z)[1:], np.shape(r2)))
+    np.einsum("ji...,j...->i...", m, z, out=w[:3])
+    np.multiply(z, w[:3], out=w[3:6])
+    w[3] += w[4]
+    w[3] += w[5]
+    np.multiply(r2, r2, out=w[4, ...])
+    w[4] *= np.sqrt(r2, out=w[-1, ...])
     return w
 
 
 def stresslet_strain_kernel(m, z, r2):
-    """Strain coefficients P_sym(grad K)[m](z) of a point stresslet.
+    """Strain of a point stresslet: six entries of sym(z (x) v), stacked, whose
+    `sym_coefficients` are P_sym(grad K)[m](z).
 
     <E_a, D(K)> = -(3/8pi) [ 2 <E_a, z (x) b>/r^5 - 5 s <E_a, z (x) z>/r^7 ]
     with b = Mz and s = z.Mz; the delta term drops because the basis is
-    trace-free. Even in z and homogeneous of degree -3. Evaluated as
-    <E_a, z (x) v> with v = p b - q z, p = (-2 C38)/r5, q = (-5 C38) s/(r5 r2),
-    written out per component (x = z0 v0, y = z1 v1): (x - y)/sqrt2,
-    (x + y - 2 z2 v2)/sqrt6 and (zi vj + zj vi)/sqrt2 for i < j; a test pins
-    this to sym3.BASIS.
-    """
-    v0, v1, v2, q, r5, p, t = _moment_terms(m, z, r2, 7)
+    trace-free. Even in z and homogeneous of degree -3. It is <E_a, z (x) v>
+    with v = p b - q z, p = (-2 C38)/r5, q = (-5 C38) s/(r5 r2); the entries are
+    zi vi and zi vj + zj vi, (i, j) = (0, 1), (0, 2), (1, 2), summable before projecting."""
+    w = _moment_terms(m, z, r2, 7)
+    v, q, r5, p, t = w[:3], w[3, ...], w[4, ...], w[5, ...], w[6, ...]
     np.divide(-2.0 * _C38, r5, out=p)
     q *= -5.0 * _C38
     q /= np.multiply(r5, r2, out=t)
-    for vi, zi in zip((v0, v1, v2), z):
-        vi *= p
-        vi -= np.multiply(q, zi, out=t)
-    x, y, c1 = np.multiply(z[0], v0, out=r5), np.multiply(z[1], v1, out=p), q
-    np.add(x, y, out=c1)
-    x -= y
-    c1 -= np.multiply(np.multiply(2.0, z[2], out=y), v2, out=y)
-    c = [x, c1, _products(y, t, (z[0], v1), (z[1], v0)),
-         _products(v0, t, (z[2], v0), (z[0], v2)), _products(v1, t, (z[2], v1), (z[1], v2))]
-    return [np.multiply(ca, scale, out=ca) for ca, scale in zip(c, (_IS2, _IS6, _IS2, _IS2, _IS2))]
+    v *= p
+    for i in range(3):
+        v[i, ...] -= np.multiply(q, z[i], out=t)
+    for c, (i, j) in zip((q, r5, p), ((0, 1), (0, 2), (1, 2))):
+        np.multiply(z[i], v[j], out=c)
+        c += np.multiply(z[j], v[i], out=t)
+    v *= z
+    return w[:6]
 
 
 def stresslet_velocity_kernel(m, z, r2):
@@ -142,24 +144,33 @@ def stresslet_velocity_kernel(m, z, r2):
     w = _moment_terms(m, z, r2, 6)
     w[3] *= -_C38
     w[3] /= w[4]
-    return [np.multiply(w[3], zi, out=bi) for bi, zi in zip(w, z)]
+    return np.multiply(w[3], z, out=w[:3])
 
 
 def sphere_disturbance_kernel(m, z, r2, a):
     """Disturbance of a sphere of radius a in the strain m (see `sphere_disturbance`),
-    evaluated as k z + c b with k = 2.5 s (a^5/r2 - a^3)/r5 and c = -a^5/r5."""
-    b0, b1, b2, k, c, t = _moment_terms(m, z, r2, 6)
+    evaluated as c b + k z with k = 2.5 s (a^5/r2 - a^3)/r5 and c = -a^5/r5."""
+    w = _moment_terms(m, z, r2, 8)
+    b, k, c, t = w[:3], w[3, ...], w[4, ...], w[5, ...]
     k *= 2.5
     k *= np.subtract(np.divide(a ** 5, r2, out=t), a ** 3, out=t)
     k /= c
     np.divide(-a ** 5, c, out=c)
-    return [_products(bi, t, (c, bi), (k, zi)) for bi, zi in zip((b0, b1, b2), z)]
+    b *= c
+    b += np.multiply(k, z, out=w[5:])
+    return b
 
 
-def _point_kernel(kernel, m, x, r2, **params):
-    """A pair kernel at points x (..., 3) with coefficients m (..., 5)."""
-    m = np.moveaxis(np.asarray(m, dtype=float), -1, 0)
-    return np.stack(kernel(m, np.moveaxis(x, -1, 0), r2, **params), axis=-1)
+def _point_args(m, x, what, a=None):
+    """`sym_matrix` of the coefficients m (..., 5), component-major points z of
+    x (..., 3) broadcast against m, and r2 = |x|^2 (see `_radii`); given a
+    sphere radius a, a point inside |x| = a raises KernelDomainError."""
+    x, r2 = _radii(x, what)
+    if a is not None and np.any(r2 < a * a * (1.0 - 1e-12)):
+        raise KernelDomainError(f"{what} evaluated inside the sphere")
+    m = np.asarray(m, dtype=float)
+    x = np.broadcast_to(x, np.broadcast_shapes(m.shape[:-1], x.shape[:-1]) + (3,))
+    return sym_matrix(np.moveaxis(m, -1, 0)), np.moveaxis(x, -1, 0), r2
 
 
 def stresslet_field(mobility, strain, x):
@@ -170,9 +181,8 @@ def stresslet_field(mobility, strain, x):
     -(3/8pi) (x.Mx) x / |x|^5. The moment broadcasts against the leading
     axes of x.
     """
-    x, r2 = _radii(x, "stresslet_field")
-    return _point_kernel(stresslet_velocity_kernel, apply_mobility(mobility, strain),
-                         x, r2)
+    m = apply_mobility(mobility, strain)
+    return np.stack(stresslet_velocity_kernel(*_point_args(m, x, "stresslet_field")), axis=-1)
 
 
 def stresslet_strain(mobility, strain, x):
@@ -181,9 +191,9 @@ def stresslet_strain(mobility, strain, x):
     Closed form of P_sym(grad K)[mobility . strain](x); homogeneous of
     degree -3.
     """
-    x, r2 = _radii(x, "stresslet_strain")
-    return _point_kernel(stresslet_strain_kernel, apply_mobility(mobility, strain),
-                         x, r2)
+    m = apply_mobility(mobility, strain)
+    return np.stack(sym_coefficients(stresslet_strain_kernel(
+        *_point_args(m, x, "stresslet_strain"))), axis=-1)
 
 
 # ---------------------------------------------------------------------------
@@ -191,11 +201,15 @@ def stresslet_strain(mobility, strain, x):
 
 
 def pair_offsets(targets, sources, exclude_within=None):
-    """Component-major offsets z = target - source of a (targets x sources)
-    block, and r2 = |z|^2. Pairs with |z| <= exclude_within get r2 = inf, so
-    the kernels give them zero; exclude_within=0 drops self-pairs."""
-    z = [targets[:, None, i] - sources[None, :, i] for i in range(3)]
-    r2 = z[0] * z[0] + z[1] * z[1] + z[2] * z[2]
+    """Offsets z = target - source of a (targets x sources) block as one (3,
+    targets, sources) array, and r2 = |z|^2. Pairs with |z| <= exclude_within
+    get r2 = inf, so the kernels give them zero; exclude_within=0 drops self-pairs."""
+    z = np.empty((3, len(targets), len(sources)))
+    for i in range(3):
+        np.subtract(targets[:, None, i], sources[None, :, i], out=z[i])
+    r2, t = z[0] * z[0], z[1] * z[1]
+    r2 += t
+    r2 += np.multiply(z[2], z[2], out=t)
     if exclude_within is not None:
         r2[r2 <= exclude_within ** 2] = np.inf
     return z, r2
@@ -212,17 +226,16 @@ def pair_blocks(targets, sources, exclude_within=None):
 
 
 def pair_sum(kernel, weights, targets, sources, out, exclude_within=None):
-    """Add sum_m kernel(weights_m, targets_l - sources_m) to out[l] for every l.
+    """Add sum_m kernel(M_m, targets_l - sources_m) to out[l] for every l.
 
-    weights has one row of coefficients per source; out has one row per
-    target. Each target's sum over sources is numpy's pairwise sum within
-    its `pair_blocks` row, so the bits do not depend on the block size and
-    reruns on identical input are bit-identical. Returns out.
+    weights has one row of coefficients per source, embedded once as the
+    `sym_matrix` M_m; out has one row per target, one column per kernel output.
+    Each target's sum over sources is numpy's pairwise sum within its
+    `pair_blocks` row: its bits do not depend on the block size. Returns out.
     """
-    w = np.ascontiguousarray(np.asarray(weights, dtype=float).T)
+    m = sym_matrix(np.asarray(weights, dtype=float).T)
     for rows, z, r2 in pair_blocks(targets, sources, exclude_within):
-        for c, part in enumerate(kernel(w, z, r2)):
-            out[rows, c] += part.sum(axis=1)
+        out[rows] += kernel(m, z, r2).sum(axis=-1).T
     return out
 
 
@@ -270,16 +283,6 @@ def pairs_within(targets, sources, radius):
     return t[order], s[order], z[order]
 
 
-def _sphere_point(strain, a, x, what):
-    """Component-major strain m, points z and r2 = |x|^2 (see `_radii`) for a
-    function of the sphere solution, which is defined on and outside |x| = a:
-    a point inside raises KernelDomainError."""
-    x, r2 = _radii(x, what)
-    if np.any(r2 < a * a * (1.0 - 1e-12)):
-        raise KernelDomainError(f"{what} evaluated inside the sphere")
-    return np.moveaxis(np.asarray(strain, dtype=float), -1, 0), np.moveaxis(x, -1, 0), r2
-
-
 def sphere_disturbance(strain, a, x):
     """Exterior disturbance velocity of a rigid sphere held in a strain flow.
 
@@ -287,13 +290,13 @@ def sphere_disturbance(strain, a, x):
     On |x| = a this equals -Ax (the two quintic terms cancel the strain).
     Force- and torque-free; defined for |x| >= a.
     """
-    return np.stack(sphere_disturbance_kernel(*_sphere_point(strain, a, x, "sphere_disturbance"),
+    return np.stack(sphere_disturbance_kernel(*_point_args(strain, x, "sphere_disturbance", a),
                                               a=a), axis=-1)
 
 
 def sphere_pressure(strain, a, x):
     """Pressure of the sphere disturbance solution: p = -5 a^3 (x.Ax)/|x|^5."""
-    w = _moment_terms(*_sphere_point(strain, a, x, "sphere_pressure"), 6)
+    w = _moment_terms(*_point_args(strain, x, "sphere_pressure", a), 6)
     return -5.0 * a ** 3 * w[3] / w[4]
 
 
@@ -306,12 +309,12 @@ def sphere_traction(strain, a, x):
     On |x| = a it is 3An; with the ambient 2An the total is 5An (Kim and
     Karrila, Microhydrodynamics, ch. 2-3).
     """
-    m, z, r2 = _sphere_point(strain, a, x, "sphere_traction")
-    b0, b1, b2, s, r5, _ = _moment_terms(m, z, r2, 6)
-    r6 = r5 * np.sqrt(r2)
+    m, z, r2 = _point_args(strain, x, "sphere_traction", a)
+    w = _moment_terms(m, z, r2, 6)
+    r6 = w[4] * np.sqrt(r2)
     c = a ** 3 * (8.0 * a * a - 5.0 * r2) / r6
-    k = 20.0 * a ** 3 * s * (r2 - a * a) / (r6 * r2)
-    return np.stack([c * bi + k * zi for bi, zi in zip((b0, b1, b2), z)], axis=-1)
+    k = 20.0 * a ** 3 * w[3] * (r2 - a * a) / (r6 * r2)
+    return np.moveaxis(c * w[:3] + k * z, 0, -1)
 
 
 def sphere_mobility(a):
@@ -351,16 +354,11 @@ def mobility_from_boundary_integral(a):
     """
     xhat, w = _surface_quadrature(a, _BOUNDARY_ORDER)
     y = a * xhat
-    M = np.zeros((5, 5))
-    for j in range(5):
-        e = np.zeros(5)
-        e[j] = 1.0
-        traction = sphere_traction(e, a, y)          # with outward normal
-        u = sphere_disturbance(e, a, y)
-        # n points into the particle: -(Sigma n)(x)y + 2U(x)n = (Sigma nhat)(x)y - 2U(x)nhat
-        integrand = traction[:, :, None] * y[:, None, :] - 2.0 * u[:, :, None] * xhat[:, None, :]
-        M[:, j] = project_sym_tracefree(np.einsum("p,pij->ij", w, integrand))
-    return M
+    traction = sphere_traction(np.eye(5)[:, None], a, y)   # basis strain j; outward normal
+    u = sphere_disturbance(np.eye(5)[:, None], a, y)
+    # n points into the particle: -(Sigma n)(x)y + 2U(x)n = (Sigma nhat)(x)y - 2U(x)nhat
+    integrand = traction[..., :, None] * y[:, None, :] - 2.0 * u[..., :, None] * xhat[:, None, :]
+    return project_sym_tracefree(np.einsum("p,jpik->jik", w, integrand)).T
 
 
 def mean_value_reconstruct(ball_avg_u, r, f_radial_avgs):

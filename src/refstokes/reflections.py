@@ -86,8 +86,9 @@ def reflect_step(state):
     """One sweep: new level from the previous one, totals accumulated."""
     moments = np.einsum("lab,lb->la", state.cloud.mobilities, state.A_current)
     centers = state.cloud.centers
-    new = kernels.pair_sum(kernels.stresslet_strain_kernel, moments, centers, centers,
-                           np.zeros_like(moments), exclude_within=0.0)
+    entries = kernels.pair_sum(kernels.stresslet_strain_kernel, moments, centers, centers,
+                               np.zeros((len(centers), 6)), exclude_within=0.0)
+    new = np.stack(kernels.sym_coefficients(entries.T), axis=1)
     return ReflectionState(
         cloud=state.cloud,
         A_current=new,
@@ -146,11 +147,11 @@ def pair_interaction_matrix(cloud):
     """
     n = cloud.n
     T = np.empty((n, 5, n, 5))
-    columns = [mob.T for mob in np.moveaxis(cloud.mobilities, 2, 0)]   # mob[l] = M_l e_c
+    columns = [kernels.sym_matrix(mob.T) for mob in np.moveaxis(cloud.mobilities, 2, 0)]  # M_l e_c
     for rows, z, r2 in kernels.pair_blocks(cloud.centers, cloud.centers, exclude_within=0.0):
         for c, moment in enumerate(columns):
-            for a, part in enumerate(kernels.stresslet_strain_kernel(moment, z, r2)):
-                T[rows, a, :, c] = part
+            strain = kernels.stresslet_strain_kernel(moment, z, r2)
+            T[rows, :, :, c] = np.stack(kernels.sym_coefficients(strain), axis=1)
     return T.reshape(5 * n, 5 * n)
 
 
@@ -165,7 +166,8 @@ def dense_fixed_point(cloud, A):
     if 5 * n > DENSE_MAX_UNKNOWNS:
         raise ValueError(f"dense solve guarded to 5N <= {DENSE_MAX_UNKNOWNS} (got N = {n})")
     A = np.asarray(A, dtype=float).reshape(5)
-    I_minus_T = -pair_interaction_matrix(cloud)
+    I_minus_T = pair_interaction_matrix(cloud)
+    np.negative(I_minus_T, out=I_minus_T)
     np.fill_diagonal(I_minus_T, 1.0)      # the diagonal blocks of T are zero
     rhs = np.tile(A, n)
     try:

@@ -331,6 +331,27 @@ PAIR_KERNELS = {
 }
 
 
+def test_sym_matrix_matches_embed(rng):
+    c = rng.normal(size=(40, 5))
+    got = np.moveaxis(kernels.sym_matrix(c.T), (0, 1), (-2, -1))
+    assert np.max(np.abs(got - sym3.embed(c))) < 1e-15 * np.max(np.abs(c))
+
+
+def test_sym_coefficients_match_projection(rng):
+    # off-diagonal entries come doubled, as the strain kernel returns them
+    S = rng.normal(size=(40, 3, 3))
+    S += S.transpose(0, 2, 1)
+    e = [S[:, 0, 0], S[:, 1, 1], S[:, 2, 2], 2 * S[:, 0, 1], 2 * S[:, 0, 2], 2 * S[:, 1, 2]]
+    want = sym3.project_sym_tracefree(S)
+    got = np.stack(kernels.sym_coefficients(e), axis=-1)
+    assert np.max(np.abs(got - want)) < 1e-14 * np.max(np.abs(want))
+
+
+def summed(name, out):
+    """The coefficients of a pair sum: strain sums are projected after the sum."""
+    return np.stack(kernels.sym_coefficients(out.T), axis=1) if name == "strain" else out
+
+
 def loop_pair_sum(point, weights, targets, sources, skip_self=False):
     # offsets are x_l - x_m, target minus source; the velocity and sphere
     # kernels are odd in the offset, so a flipped orientation fails the tests
@@ -366,8 +387,8 @@ def test_pair_sum_matches_point_loop(monkeypatch, rng, name, budget):
     assert np.min(gaps) > 2 * SPHERE_A
     weights = rng.normal(size=(7, 5))
     expected = loop_pair_sum(point, weights, targets, sources)
-    got = kernels.pair_sum(kernel, weights, targets, sources,
-                           np.zeros(expected.shape))
+    got = summed(name, kernels.pair_sum(kernel, weights, targets, sources,
+                                        np.zeros((9, 6 if name == "strain" else 3))))
     assert np.max(np.abs(got - expected)) < 1e-13 * np.max(np.abs(expected))
 
 
@@ -378,8 +399,9 @@ def test_pair_sum_excludes_self_pairs(monkeypatch, rng, name):
     centers = rng.uniform(-1.0, 1.0, size=(9, 3))
     weights = rng.normal(size=(9, 5))
     expected = loop_pair_sum(point, weights, centers, centers, skip_self=True)
-    got = kernels.pair_sum(kernel, weights, centers, centers,
-                           np.zeros(expected.shape), exclude_within=0.0)
+    got = summed(name, kernels.pair_sum(kernel, weights, centers, centers,
+                                        np.zeros((9, 6 if name == "strain" else 3)),
+                                        exclude_within=0.0))
     assert np.all(np.isfinite(got))
     assert np.max(np.abs(got - expected)) < 1e-13 * np.max(np.abs(expected))
 
@@ -391,12 +413,27 @@ def test_pair_sum_bits_do_not_depend_on_chunking(monkeypatch, rng, name):
     kernel, _ = PAIR_KERNELS[name]
     centers = rng.uniform(-1.0, 1.0, size=(200, 3))
     weights = rng.normal(size=(200, 5))
-    width = 5 if name == "strain" else 3
+    width = 6 if name == "strain" else 3
     sums = []
     for budget in (16, kernels.PAIR_BUDGET, 200 * 200):
         monkeypatch.setattr(kernels, "PAIR_BUDGET", budget)
         sums.append(kernels.pair_sum(kernel, weights, centers, centers,
                                      np.zeros((200, width)), exclude_within=0.0))
+    assert all(np.array_equal(sums[0], other) for other in sums[1:])
+
+
+@pytest.mark.parametrize("name", sorted(PAIR_KERNELS))
+def test_pair_sum_bits_do_not_depend_on_chunking_for_one_source(monkeypatch, rng, name):
+    # one source: budget 1 makes every block a single pair, the layout in
+    # which a numpy reduction over 3 terms need not add them in order
+    kernel, _ = PAIR_KERNELS[name]
+    targets, sources = rng.uniform(-1.0, 1.0, size=(60, 3)), rng.uniform(-1.0, 1.0, size=(1, 3))
+    weights = rng.normal(size=(1, 5))
+    width = 6 if name == "strain" else 3
+    sums = []
+    for budget in (1, 7, kernels.PAIR_BUDGET):
+        monkeypatch.setattr(kernels, "PAIR_BUDGET", budget)
+        sums.append(kernels.pair_sum(kernel, weights, targets, sources, np.zeros((60, width))))
     assert all(np.array_equal(sums[0], other) for other in sums[1:])
 
 
@@ -408,7 +445,8 @@ def test_pair_kernels_leave_their_inputs_alone(rng, name):
     z = rng.normal(size=(3, 6, 7))
     r2 = np.einsum("i...,i...->...", z, z)
     r2[2, 3] = np.inf
-    inputs = (rng.normal(size=(5, 6, 7)), rng.normal(size=(5, 7)), z, r2)
+    inputs = (kernels.sym_matrix(rng.normal(size=(5, 6, 7))),
+              kernels.sym_matrix(rng.normal(size=(5, 7))), z, r2)
     before = [a.copy() for a in inputs]
     for m in inputs[:2]:
         first = np.stack(kernel(m, z, r2))
@@ -420,7 +458,7 @@ def test_strain_pair_sum_memory_is_bounded(rng):
     # the chunk temporaries, not the 2000 x 2000 pairs, set the peak
     centers = rng.uniform(-1.0, 1.0, size=(2000, 3))
     weights = rng.normal(size=(2000, 5))
-    out = np.zeros((2000, 5))
+    out = np.zeros((2000, 6))
     tracemalloc.start()
     try:
         kernels.pair_sum(kernels.stresslet_strain_kernel, weights, centers, centers,

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -143,8 +144,8 @@ def test_outer_coeffs_matches_basis_contraction(rng):
     c38 = 3.0 / (8.0 * np.pi)
     v = (-2.0 * c38 / r2 ** 2.5)[..., None] * b + (5.0 * c38 * s / r2 ** 3.5)[..., None] * z
     ref = np.einsum("aij,...i,...j->...a", BASIS, z, v)
-    fast = np.stack(kernels.stresslet_strain_kernel(
-        np.moveaxis(m, -1, 0), np.moveaxis(z, -1, 0), r2), axis=-1)
+    fast = np.stack(kernels.sym_coefficients(kernels.stresslet_strain_kernel(
+        kernels.sym_matrix(np.moveaxis(m, -1, 0)), np.moveaxis(z, -1, 0), r2)), axis=-1)
     assert np.max(np.abs(fast - ref)) < 1e-14 * np.max(np.abs(ref))
 
 
@@ -202,7 +203,8 @@ def unchunked_interaction_matrix(cloud):
     z, r2 = kernels.pair_offsets(cloud.centers, cloud.centers, exclude_within=0.0)
     T = np.empty((n, 5, n, 5))
     for c, mob in enumerate(np.moveaxis(cloud.mobilities, 2, 0)):
-        for a, part in enumerate(kernels.stresslet_strain_kernel(mob.T, z, r2)):
+        strain = kernels.stresslet_strain_kernel(kernels.sym_matrix(mob.T), z, r2)
+        for a, part in enumerate(kernels.sym_coefficients(strain)):
             T[:, a, :, c] = part
     return T.reshape(5 * n, 5 * n)
 
@@ -216,6 +218,32 @@ def test_interaction_matrix_blocks_keep_the_bits(monkeypatch, rng):
                          box=c.box)
     monkeypatch.setattr(kernels, "PAIR_BUDGET", 3 * c.n)
     assert np.array_equal(refl.pair_interaction_matrix(c), unchunked_interaction_matrix(c))
+
+
+def test_sweep_projects_after_the_sum(rng):
+    # the sweep projects each target's summed entries, the dense matrix each pair's
+    c = small_rsa(3, n=40)
+    mob = rng.normal(size=(c.n, 5, 5))
+    c = cl.ParticleCloud(centers=c.centers, a=c.a, mobilities=mob + mob.transpose(0, 2, 1),
+                         box=c.box)
+    state = refl.init_reflections(c, UNIAXIAL)
+    state.A_current = rng.normal(size=(c.n, 5))
+    got = refl.reflect_step(state).A_current
+    want = (refl.pair_interaction_matrix(c) @ state.A_current.ravel()).reshape(c.n, 5)
+    assert np.linalg.norm(got - want) < 1e-13 * np.linalg.norm(want)
+
+
+def test_dense_solve_holds_one_matrix():
+    # (I - T) is T negated in place, not a second (5N)^2 matrix; at N = 200
+    # the pair-block temporaries add about 0.3 of a matrix
+    c = small_rsa(3, n=200)
+    tracemalloc.start()
+    try:
+        refl.dense_fixed_point(c, UNIAXIAL)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * (5 * c.n) ** 2 * 8
 
 
 def test_dense_singular_system_raises(monkeypatch):
