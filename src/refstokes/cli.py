@@ -154,9 +154,13 @@ def validate_document(doc, schema_name):
             raise SchemaError(error.message)
 
 
+def _refuse_constant(name):   # NaN and Infinity, refused as `allow_nan=False` refuses them
+    raise SchemaError(f"{name} is not a JSON number")
+
+
 def _read_json(path, schema_name):
     with open(path) as fh:
-        doc = json.load(fh)
+        doc = json.load(fh, parse_constant=_refuse_constant)
     validate_document(doc, schema_name)
     return doc
 

@@ -22,7 +22,7 @@ from . import kernels
 from .cloud import FIELD_EXCLUSION_FACTOR, validate
 from .errors import GateError, GridMismatchError
 from .fields import GridField
-from .sym3 import frobenius, project_sym_tracefree
+from .sym3 import apply_mobility, frobenius, project_sym_tracefree, sym_matrix
 
 __all__ = [
     "assemble_MN",
@@ -230,7 +230,7 @@ def _subcell_velocity(m, z, h):
     dropped. The kernel is evaluated on the `kernels.pair_blocks` of the
     (K x _NEAR_SUB^3) block, and each row adds its subcells one after
     another in subcell order."""
-    w = kernels.sym_matrix(np.asarray(m) / _NEAR_SUB ** 3)
+    w = sym_matrix(np.asarray(m) / _NEAR_SUB ** 3)
     offsets = _subcell_offsets(h, _NEAR_SUB)
     out = np.zeros((len(z), 3))
     for rows, zs, r2 in kernels.pair_blocks(z, offsets, exclude_within=1e-9 * np.max(h)):
@@ -252,7 +252,7 @@ def tilde_vc(field, A, points):
     """
     points = np.atleast_2d(np.asarray(points, dtype=float))
     out = np.zeros((len(points), 3))
-    S = np.einsum("xyzab,b->xyza", field.values, np.asarray(A, float).reshape(5))
+    S = apply_mobility(field.values, np.asarray(A, float).reshape(5))
     mask = np.any(S != 0.0, axis=-1)
     centers, S = field.cell_centers()[mask], S[mask]
     h = field.cell_size
@@ -292,7 +292,7 @@ def _stresslet_cell_kernels(n, box, lo, m):
     zn = np.stack([zi[near] for zi in z], axis=-1)
     khat = np.empty((3, 5, m[0], m[1], m[2] // 2 + 1), dtype=complex)
     for c, unit in enumerate(np.prod(h) * np.eye(5)):
-        kern = kernels.stresslet_velocity_kernel(kernels.sym_matrix(unit), z, r2)
+        kern = kernels.stresslet_velocity_kernel(sym_matrix(unit), z, r2)
         kern[:, near] = _subcell_velocity(unit, zn, h).T
         for i in range(3):
             khat[i, c] = np.fft.rfftn(kern[i])
@@ -367,7 +367,7 @@ def fixed_point_vc(model, A, box, n, tol=1e-8, max_iter=50):
             strain = project_sym_tracefree(gmat)
         else:
             strain = np.zeros((n, n, n, 5))
-        rhs = np.einsum("xyzab,xyzb->xyza", raster.values, strain + A)
+        rhs = apply_mobility(raster.values, strain + A)
         v_new = _convolve_sources(rhs, box, n)
         inc = float(np.sqrt(np.sum((v_new - v) ** 2) * vol))
         increments.append(inc)
@@ -400,8 +400,7 @@ def einstein_coefficient(cloud, A, strains):
     norm2 = frobenius(A, A)
     if norm2 == 0.0:
         raise ValueError("einstein coefficient undefined at zero strain")
-    moments = np.einsum("lab,lb->la", cloud.mobilities,
-                        np.asarray(strains, dtype=float).reshape(cloud.n, 5))
+    moments = apply_mobility(cloud.mobilities, np.reshape(strains, (cloud.n, 5)))
     work = float(np.sum(moments @ A))
     return work / (2.0 * norm2 * cloud.box_volume * phi)
 

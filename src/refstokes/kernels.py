@@ -17,17 +17,18 @@ units of length^3 because particle mobilities carry the a^3 scaling.
 
 The stresslet strain, the stresslet velocity and the sphere disturbance are
 each written once, as a component-major pair kernel `f(m, z, r2)`: the moment
-m is a (3, 3, ...) `sym_matrix`, the offsets z a (3, ...) array and r2 = |z|^2,
-all broadcasting together, so a (targets x sources) block is plain elementwise
-arithmetic; a kernel returns its components stacked, and an infinite r2 gives
-exactly zero. The strain kernel returns six entries of sym(z (x) v), which the
-linear `sym_coefficients` projects, so a sweep projects once per target after
-the sum. The point functions are the single-pair case; the sphere's pressure
-and traction are closed forms on the same moment terms. `pair_blocks` is the
-one chunk loop (row blocks of at most `PAIR_BUDGET` pairs, sized to stay in
-cache) of `pair_sum`, which embeds its weights once per call, of the dense
-reflection matrix and of the near-cell quadrature. Each kernel computes in one
-array of its own (`out=`, in place), never in its inputs, in its docstring's order.
+m is a (3, 3, ...) `sym3.sym_matrix`, the offsets z a (3, ...) array and
+r2 = |z|^2, all broadcasting together, so a (targets x sources) block is plain
+elementwise arithmetic; a kernel returns its components stacked, and an
+infinite r2 gives exactly zero. The strain kernel returns six entries of
+sym(z (x) v), which the linear `sym3.sym_coefficients` projects, so a sweep
+projects once per target after the sum. The point functions are the
+single-pair case; the sphere's pressure and traction are closed forms on the
+same moment terms. `pair_blocks` is the one chunk loop (row blocks of at most
+`PAIR_BUDGET` pairs, sized to stay in cache) of `pair_sum`, which embeds its
+weights once per call, of the dense reflection matrix and of the near-cell
+quadrature. Each kernel computes in one array of its own (`out=`, in place),
+never in its inputs, in its docstring's order.
 
 Point functions broadcast over leading axes of the evaluation points.
 """
@@ -37,20 +38,18 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import KernelDomainError
-from .sym3 import apply_mobility, project_sym_tracefree
+from .sym3 import apply_mobility, project_sym_tracefree, sym_coefficients, sym_matrix
 
 __all__ = ["oseen", "oseen_pressure", "stresslet_field", "stresslet_strain",
            "sphere_disturbance", "sphere_pressure", "sphere_traction",
            "sphere_mobility", "mobility_from_boundary_integral",
-           "mean_value_reconstruct", "PAIR_BUDGET", "sym_matrix", "sym_coefficients",
+           "mean_value_reconstruct", "PAIR_BUDGET",
            "stresslet_strain_kernel", "stresslet_velocity_kernel", "sphere_disturbance_kernel",
            "pair_offsets", "pair_blocks", "pair_sum", "pairs_within"]
 
 _C8 = 1.0 / (8.0 * np.pi)
 _C4 = 1.0 / (4.0 * np.pi)
 _C38 = 3.0 * _C8
-_IS2 = 1.0 / np.sqrt(2.0)
-_IS6 = 1.0 / np.sqrt(6.0)
 
 # (target, source) pairs per block of `pair_blocks`: each block temporary is
 # then 128 KiB, so the dozen a block keeps live stay in a core's L2 cache.
@@ -83,21 +82,6 @@ def oseen_pressure(x):
 
 # ---------------------------------------------------------------------------
 # component-major pair kernels
-
-
-def sym_matrix(c):
-    """The symmetric matrices with the component-major coefficients c (5
-    arrays), as one (3, 3, ...) array of entries."""
-    xx, yy, zz = c[0] * _IS2 + c[1] * _IS6, c[1] * _IS6 - c[0] * _IS2, -2.0 * _IS6 * c[1]
-    xy, xz, yz = c[2] * _IS2, c[3] * _IS2, c[4] * _IS2
-    return np.array([[xx, xy, xz], [xy, yy, yz], [xz, yz, zz]])
-
-
-def sym_coefficients(e):
-    """The 5 coefficients <E_a, S> of the symmetric S with diagonal e[0:3] and off-diagonal
-    xy, xz, yz = e[3:6] / 2, each counted twice as in a Frobenius product."""
-    return [(e[0] - e[1]) * _IS2, (e[0] + e[1] - 2.0 * e[2]) * _IS6,
-            e[3] * _IS2, e[4] * _IS2, e[5] * _IS2]
 
 
 def _moment_terms(m, z, r2, rows):

@@ -26,7 +26,7 @@ import numpy as np
 from . import kernels
 from .cloud import ParticleCloud, validate
 from .errors import GateError, KernelDomainError
-from .sym3 import embed
+from .sym3 import apply_mobility, embed, sym_coefficients, sym_matrix
 
 __all__ = [
     "EPS0_GATE_DEFAULT",
@@ -84,11 +84,11 @@ def init_reflections(cloud, A):
 
 def reflect_step(state):
     """One sweep: new level from the previous one, totals accumulated."""
-    moments = np.einsum("lab,lb->la", state.cloud.mobilities, state.A_current)
+    moments = apply_mobility(state.cloud.mobilities, state.A_current)
     centers = state.cloud.centers
     entries = kernels.pair_sum(kernels.stresslet_strain_kernel, moments, centers, centers,
                                np.zeros((len(centers), 6)), exclude_within=0.0)
-    new = np.stack(kernels.sym_coefficients(entries.T), axis=1)
+    new = np.stack(sym_coefficients(entries.T), axis=1)
     return ReflectionState(
         cloud=state.cloud,
         A_current=new,
@@ -121,7 +121,7 @@ def run_reflections(cloud, A, tol=1e-10, max_iter=100, fixed_n=None,
     the totals include exactly the strain levels 0..fixed_n-1 (the velocity
     approximation of order fixed_n).
     """
-    if tol <= 0:
+    if not tol > 0:
         raise ValueError("tol must be positive")
     if fixed_n is not None and fixed_n < 1:
         raise ValueError("fixed_n must be >= 1")
@@ -147,11 +147,11 @@ def pair_interaction_matrix(cloud):
     """
     n = cloud.n
     T = np.empty((n, 5, n, 5))
-    columns = [kernels.sym_matrix(mob.T) for mob in np.moveaxis(cloud.mobilities, 2, 0)]  # M_l e_c
+    columns = [sym_matrix(mob.T) for mob in np.moveaxis(cloud.mobilities, 2, 0)]  # M_l e_c
     for rows, z, r2 in kernels.pair_blocks(cloud.centers, cloud.centers, exclude_within=0.0):
         for c, moment in enumerate(columns):
             strain = kernels.stresslet_strain_kernel(moment, z, r2)
-            T[rows, :, :, c] = np.stack(kernels.sym_coefficients(strain), axis=1)
+            T[rows, :, :, c] = np.stack(sym_coefficients(strain), axis=1)
     return T.reshape(5 * n, 5 * n)
 
 
@@ -206,7 +206,7 @@ def evaluate_velocity(solution, A, points):
         weights = solution.A_hat
     else:
         kernel = kernels.stresslet_velocity_kernel
-        weights = np.einsum("mab,mb->ma", cloud.mobilities, solution.A_hat)
+        weights = apply_mobility(cloud.mobilities, solution.A_hat)
     return kernels.pair_sum(kernel, weights, points, cloud.centers, u)
 
 

@@ -11,36 +11,42 @@ Basis:
     E3 = (e1 e2' + e2 e1')/sqrt(2) E4 = (e1 e3' + e3 e1')/sqrt(2)
     E5 = (e2 e3' + e3 e2')/sqrt(2)
 
-Diagonal strains are sparse in this basis. Everything here is pure
-float64 ndarray manipulation; all functions broadcast over leading axes.
+The basis is written once, as the closed forms `sym_matrix` and
+`sym_coefficients` in the pair kernels' component-major layout (coefficient
+or entry axis first). `BASIS`, `embed` and `project_sym_tracefree` derive
+from them in the coefficient-last layout of everything else, and
+`apply_mobility` is the one spelling of a mobility's action. Diagonal strains
+are sparse in this basis. All functions broadcast over leading axes.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-__all__ = [
-    "BASIS",
-    "project_sym_tracefree",
-    "embed",
-    "apply_mobility",
-    "frobenius",
-    "sym_from_list",
-]
+__all__ = ["BASIS", "sym_matrix", "sym_coefficients", "project_sym_tracefree", "embed",
+           "apply_mobility", "frobenius", "sym_from_list"]
+
+_IS2 = 1.0 / np.sqrt(2.0)
+_IS6 = 1.0 / np.sqrt(6.0)
 
 
-def _build_basis():
-    b = np.zeros((5, 3, 3))
-    b[0] = np.diag([1.0, -1.0, 0.0]) / np.sqrt(2.0)
-    b[1] = np.diag([1.0, 1.0, -2.0]) / np.sqrt(6.0)
-    b[2, 0, 1] = b[2, 1, 0] = 1.0 / np.sqrt(2.0)
-    b[3, 0, 2] = b[3, 2, 0] = 1.0 / np.sqrt(2.0)
-    b[4, 1, 2] = b[4, 2, 1] = 1.0 / np.sqrt(2.0)
-    b.setflags(write=False)
-    return b
+def sym_matrix(c):
+    """The symmetric matrices with the component-major coefficients c (5
+    arrays), as one (3, 3, ...) array of entries."""
+    xx, yy, zz = c[0] * _IS2 + c[1] * _IS6, c[1] * _IS6 - c[0] * _IS2, -2.0 * _IS6 * c[1]
+    xy, xz, yz = c[2] * _IS2, c[3] * _IS2, c[4] * _IS2
+    return np.array([[xx, xy, xz], [xy, yy, yz], [xz, yz, zz]])
 
 
-BASIS = _build_basis()
+def sym_coefficients(e):
+    """The 5 coefficients <E_a, S> of the symmetric S with diagonal e[0:3] and off-diagonal
+    xy, xz, yz = e[3:6] / 2, each counted twice as in a Frobenius product."""
+    return [(e[0] - e[1]) * _IS2, (e[0] + e[1] - 2.0 * e[2]) * _IS6,
+            e[3] * _IS2, e[4] * _IS2, e[5] * _IS2]
+
+
+BASIS = np.ascontiguousarray(np.moveaxis(sym_matrix(np.eye(5)), -1, 0))
+BASIS.setflags(write=False)
 
 
 def project_sym_tracefree(M):
@@ -48,13 +54,16 @@ def project_sym_tracefree(M):
 
     Returns the 5 coefficients of (M + M')/2 - tr(M)/3 I in the fixed basis.
     Because the basis matrices are themselves symmetric and trace-free, the
-    coefficients are plain Frobenius contractions <M, E_a>, which makes the
-    projection exactly self-adjoint. Broadcasts over leading axes of M.
+    coefficients are plain Frobenius contractions <M, E_a>, the
+    `sym_coefficients` of M's diagonal and its summed off-diagonal pairs, which
+    makes the projection exactly self-adjoint. Broadcasts over leading axes of M.
     """
     M = np.asarray(M, dtype=float)
     if M.shape[-2:] != (3, 3):
         raise ValueError(f"expected trailing 3x3 axes, got shape {M.shape}")
-    return np.einsum("aij,...ij->...a", BASIS, M)
+    e = [M[..., i, i] for i in range(3)] + [M[..., i, j] + M[..., j, i]
+                                            for i, j in ((0, 1), (0, 2), (1, 2))]
+    return np.stack(sym_coefficients(e), axis=-1)
 
 
 def embed(s):
@@ -62,7 +71,7 @@ def embed(s):
     s = np.asarray(s, dtype=float)
     if s.shape[-1] != 5:
         raise ValueError(f"expected trailing axis of length 5, got shape {s.shape}")
-    return np.einsum("...a,aij->...ij", s, BASIS)
+    return np.moveaxis(sym_matrix(np.moveaxis(s, -1, 0)), (0, 1), (-2, -1))
 
 
 def apply_mobility(m, s):

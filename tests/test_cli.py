@@ -213,7 +213,9 @@ GOOD_CLOUD = {"a": 0.01, "box": UNIT_BOX,
 @pytest.mark.parametrize("doc, message", [
     (dict(GOOD_CLOUD, centers=[[0.2, 0.2], [0.5, 0.5], [0.8, 0.8]]), "is too short"),
     (dict(GOOD_CLOUD, n=3), "'n' was unexpected"),
-], ids=["two_coordinates", "extra_key"])
+    (dict(GOOD_CLOUD, centers=[[0.2, 0.2, 0.2], [float("nan"), 0.5, 0.5], [0.8, 0.8, 0.8]]),
+     "NaN is not a JSON number"),
+], ids=["two_coordinates", "extra_key", "nan_center"])
 def test_reflect_rejects_invalid_cloud_file(tmp_path, capsys, doc, message):
     cloud_path = write_config(tmp_path, doc, name="cloud.json")
     assert cli.main(["validate", "--cloud", cloud_path]) == 4
@@ -224,6 +226,45 @@ def test_reflect_rejects_invalid_cloud_file(tmp_path, capsys, doc, message):
                    "--cloud", cloud_path, "--out", str(sol_path)])
     assert rc == 4
     assert capsys.readouterr().err == validate_err
+    assert not sol_path.exists()
+
+
+NAN_LATTICE = {"seed": 1, "strain": [1, 0, 0, 0, 0],
+               "cloud": {"kind": "lattice", "box": UNIT_BOX, "n_per_axis": 3, "a": 0.08}}
+
+
+@pytest.mark.parametrize("doc, constant", [
+    # a^3/d^3 = 0.0138 is above the default gate: a NaN or infinite gate switched it off
+    (dict(NAN_LATTICE, solver={"gate": float("nan")}), "NaN"),
+    (dict(NAN_LATTICE, solver={"gate": float("inf")}), "Infinity"),
+    # a NaN dmin placed centres that ignored it, a NaN tol ran every sweep
+    (dict(NAN_LATTICE, cloud={"kind": "rsa", "box": UNIT_BOX, "n": 50, "a": 0.001,
+                              "dmin": float("nan")}), "NaN"),
+    (dict(NAN_LATTICE, solver={"tol": float("nan")}), "NaN"),
+], ids=["gate_nan", "gate_infinity", "dmin_nan", "tol_nan"])
+def test_config_refuses_non_finite_numbers(tmp_path, capsys, doc, constant):
+    cloud_path = tmp_path / "cloud.json"
+    assert cli.main(["generate", "--config", lattice_config(tmp_path, a=0.08),
+                     "--out", str(cloud_path)]) == 0
+    capsys.readouterr()
+    cfgp = write_config(tmp_path, doc, name="bad.json")
+    for argv in (["generate", "--config", cfgp, "--out", str(tmp_path / "c.json")],
+                 ["reflect", "--config", cfgp, "--cloud", str(cloud_path),
+                  "--out", str(tmp_path / "s.json")]):
+        assert cli.main(argv) == 4
+        assert f"{constant} is not a JSON number" in capsys.readouterr().err
+    assert not (tmp_path / "c.json").exists() and not (tmp_path / "s.json").exists()
+
+
+def test_reflect_refuses_a_nan_tol_flag(tmp_path, capsys):
+    cfgp = lattice_config(tmp_path)
+    cloud_path = tmp_path / "cloud.json"
+    assert cli.main(["generate", "--config", cfgp, "--out", str(cloud_path)]) == 0
+    capsys.readouterr()
+    sol_path = tmp_path / "s.json"
+    assert cli.main(["reflect", "--config", cfgp, "--cloud", str(cloud_path),
+                     "--out", str(sol_path), "--tol", "nan"]) == 4
+    assert "tol must be positive" in capsys.readouterr().err
     assert not sol_path.exists()
 
 

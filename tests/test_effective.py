@@ -340,7 +340,7 @@ def test_tilde_vc_divergence_free_far():
 
 def reference_subcell_velocity(m, z, h):
     """`_subcell_velocity` as one kernel call per subcell offset."""
-    w = kernels.sym_matrix(np.asarray(m) / eff._NEAR_SUB ** 3)
+    w = sym3.sym_matrix(np.asarray(m) / eff._NEAR_SUB ** 3)
     out = np.zeros((len(z), 3))
     for delta in eff._subcell_offsets(h, eff._NEAR_SUB):
         zs, r2 = kernels.pair_offsets(z, delta[None], exclude_within=1e-9 * np.max(h))
@@ -402,7 +402,7 @@ def full_padding_convolution(sources, box, n):
     zn = np.stack([zi[near] for zi in z], axis=-1)
     out = np.zeros((n, n, n, 3))
     for c, unit in enumerate(np.prod(h) * np.eye(5)):
-        kern = kernels.stresslet_velocity_kernel(kernels.sym_matrix(unit), z, r2)
+        kern = kernels.stresslet_velocity_kernel(sym3.sym_matrix(unit), z, r2)
         close = eff._subcell_velocity(unit, zn, h)
         shat = np.fft.rfftn(sources[..., c], s=(2 * n,) * 3, axes=(0, 1, 2))
         for i in range(3):

@@ -331,25 +331,9 @@ PAIR_KERNELS = {
 }
 
 
-def test_sym_matrix_matches_embed(rng):
-    c = rng.normal(size=(40, 5))
-    got = np.moveaxis(kernels.sym_matrix(c.T), (0, 1), (-2, -1))
-    assert np.max(np.abs(got - sym3.embed(c))) < 1e-15 * np.max(np.abs(c))
-
-
-def test_sym_coefficients_match_projection(rng):
-    # off-diagonal entries come doubled, as the strain kernel returns them
-    S = rng.normal(size=(40, 3, 3))
-    S += S.transpose(0, 2, 1)
-    e = [S[:, 0, 0], S[:, 1, 1], S[:, 2, 2], 2 * S[:, 0, 1], 2 * S[:, 0, 2], 2 * S[:, 1, 2]]
-    want = sym3.project_sym_tracefree(S)
-    got = np.stack(kernels.sym_coefficients(e), axis=-1)
-    assert np.max(np.abs(got - want)) < 1e-14 * np.max(np.abs(want))
-
-
 def summed(name, out):
     """The coefficients of a pair sum: strain sums are projected after the sum."""
-    return np.stack(kernels.sym_coefficients(out.T), axis=1) if name == "strain" else out
+    return np.stack(sym3.sym_coefficients(out.T), axis=1) if name == "strain" else out
 
 
 def loop_pair_sum(point, weights, targets, sources, skip_self=False):
@@ -445,8 +429,8 @@ def test_pair_kernels_leave_their_inputs_alone(rng, name):
     z = rng.normal(size=(3, 6, 7))
     r2 = np.einsum("i...,i...->...", z, z)
     r2[2, 3] = np.inf
-    inputs = (kernels.sym_matrix(rng.normal(size=(5, 6, 7))),
-              kernels.sym_matrix(rng.normal(size=(5, 7))), z, r2)
+    inputs = (sym3.sym_matrix(rng.normal(size=(5, 6, 7))),
+              sym3.sym_matrix(rng.normal(size=(5, 7))), z, r2)
     before = [a.copy() for a in inputs]
     for m in inputs[:2]:
         first = np.stack(kernel(m, z, r2))

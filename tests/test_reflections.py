@@ -124,6 +124,12 @@ def test_fixed_n_zero_rejected_before_gate():
         refl.run_reflections(c, UNIAXIAL, fixed_n=0)
 
 
+@pytest.mark.parametrize("tol", [0.0, -1e-10, float("nan")])
+def test_tol_must_be_positive(tol):
+    with pytest.raises(ValueError, match="tol must be positive"):
+        refl.run_reflections(two_sphere_cloud(), UNIAXIAL, tol=tol)
+
+
 def test_fixed_n_levels():
     c = two_sphere_cloud()
     sol3 = refl.run_reflections(c, UNIAXIAL, fixed_n=3, force=True)
@@ -144,8 +150,8 @@ def test_outer_coeffs_matches_basis_contraction(rng):
     c38 = 3.0 / (8.0 * np.pi)
     v = (-2.0 * c38 / r2 ** 2.5)[..., None] * b + (5.0 * c38 * s / r2 ** 3.5)[..., None] * z
     ref = np.einsum("aij,...i,...j->...a", BASIS, z, v)
-    fast = np.stack(kernels.sym_coefficients(kernels.stresslet_strain_kernel(
-        kernels.sym_matrix(np.moveaxis(m, -1, 0)), np.moveaxis(z, -1, 0), r2)), axis=-1)
+    fast = np.stack(sym3.sym_coefficients(kernels.stresslet_strain_kernel(
+        sym3.sym_matrix(np.moveaxis(m, -1, 0)), np.moveaxis(z, -1, 0), r2)), axis=-1)
     assert np.max(np.abs(fast - ref)) < 1e-14 * np.max(np.abs(ref))
 
 
@@ -203,8 +209,8 @@ def unchunked_interaction_matrix(cloud):
     z, r2 = kernels.pair_offsets(cloud.centers, cloud.centers, exclude_within=0.0)
     T = np.empty((n, 5, n, 5))
     for c, mob in enumerate(np.moveaxis(cloud.mobilities, 2, 0)):
-        strain = kernels.stresslet_strain_kernel(kernels.sym_matrix(mob.T), z, r2)
-        for a, part in enumerate(kernels.sym_coefficients(strain)):
+        strain = kernels.stresslet_strain_kernel(sym3.sym_matrix(mob.T), z, r2)
+        for a, part in enumerate(sym3.sym_coefficients(strain)):
             T[:, a, :, c] = part
     return T.reshape(5 * n, 5 * n)
 

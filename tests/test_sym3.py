@@ -12,6 +12,43 @@ def projection_oracle(M):
     return (M + M.T) / 2 - np.trace(M) / 3 * np.eye(3)
 
 
+# E1-E5 as the sym3 docstring writes them
+ORACLE = np.array([np.diag([1.0, -1.0, 0.0]) / np.sqrt(2.0),
+                   np.diag([1.0, 1.0, -2.0]) / np.sqrt(6.0),
+                   [[0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 0.0]] / np.sqrt(2.0),
+                   [[0.0, 0.0, 1.0], [0.0, 0.0, 0.0], [1.0, 0.0, 0.0]] / np.sqrt(2.0),
+                   [[0.0, 0.0, 0.0], [0.0, 0.0, 1.0], [0.0, 1.0, 0.0]] / np.sqrt(2.0)])
+
+
+def close(got, want):
+    return np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
+
+
+def test_basis_is_the_docstring_basis():
+    assert np.array_equal(sym3.BASIS, ORACLE)
+    assert not sym3.BASIS.flags.writeable
+
+
+def test_sym_matrix_matches_oracle(rng):
+    c = rng.normal(size=(40, 5))
+    want = np.einsum("...a,aij->...ij", c, ORACLE)
+    assert close(np.moveaxis(sym3.sym_matrix(c.T), (0, 1), (-2, -1)), want)
+    assert close(sym3.embed(c), want)
+
+
+@pytest.mark.parametrize("symmetric", [True, False], ids=["symmetric", "non_symmetric"])
+def test_sym_coefficients_match_oracle(rng, symmetric):
+    M = rng.normal(size=(40, 3, 3))
+    if symmetric:
+        M += M.transpose(0, 2, 1)
+    want = np.einsum("aij,...ij->...a", ORACLE, M)
+    # off-diagonal entries come summed, as the strain kernel returns them
+    e = [M[:, 0, 0], M[:, 1, 1], M[:, 2, 2],
+         M[:, 0, 1] + M[:, 1, 0], M[:, 0, 2] + M[:, 2, 0], M[:, 1, 2] + M[:, 2, 1]]
+    assert close(np.stack(sym3.sym_coefficients(e), axis=-1), want)
+    assert close(sym3.project_sym_tracefree(M), want)
+
+
 def test_basis_gram_is_identity():
     gram = np.einsum("aij,bij->ab", sym3.BASIS, sym3.BASIS)
     assert np.max(np.abs(gram - np.eye(5))) < 1e-14
