@@ -200,10 +200,8 @@ def hminus1_distance(f, g):
     E = np.exp(-1j * np.outer(xi, x1))
     diff = (f.values - g.values).reshape(n, n, n, -1)
     total, done = 0.0, []                    # (component, its far + near sum)
-    for c in range(diff.shape[-1]):
+    for c in np.flatnonzero(np.any(diff, axis=(0, 1, 2))):
         arr = diff[..., c]
-        if not arr.any():
-            continue
         sq = next((v for a, v in done if np.array_equal(a, arr)), None)
         if sq is None:
             H = np.fft.fftn(arr, s=(npad,) * 3, axes=(0, 1, 2))
@@ -277,11 +275,18 @@ def _padded_length(n, span):
 
 @functools.lru_cache(maxsize=1)
 def _stresslet_cell_kernels(n, box, lo, m):
-    """rfft of the cell-averaged stresslet velocity kernels of the n^3 grid on
-    box (a flat 6-tuple) for sources from cell lo on, padded to lengths m:
-    index q holds lag q for q <= n - 1 - lo, else lag q - m.
-    [i, c] is velocity component i of one cell carrying unit coefficient c.
-    Near lags are subdivided exactly as in `tilde_vc`. One grid is kept."""
+    """Unset spectra of the cell-averaged stresslet velocity kernels of the n^3
+    grid on box (a flat 6-tuple) for sources from cell lo on, padded to lengths
+    m, and the set of unit coefficients c whose slab [:, c] is filled (slabs
+    never written are never resident). One grid is kept."""
+    return np.empty((3, 5, m[0], m[1], m[2] // 2 + 1), dtype=complex), set()
+
+
+def _fill_cell_kernels(khat, filled, comps, n, box, lo, m):
+    """Fill [i, c], the rfft of velocity component i of one cell carrying unit
+    coefficient c, for each c in comps, in one pass over the lag grid: index q
+    holds lag q for q <= n - 1 - lo, else lag q - m. Near lags are subdivided
+    exactly as in `tilde_vc`."""
     h = (np.array(box[3:]) - np.array(box[:3])) / n
     lags = [np.where(np.arange(k) <= n - 1 - l, np.arange(k), np.arange(k) - k)
             for l, k in zip(lo, m)]
@@ -290,15 +295,14 @@ def _stresslet_cell_kernels(n, box, lo, m):
     near = r2 <= (_NEAR_FACTOR * float(np.max(h))) ** 2
     r2[near] = np.inf
     zn = np.stack([zi[near] for zi in z], axis=-1)
-    khat = np.empty((3, 5, m[0], m[1], m[2] // 2 + 1), dtype=complex)
-    for c, unit in enumerate(np.prod(h) * np.eye(5)):
-        kern = kernels.stresslet_velocity_kernel(sym_matrix(unit), z, r2)
-        kern[:, near] = _subcell_velocity(unit, zn, h).T
+    units = np.prod(h) * np.eye(5)
+    for c in comps:
+        kern = kernels.stresslet_velocity_kernel(sym_matrix(units[c]), z, r2)
+        kern[:, near] = _subcell_velocity(units[c], zn, h).T
         for i in range(3):
             khat[i, c] = np.fft.rfftn(kern[i])
         del kern   # freed before the next unit's kernel is built
-    khat.setflags(write=False)
-    return khat
+        filled.add(c)
 
 
 clear_kernel_cache = _stresslet_cell_kernels.cache_clear
@@ -315,17 +319,21 @@ def _source_block(sources, n):
 
 def _convolve_sources(sources, box, n):
     """FFT convolution of per-cell stresslet coefficients (n,n,n,5) with the
-    cell-averaged kernels; returns the velocity on the same grid. Only the
-    bounding block of the nonzero sources is transformed (`_source_block`);
+    cell-averaged kernels; returns the velocity on the same grid and the number
+    of coefficients whose kernel spectra the call filled, each on first use. Only
+    the bounding block of the nonzero sources is transformed (`_source_block`);
     the inverse is `irfftn` axis by axis, keeping the n cells (i - lo) mod m
     of each axis as soon as it is transformed. Only the nonzero components
     are transformed, and their products summed in component order."""
     if not np.any(sources):
-        return np.zeros((n, n, n, 3))
+        return np.zeros((n, n, n, 3)), 0
     cut, lo, m = _source_block(sources, n)
     box = tuple(np.asarray(box, float).ravel().tolist())
-    khat = _stresslet_cell_kernels(int(n), box, lo, m)
+    khat, filled = _stresslet_cell_kernels(int(n), box, lo, m)
     comps = [c for c in range(5) if sources[cut + (c,)].any()]
+    missing = [c for c in comps if c not in filled]
+    if missing:
+        _fill_cell_kernels(khat, filled, missing, int(n), box, lo, m)
     shat = [np.fft.rfftn(sources[cut + (c,)], s=m, axes=(0, 1, 2)) for c in comps]
     keep = [(np.arange(n) - l) % k for l, k in zip(lo, m)]
     out = np.empty((n, n, n, 3))
@@ -335,7 +343,7 @@ def _convolve_sources(sources, box, n):
             acc += sc * khat[i, c]
         acc = np.fft.ifft(np.fft.ifft(acc, axis=0)[keep[0]], axis=1)[:, keep[1]]
         out[..., i] = np.fft.irfft(acc, m[2], axis=2)[..., keep[2]]
-    return out
+    return out, len(missing)
 
 
 def fixed_point_vc(model, A, box, n, tol=1e-8, max_iter=50):
@@ -347,7 +355,7 @@ def fixed_point_vc(model, A, box, n, tol=1e-8, max_iter=50):
     gate). The first iterate coincides with `tilde_vc` sampled on the grid.
     Returns (velocity GridField, log dict); the log also holds the padded FFT
     lengths of the last iterate (`fft_shape`, None when every source
-    vanishes) and whether the solve built no kernels (`kernels_cached`).
+    vanishes) and whether the solve filled no kernel spectra (`kernels_cached`).
     """
     sup = model.sup_norm()
     if sup > 0.125 + 1e-12:
@@ -359,7 +367,7 @@ def fixed_point_vc(model, A, box, n, tol=1e-8, max_iter=50):
     v = np.zeros((n, n, n, 3))
     increments = []
     converged = False
-    misses = _stresslet_cell_kernels.cache_info().misses
+    filled = 0
     for _ in range(max_iter):
         if increments:
             grads = np.gradient(v, *h, axis=(0, 1, 2))
@@ -368,7 +376,8 @@ def fixed_point_vc(model, A, box, n, tol=1e-8, max_iter=50):
         else:
             strain = np.zeros((n, n, n, 5))
         rhs = apply_mobility(raster.values, strain + A)
-        v_new = _convolve_sources(rhs, box, n)
+        v_new, new_spectra = _convolve_sources(rhs, box, n)
+        filled += new_spectra
         inc = float(np.sqrt(np.sum((v_new - v) ** 2) * vol))
         increments.append(inc)
         v = v_new
@@ -377,7 +386,7 @@ def fixed_point_vc(model, A, box, n, tol=1e-8, max_iter=50):
             break
     log = {"increments": increments, "iterations": len(increments), "converged": converged,
            "fft_shape": list(_source_block(rhs, n)[2]) if increments and rhs.any() else None,
-           "kernels_cached": _stresslet_cell_kernels.cache_info().misses == misses}
+           "kernels_cached": filled == 0}
     return GridField(box=np.asarray(box, float), n=n, values=v), log
 
 

@@ -38,11 +38,14 @@ def sym_matrix(c):
     return np.array([[xx, xy, xz], [xy, yy, yz], [xz, yz, zz]])
 
 
-def sym_coefficients(e):
+def sym_coefficients(e, out=(None,) * 5):
     """The 5 coefficients <E_a, S> of the symmetric S with diagonal e[0:3] and off-diagonal
-    xy, xz, yz = e[3:6] / 2, each counted twice as in a Frobenius product."""
-    return [(e[0] - e[1]) * _IS2, (e[0] + e[1] - 2.0 * e[2]) * _IS6,
-            e[3] * _IS2, e[4] * _IS2, e[5] * _IS2]
+    xy, xz, yz = e[3:6] / 2, each counted twice as in a Frobenius product. Each is
+    written into its array of `out` when given (which may be e[3:6] for the last three)."""
+    c0 = np.multiply(np.subtract(e[0], e[1], out=out[0]), _IS2, out=out[0])
+    c1 = np.subtract(np.add(e[0], e[1], out=out[1]), 2.0 * e[2], out=out[1])
+    return [c0, np.multiply(c1, _IS6, out=out[1])] + [
+        np.multiply(x, _IS2, out=y) for x, y in zip(e[3:], out[2:])]
 
 
 BASIS = np.ascontiguousarray(np.moveaxis(sym_matrix(np.eye(5)), -1, 0))
@@ -61,9 +64,12 @@ def project_sym_tracefree(M):
     M = np.asarray(M, dtype=float)
     if M.shape[-2:] != (3, 3):
         raise ValueError(f"expected trailing 3x3 axes, got shape {M.shape}")
-    e = [M[..., i, i] for i in range(3)] + [M[..., i, j] + M[..., j, i]
-                                            for i, j in ((0, 1), (0, 2), (1, 2))]
-    return np.stack(sym_coefficients(e), axis=-1)
+    out = np.empty(M.shape[:-2] + (5,))
+    o = [out[..., a] for a in range(5)]      # 0-d views, not scalars, for a lone matrix
+    e = [M[..., i, i] for i in range(3)] + [np.add(M[..., i, j], M[..., j, i], out=a)
+                                            for a, (i, j) in zip(o[2:], ((0, 1), (0, 2), (1, 2)))]
+    sym_coefficients(e, out=o)
+    return out
 
 
 def embed(s):

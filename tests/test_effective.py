@@ -358,10 +358,18 @@ def test_subcell_velocity_bit_for_bit(rng):
                               reference_subcell_velocity(m, z, h))
 
 
+def cold_kernel_spectra(n, gbox, lo, m):
+    """All five coefficients' kernel spectra of one grid, filled at once into a
+    fresh array, outside the cache."""
+    khat = np.empty((3, 5, m[0], m[1], m[2] // 2 + 1), dtype=complex)
+    eff._fill_cell_kernels(khat, set(), range(5), n, tuple(gbox.ravel().tolist()), lo, m)
+    return khat
+
+
 def five_component_convolution(sources, gbox, n):
     """`_convolve_sources` of sources filling the grid: all five components
     transformed, their products summed, and one full padded irfftn."""
-    khat = eff._stresslet_cell_kernels(n, tuple(gbox.ravel().tolist()), (0, 0, 0), (2 * n,) * 3)
+    khat = cold_kernel_spectra(n, gbox, (0, 0, 0), (2 * n,) * 3)
     shat = [np.fft.rfftn(sources[..., c], s=(2 * n,) * 3, axes=(0, 1, 2)) for c in range(5)]
     out = np.empty((n, n, n, 3))
     for i in range(3):
@@ -376,8 +384,10 @@ def test_convolve_sources_bit_for_bit(rng):
     # the pruned inverse against the full padded irfftn
     n, gbox = 8, np.array([[-0.5] * 3, [1.5] * 3])
     sources = rng.normal(size=(n, n, n, 5))
-    assert np.array_equal(eff._convolve_sources(sources, gbox, n),
-                          five_component_convolution(sources, gbox, n))
+    eff.clear_kernel_cache()
+    out, filled = eff._convolve_sources(sources, gbox, n)
+    assert filled == 5
+    assert np.array_equal(out, five_component_convolution(sources, gbox, n))
 
 
 @pytest.mark.parametrize("nonzero", [(1,), (0, 2, 4)])
@@ -386,8 +396,28 @@ def test_convolve_sources_skips_zero_components(rng, nonzero):
     n, gbox = 8, np.array([[-0.5] * 3, [1.5] * 3])
     sources = np.zeros((n, n, n, 5))
     sources[..., list(nonzero)] = rng.normal(size=(n, n, n, len(nonzero)))
-    assert np.array_equal(eff._convolve_sources(sources, gbox, n),
-                          five_component_convolution(sources, gbox, n))
+    eff.clear_kernel_cache()
+    out, filled = eff._convolve_sources(sources, gbox, n)
+    # only the nonzero components' kernel spectra are filled
+    assert filled == len(nonzero)
+    assert eff._stresslet_cell_kernels(n, tuple(gbox.ravel().tolist()), (0, 0, 0),
+                                       (2 * n,) * 3)[1] == set(nonzero)
+    assert np.array_equal(out, five_component_convolution(sources, gbox, n))
+
+
+def test_kernel_fill_order_does_not_matter(rng):
+    # spectra filled over three calls equal a cold build of all five at once
+    n, gbox = 8, np.array([[-0.5] * 3, [1.5] * 3])
+    key = (n, tuple(gbox.ravel().tolist()), (0, 0, 0), (2 * n,) * 3)
+    eff.clear_kernel_cache()
+    for comps, new in (([2], 1), ([0, 2, 4], 2), (range(5), 2)):
+        sources = np.zeros((n, n, n, 5))
+        sources[..., list(comps)] = rng.normal(size=(n, n, n, len(comps)))
+        assert eff._convolve_sources(sources, gbox, n)[1] == new
+        assert eff._stresslet_cell_kernels(*key)[1] == set(comps)
+    assert eff._stresslet_cell_kernels.cache_info().misses == 1
+    assert np.array_equal(eff._stresslet_cell_kernels(*key)[0],
+                          cold_kernel_spectra(n, gbox, (0, 0, 0), (2 * n,) * 3))
 
 
 def full_padding_convolution(sources, box, n):
@@ -426,15 +456,15 @@ def test_convolve_sources_block_matches_full_padding(rng, block):
         sources = np.zeros((n, n, n, 5))
         sources[block] = rng.normal(size=sources[block].shape)
         want = full_padding_convolution(sources, gbox, n)
-        got = eff._convolve_sources(sources, gbox, n)
+        got = eff._convolve_sources(sources, gbox, n)[0]
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
     spans = [s.stop - s.start for s in block]
     assert eff._source_block(sources, n)[2] == tuple(eff._padded_length(n, s) for s in spans)
 
 
 def test_convolve_sources_zero_sources_give_exact_zeros():
-    out = eff._convolve_sources(np.zeros((6, 6, 6, 5)), UNIT_BOX, 6)
-    assert out.shape == (6, 6, 6, 3) and not out.any()
+    out, filled = eff._convolve_sources(np.zeros((6, 6, 6, 5)), UNIT_BOX, 6)
+    assert out.shape == (6, 6, 6, 3) and not out.any() and filled == 0
 
 
 def test_padded_length():
@@ -479,8 +509,13 @@ def test_kernel_cache_holds_one_grid():
     for n in (8, 4):
         eff.fixed_point_vc(model, UNIAXIAL, gbox, n, max_iter=1)
     assert eff._stresslet_cell_kernels.cache_info().currsize == 1
-    khat = eff._stresslet_cell_kernels(4, tuple(gbox.ravel().tolist()), (0, 0, 0), (8, 8, 8))
-    assert khat.shape == (3, 5, 8, 8, 5) and not khat.flags.writeable
+    # at n = 4 the unit box covers cells 1..2 per axis: 4 + 2 - 1 -> 6
+    misses = eff._stresslet_cell_kernels.cache_info().misses
+    khat, filled = eff._stresslet_cell_kernels(4, tuple(gbox.ravel().tolist()), (1, 1, 1),
+                                               (6, 6, 6))
+    assert eff._stresslet_cell_kernels.cache_info().misses == misses
+    # one iterate of UNIAXIAL, which has coefficients 0 and 1 only
+    assert khat.shape == (3, 5, 6, 6, 4) and filled == {0, 1}
     eff.clear_kernel_cache()
     assert eff._stresslet_cell_kernels.cache_info().currsize == 0
 
@@ -497,13 +532,32 @@ def test_kernels_built_once_per_support():
     assert [log["kernels_cached"] for log in logs] == [False, True]
     assert all(log["fft_shape"] == [48, 48, 48] for log in logs)
     # the unit box covers cells 8..23 of 32 per axis: 32 + 16 - 1 -> 48
-    khat = eff._stresslet_cell_kernels(n, tuple(gbox.ravel().tolist()), (8, 8, 8), (48, 48, 48))
-    assert khat.shape == (3, 5, 48, 48, 25)
+    khat, filled = eff._stresslet_cell_kernels(n, tuple(gbox.ravel().tolist()), (8, 8, 8),
+                                               (48, 48, 48))
+    assert khat.shape == (3, 5, 48, 48, 25) and filled == set(range(5))
     assert eff._stresslet_cell_kernels.cache_info().misses == 1
     eff.clear_kernel_cache()
     assert eff._stresslet_cell_kernels.cache_info().currsize == 0
     v, log = eff.fixed_point_vc(eff.uniform_Meff(UNIT_BOX, 0.0), UNIAXIAL, gbox, 8)
     assert log["fft_shape"] is None and log["kernels_cached"]
+
+
+def test_kernel_transforms_only_for_the_components_used(monkeypatch):
+    # a basis strain's first iterate has sources in coefficient 0 alone
+    gbox, n = np.array([[-0.5] * 3, [1.5] * 3]), 16
+    model = eff.uniform_Meff(UNIT_BOX, 0.01)
+    calls, rfftn = [], np.fft.rfftn
+    # kernel spectra are transforms of the padded lag grid itself; source
+    # transforms pad to the lengths s
+    monkeypatch.setattr(np.fft, "rfftn", lambda *a, **k: calls.append("s" not in k) or rfftn(*a, **k))
+    eff.clear_kernel_cache()
+    logs = []
+    for max_iter, kernel_transforms in ((1, 3), (50, 12), (50, 0)):
+        calls.clear()
+        logs.append(eff.fixed_point_vc(model, np.eye(5)[0], gbox, n, max_iter=max_iter)[1])
+        assert sum(calls) == kernel_transforms
+    assert [log["kernels_cached"] for log in logs] == [False, False, True]
+    assert logs[1]["converged"] and logs[2]["converged"]
 
 
 def test_fixed_point_non_convergence_reported():

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -47,6 +48,47 @@ def test_sym_coefficients_match_oracle(rng, symmetric):
          M[:, 0, 1] + M[:, 1, 0], M[:, 0, 2] + M[:, 2, 0], M[:, 1, 2] + M[:, 2, 1]]
     assert close(np.stack(sym3.sym_coefficients(e), axis=-1), want)
     assert close(sym3.project_sym_tracefree(M), want)
+
+
+def summed_entries(M):
+    """The diagonal of M and its summed off-diagonal pairs."""
+    return [M[..., 0, 0], M[..., 1, 1], M[..., 2, 2],
+            M[..., 0, 1] + M[..., 1, 0], M[..., 0, 2] + M[..., 2, 0], M[..., 1, 2] + M[..., 2, 1]]
+
+
+def stacked_projection(M):
+    """`project_sym_tracefree` as the stack of five separately computed
+    coefficient arrays, each spelled out."""
+    e = summed_entries(M)
+    return np.stack([(e[0] - e[1]) * sym3._IS2, (e[0] + e[1] - 2.0 * e[2]) * sym3._IS6,
+                     e[3] * sym3._IS2, e[4] * sym3._IS2, e[5] * sym3._IS2], axis=-1)
+
+
+@pytest.mark.parametrize("shape", [(3, 3), (7, 3, 3), (8, 8, 8, 3, 3)])
+@pytest.mark.parametrize("symmetric", [True, False], ids=["symmetric", "non_symmetric"])
+def test_projection_in_place_bit_for_bit(rng, shape, symmetric):
+    M = rng.normal(size=shape)
+    if symmetric:
+        M += np.swapaxes(M, -1, -2)
+    got = sym3.project_sym_tracefree(M)
+    assert got.shape == shape[:-2] + (5,)
+    assert np.array_equal(got, stacked_projection(M))
+    assert np.array_equal(np.stack(sym3.sym_coefficients(summed_entries(M)), axis=-1), got)
+
+
+def test_projection_peak_memory(rng):
+    # the five coefficients are written into the result: it and one
+    # temporary field are the only n^3 arrays alive at once
+    n = 32
+    M = rng.normal(size=(n, n, n, 3, 3))
+    tracemalloc.start()
+    try:
+        out = sym3.project_sym_tracefree(M)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert out.shape == (n, n, n, 5)
+    assert peak <= 7 * n ** 3 * 8
 
 
 def test_basis_gram_is_identity():
