@@ -53,11 +53,16 @@ _C0_UNIT_CUBE = 7.674124
 # coefficient fields
 
 
+def _subcell_planes(h, sub):
+    """Per axis, the midpoint coordinates of the sub subcells of a cell of
+    size h, relative to the cell centre, shape (3, sub)."""
+    return ((np.arange(sub) + 0.5) / sub - 0.5) * h[:, None]
+
+
 def _subcell_offsets(h, sub):
     """Midpoints of the sub^3 subcells of a cell of size h, relative to the
     cell centre, shape (sub^3, 3)."""
-    t = (np.arange(sub) + 0.5) / sub - 0.5
-    grids = np.meshgrid(t * h[0], t * h[1], t * h[2], indexing="ij")
+    grids = np.meshgrid(*_subcell_planes(h, sub), indexing="ij")
     return np.stack(grids, axis=-1).reshape(-1, 3)
 
 
@@ -67,7 +72,8 @@ def assemble_MN(cloud, box, n):
     Each particle contributes its mobility scaled by 3/(4 pi a^3) on its own
     ball; boundary cells receive the covered fraction (estimated from
     _RASTER_SUB^3 midpoints per cell, on the cells `kernels.pairs_within`
-    finds near each ball), so strictly interior cells carry the
+    finds near each ball, counted in `kernels.row_blocks` of (cell, ball)
+    pairs), so strictly interior cells carry the
     exact matrix and the total integral matches sum of mobilities to a
     fraction of a percent even when the balls are a few cells wide.
     """
@@ -82,10 +88,15 @@ def assemble_MN(cloud, box, n):
     t, s, _ = kernels.pairs_within(cells, cloud.centers,
                                    cloud.a + 0.5 * np.linalg.norm(h))
     cell, center = cells[t], cloud.centers[s]
-    count = np.zeros(len(t))
-    for offset in _subcell_offsets(h, _RASTER_SUB):
-        rel = cell + offset - center
-        count += np.einsum("...i,...i->...", rel, rel) <= cloud.a ** 2
+    # per axis, the squared offsets of the midpoint planes from the ball's
+    # centre, (pairs, 3, sub); the squares add in the order x, y, z
+    planes = _subcell_planes(h, _RASTER_SUB)
+    count = np.empty(len(t))
+    for rows in kernels.row_blocks(len(t), _RASTER_SUB ** 3):
+        d = ((cell[rows, :, None] + planes) - center[rows, :, None]) ** 2
+        r2 = d[:, 0, :, None, None] + d[:, 1, None, :, None] + d[:, 2, None, None, :]
+        count[rows] = np.count_nonzero((r2 <= cloud.a ** 2).reshape(-1, _RASTER_SUB ** 3),
+                                       axis=1)
     scale = 3.0 / (4.0 * np.pi * cloud.a ** 3)
     # pairs come sorted by (cell, particle): each cell sums in particle order
     np.add.at(field.values.reshape(-1, 5, 5), t,

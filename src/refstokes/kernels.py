@@ -24,10 +24,14 @@ infinite r2 gives exactly zero. The strain kernel returns six entries of
 sym(z (x) v), which the linear `sym3.sym_coefficients` projects, so a sweep
 projects once per target after the sum. The point functions are the
 single-pair case; the sphere's pressure and traction are closed forms on the
-same moment terms. `pair_blocks` is the one chunk loop (row blocks of at most
-`PAIR_BUDGET` pairs, sized to stay in cache) of `pair_sum`, which embeds its
-weights once per call, of the dense reflection matrix and of the near-cell
-quadrature. Each kernel computes in one array of its own (`out=`, in place),
+same moment terms. `row_blocks` is the one chunk policy: slices of whole rows,
+at most `PAIR_BUDGET` elements each, sized to stay in cache. `pair_blocks`
+cuts (targets x sources) pairs into its row blocks for the dense reflection
+matrix, the near-cell quadrature and `pair_sum`, which embeds its weights once
+per call and runs along the longer point set: with targets <= sources each
+block row sums its sources (numpy's pairwise sum), and with more targets than
+sources strips of at most `PAIR_BUDGET` targets add one source at a time, in
+source order. Each kernel computes in one array of its own (`out=`, in place),
 never in its inputs, in its docstring's order.
 
 Point functions broadcast over leading axes of the evaluation points.
@@ -45,14 +49,15 @@ __all__ = ["oseen", "oseen_pressure", "stresslet_field", "stresslet_strain",
            "sphere_mobility", "mobility_from_boundary_integral",
            "mean_value_reconstruct", "PAIR_BUDGET",
            "stresslet_strain_kernel", "stresslet_velocity_kernel", "sphere_disturbance_kernel",
-           "pair_offsets", "pair_blocks", "pair_sum", "pairs_within"]
+           "pair_offsets", "row_blocks", "pair_blocks", "pair_sum", "pairs_within"]
 
 _C8 = 1.0 / (8.0 * np.pi)
 _C4 = 1.0 / (4.0 * np.pi)
 _C38 = 3.0 * _C8
 
-# (target, source) pairs per block of `pair_blocks`: each block temporary is
-# then 128 KiB, so the dozen a block keeps live stay in a core's L2 cache.
+# elements per `row_blocks` slice, (target, source) pairs in a pair block: each
+# block temporary is then 128 KiB, so the dozen a block keeps live stay in a
+# core's L2 cache.
 PAIR_BUDGET = 16_384
 
 
@@ -184,28 +189,43 @@ def stresslet_strain(mobility, strain, x):
 # pair sums
 
 
-def pair_offsets(targets, sources, exclude_within=None):
-    """Offsets z = target - source of a (targets x sources) block as one (3,
-    targets, sources) array, and r2 = |z|^2. Pairs with |z| <= exclude_within
-    get r2 = inf, so the kernels give them zero; exclude_within=0 drops self-pairs."""
-    z = np.empty((3, len(targets), len(sources)))
+def pair_offsets(targets, sources, exclude_within=None, out=None):
+    """Offsets z = target - source and r2 = z0^2 + z1^2 + z2^2, added in that
+    order: a (targets x sources) block as (3, targets, sources) and (targets,
+    sources) arrays, or, for one source of shape (3,), a strip as (3, targets)
+    and (targets,). Pairs with |z| <= exclude_within get r2 = inf, so the
+    kernels give them zero; exclude_within=0 drops self-pairs. Given `out`, a
+    (5, ...) array, z, r2 and a scratch row are written into it, so that a
+    strip reuses one buffer for every source."""
+    if out is None:
+        shape = (len(targets),) + sources.shape[:-1]
+        z, r2, t = np.empty((3,) + shape), np.empty(shape), np.empty(shape)
+    else:
+        z, r2, t = out[:3], out[3], out[4]
+    along = targets.T if sources.ndim == 1 else targets.T[:, :, None]
     for i in range(3):
-        np.subtract(targets[:, None, i], sources[None, :, i], out=z[i])
-    r2, t = z[0] * z[0], z[1] * z[1]
-    r2 += t
+        np.subtract(along[i], sources[..., i], out=z[i])
+    np.multiply(z[0], z[0], out=r2)
+    r2 += np.multiply(z[1], z[1], out=t)
     r2 += np.multiply(z[2], z[2], out=t)
     if exclude_within is not None:
         r2[r2 <= exclude_within ** 2] = np.inf
     return z, r2
 
 
+def row_blocks(rows, row_size):
+    """Consecutive slices of `rows` rows of `row_size` elements each, in order,
+    each at most PAIR_BUDGET elements (one row when a row is larger): the one
+    chunk policy of every pair loop."""
+    step = max(1, PAIR_BUDGET // max(row_size, 1))
+    return (slice(start, start + step) for start in range(0, rows, step))
+
+
 def pair_blocks(targets, sources, exclude_within=None):
     """The (targets x sources) pairs as `pair_offsets` blocks of whole target
-    rows, at most PAIR_BUDGET pairs each (one row when a row is larger):
-    yields (rows, z, r2), rows the slice of targets, in target order."""
-    step = max(1, PAIR_BUDGET // max(len(sources), 1))
-    for start in range(0, len(targets), step):
-        rows = slice(start, start + step)
+    rows, one per `row_blocks` slice: yields (rows, z, r2), rows the slice of
+    targets, in target order."""
+    for rows in row_blocks(len(targets), len(sources)):
         yield (rows, *pair_offsets(targets[rows], sources, exclude_within))
 
 
@@ -214,12 +234,29 @@ def pair_sum(kernel, weights, targets, sources, out, exclude_within=None):
 
     weights has one row of coefficients per source, embedded once as the
     `sym_matrix` M_m; out has one row per target, one column per kernel output.
-    Each target's sum over sources is numpy's pairwise sum within its
-    `pair_blocks` row: its bits do not depend on the block size. Returns out.
+    The arithmetic runs along the longer point set:
+
+    * targets <= sources: each `pair_blocks` row sums its sources with numpy's
+      pairwise sum, and out[rows] adds the row sums;
+    * more targets than sources: strips of at most PAIR_BUDGET consecutive
+      targets take one source at a time, in source order, against a total
+      that starts from zero; out[rows] then adds the strip's total.
+
+    Either way a target's sum does not depend on the block size, nor on which
+    block or strip holds it, so its bits do not depend on PAIR_BUDGET. Returns out.
     """
     m = sym_matrix(np.asarray(weights, dtype=float).T)
-    for rows, z, r2 in pair_blocks(targets, sources, exclude_within):
-        out[rows] += kernel(m, z, r2).sum(axis=-1).T
+    if len(targets) <= len(sources):
+        for rows, z, r2 in pair_blocks(targets, sources, exclude_within):
+            out[rows] += kernel(m, z, r2).sum(axis=-1).T
+        return out
+    for rows in row_blocks(len(targets), 1):
+        # Fortran order: each coordinate of the strip is one contiguous run
+        strip = np.asfortranarray(targets[rows])
+        buf, total = np.empty((5, len(strip))), np.zeros((out.shape[1], len(strip)))
+        for j, source in enumerate(sources):
+            total += kernel(m[:, :, j], *pair_offsets(strip, source, exclude_within, buf))
+        out[rows] += total.T
     return out
 
 

@@ -53,7 +53,8 @@ def test_import_layering():
 
 
 def test_pair_budget_read_only_in_kernels():
-    # one chunk policy: every other module takes its blocks from kernels.pair_blocks
+    # one chunk policy: every other module takes its blocks from kernels.row_blocks
+    # or kernels.pair_blocks
     package = Path(importlib.import_module("refstokes").__file__).parent
     readers = {path.stem for path in package.glob("*.py")
                for node in ast.walk(ast.parse(path.read_text()))

@@ -77,29 +77,50 @@ def test_assemble_integral_matches_total_mobility():
     assert rel < 0.01   # subsampled coverage does much better than the bound
 
 
-def test_assemble_matches_brute_force_loop(rng):
-    # grid 8 on the unit box: the first ball crosses the lower x face, the
-    # other two share boundary cells; anisotropic mobilities pin the order in
-    # which each cell sums its balls
-    a, n = 0.3, 8
-    c = cl.ParticleCloud(centers=[[0.1, 0.5, 0.5], [0.55, 0.3, 0.6], [0.6, 0.75, 0.45]],
-                         a=a, mobilities=rng.normal(size=(3, 5, 5)),
-                         box=[[-1.0] * 3, [2.0] * 3])
-    field = eff.assemble_MN(c, UNIT_BOX, n)
+def brute_force_assembly(c, n):
+    """assemble_MN on UNIT_BOX by a loop over cells, balls and subcell
+    midpoints, and the number of midpoints exactly at distance a."""
+    field = GridField.zeros(UNIT_BOX, n, (5, 5))
     h = field.cell_size
     t = (np.arange(eff._RASTER_SUB) + 0.5) / eff._RASTER_SUB - 0.5
     offsets = np.stack(np.meshgrid(t * h[0], t * h[1], t * h[2], indexing="ij"),
                        axis=-1).reshape(-1, 3)
-    scale = 3.0 / (4.0 * np.pi * a ** 3)
+    scale = 3.0 / (4.0 * np.pi * c.a ** 3)
     cells = field.cell_centers()
-    expected = np.zeros((n, n, n, 5, 5))
+    on_sphere = 0
     for idx in np.ndindex(n, n, n):
         for center, mob in zip(c.centers, c.mobilities):
             rel = cells[idx] + offsets - center
-            count = np.sum(np.einsum("...i,...i->...", rel, rel) <= a ** 2)
-            expected[idx] += (scale * (count / len(offsets))) * mob
+            r2 = np.einsum("...i,...i->...", rel, rel)
+            on_sphere += np.count_nonzero(r2 == c.a ** 2)
+            field.values[idx] += (scale * (np.sum(r2 <= c.a ** 2) / len(offsets))) * mob
+    return field.values, on_sphere
+
+
+def test_assemble_matches_brute_force_loop(rng):
+    # grid 8 on the unit box: the first ball crosses the lower x face, the
+    # other two share boundary cells; anisotropic mobilities pin the order in
+    # which each cell sums its balls
+    c = cl.ParticleCloud(centers=[[0.1, 0.5, 0.5], [0.55, 0.3, 0.6], [0.6, 0.75, 0.45]],
+                         a=0.3, mobilities=rng.normal(size=(3, 5, 5)),
+                         box=[[-1.0] * 3, [2.0] * 3])
+    expected, _ = brute_force_assembly(c, 8)
     assert np.any(expected[0] != 0.0)
-    assert np.array_equal(field.values, expected)
+    assert np.array_equal(eff.assemble_MN(c, UNIT_BOX, 8).values, expected)
+
+
+def test_assemble_matches_brute_force_loop_at_the_radius(rng):
+    # grid 16: subcell midpoints sit at odd multiples of 1/256 and the centres
+    # 1/256 past a multiple of 1/128, so every offset is an exact multiple of
+    # 1/128; a = 18/128 is |(18, 0, 0)|, |(16, 8, 2)| and |(12, 12, 6)| / 128,
+    # so many midpoints lie exactly at distance a and count as covered
+    shift = 0.5 + 1.0 / 256.0
+    c = cl.ParticleCloud(centers=[[shift] * 3, [shift - 0.25, shift, shift + 0.125]],
+                         a=18.0 / 128.0, mobilities=rng.normal(size=(2, 5, 5)),
+                         box=[[-1.0] * 3, [2.0] * 3])
+    expected, on_sphere = brute_force_assembly(c, 16)
+    assert on_sphere >= 2 * 6
+    assert np.array_equal(eff.assemble_MN(c, UNIT_BOX, 16).values, expected)
 
 
 def test_assemble_warns_when_unresolved():

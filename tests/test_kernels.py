@@ -344,6 +344,15 @@ def loop_pair_sum(point, weights, targets, sources, skip_self=False):
                      for l, x in enumerate(targets)])
 
 
+def test_row_blocks_hold_whole_rows_within_the_budget(monkeypatch):
+    monkeypatch.setattr(kernels, "PAIR_BUDGET", 16)
+    assert list(kernels.row_blocks(11, 5)) == [slice(s, s + 3) for s in (0, 3, 6, 9)]
+    assert list(kernels.row_blocks(40, 1)) == [slice(0, 16), slice(16, 32), slice(32, 48)]
+    # a row larger than the budget is a block of its own; no rows, no blocks
+    assert list(kernels.row_blocks(2, 100)) == [slice(0, 1), slice(1, 2)]
+    assert list(kernels.row_blocks(0, 5)) == []
+
+
 @pytest.mark.parametrize("budget, starts", [(3, range(11)), (16, [0, 3, 6, 9])])
 def test_pair_blocks_cover_each_target_row_once(monkeypatch, rng, budget, starts):
     # 11 targets x 5 sources: budget 3 is less than one row, 16 holds three
@@ -359,65 +368,99 @@ def test_pair_blocks_cover_each_target_row_once(monkeypatch, rng, budget, starts
     assert not list(kernels.pair_blocks(targets[:0], sources))
 
 
+def kernel_width(name):
+    return 6 if name == "strain" else 3
+
+
 @pytest.mark.parametrize("budget", [5, 16])
 @pytest.mark.parametrize("name", sorted(PAIR_KERNELS))
 def test_pair_sum_matches_point_loop(monkeypatch, rng, name, budget):
-    # 9 targets x 7 sources: budget 5 gives one-row chunks, 16 gives 2,2,2,2,1
+    # 7 x 7 pairs run row blocks: budget 5 gives one-row blocks, 16 gives
+    # 2,2,2,1 rows; 9 targets x 7 sources run strips: budget 5 gives strips of
+    # 5 and 4 targets, 16 one strip
     kernel, point = PAIR_KERNELS[name]
     monkeypatch.setattr(kernels, "PAIR_BUDGET", budget)
-    sources = rng.uniform(-1.0, 1.0, size=(7, 3))
-    targets = rng.uniform(-1.0, 1.0, size=(9, 3))
-    gaps = np.linalg.norm(targets[:, None] - sources[None], axis=-1)
-    assert np.min(gaps) > 2 * SPHERE_A
-    weights = rng.normal(size=(7, 5))
-    expected = loop_pair_sum(point, weights, targets, sources)
-    got = summed(name, kernels.pair_sum(kernel, weights, targets, sources,
-                                        np.zeros((9, 6 if name == "strain" else 3))))
-    assert np.max(np.abs(got - expected)) < 1e-13 * np.max(np.abs(expected))
+    for n_targets, n_sources in ((7, 7), (9, 7)):
+        sources = rng.uniform(-1.0, 1.0, size=(n_sources, 3))
+        targets = rng.uniform(-1.0, 1.0, size=(n_targets, 3))
+        gaps = np.linalg.norm(targets[:, None] - sources[None], axis=-1)
+        assert np.min(gaps) > 2 * SPHERE_A
+        weights = rng.normal(size=(n_sources, 5))
+        expected = loop_pair_sum(point, weights, targets, sources)
+        got = summed(name, kernels.pair_sum(kernel, weights, targets, sources,
+                                            np.zeros((n_targets, kernel_width(name)))))
+        assert np.max(np.abs(got - expected)) < 1e-13 * np.max(np.abs(expected))
 
 
-@pytest.mark.parametrize("name", ["strain", "velocity"])
+@pytest.mark.parametrize("name", sorted(PAIR_KERNELS))
 def test_pair_sum_excludes_self_pairs(monkeypatch, rng, name):
+    # the 9 sources are the first 9 targets: row blocks with no more targets,
+    # strips with 5 more, each source of a strip meeting one excluded target
     kernel, point = PAIR_KERNELS[name]
     monkeypatch.setattr(kernels, "PAIR_BUDGET", 16)
-    centers = rng.uniform(-1.0, 1.0, size=(9, 3))
-    weights = rng.normal(size=(9, 5))
-    expected = loop_pair_sum(point, weights, centers, centers, skip_self=True)
-    got = summed(name, kernels.pair_sum(kernel, weights, centers, centers,
-                                        np.zeros((9, 6 if name == "strain" else 3)),
-                                        exclude_within=0.0))
-    assert np.all(np.isfinite(got))
-    assert np.max(np.abs(got - expected)) < 1e-13 * np.max(np.abs(expected))
+    for n_targets in (9, 14):
+        targets = rng.uniform(-1.0, 1.0, size=(n_targets, 3))
+        sources = targets[:9]
+        gaps = np.linalg.norm(targets[:, None] - sources[None], axis=-1)
+        assert np.min(gaps + np.eye(n_targets, 9)) > 2 * SPHERE_A
+        weights = rng.normal(size=(9, 5))
+        expected = loop_pair_sum(point, weights, targets, sources, skip_self=True)
+        got = summed(name, kernels.pair_sum(kernel, weights, targets, sources,
+                                            np.zeros((n_targets, kernel_width(name))),
+                                            exclude_within=0.0))
+        assert np.all(np.isfinite(got))
+        assert np.max(np.abs(got - expected)) < 1e-13 * np.max(np.abs(expected))
 
 
 @pytest.mark.parametrize("name", sorted(PAIR_KERNELS))
 def test_pair_sum_bits_do_not_depend_on_chunking(monkeypatch, rng, name):
-    # 200 x 200 pairs: budget 16 gives one-row chunks, the default three
-    # chunks, and 40,000 one chunk; each target sums its sources in one row
+    # each target sums its sources in one row, or in one strip
     kernel, _ = PAIR_KERNELS[name]
-    centers = rng.uniform(-1.0, 1.0, size=(200, 3))
-    weights = rng.normal(size=(200, 5))
-    width = 6 if name == "strain" else 3
-    sums = []
-    for budget in (16, kernels.PAIR_BUDGET, 200 * 200):
-        monkeypatch.setattr(kernels, "PAIR_BUDGET", budget)
-        sums.append(kernels.pair_sum(kernel, weights, centers, centers,
-                                     np.zeros((200, width)), exclude_within=0.0))
-    assert all(np.array_equal(sums[0], other) for other in sums[1:])
+    for n_targets, n_sources, budgets in (
+            # 200 x 200: one-row blocks, the default's three blocks, one block
+            (200, 200, (16, kernels.PAIR_BUDGET, 200 * 200)),
+            # 300 x 7: strips of 1, 7 and 64 targets, and one strip
+            (300, 7, (1, 7, 64, kernels.PAIR_BUDGET))):
+        targets = rng.uniform(-1.0, 1.0, size=(n_targets, 3))
+        weights = rng.normal(size=(n_sources, 5))
+        sums = []
+        for budget in budgets:
+            monkeypatch.setattr(kernels, "PAIR_BUDGET", budget)
+            sums.append(kernels.pair_sum(kernel, weights, targets, targets[:n_sources],
+                                         np.zeros((n_targets, kernel_width(name))),
+                                         exclude_within=0.0))
+        assert all(np.array_equal(sums[0], other) for other in sums[1:])
+
+
+@pytest.mark.parametrize("name", sorted(PAIR_KERNELS))
+def test_pair_sum_strips_add_one_source_at_a_time(monkeypatch, rng, name):
+    # 300 targets x 7 sources in strips of 64: each target's total starts from
+    # zero, adds kernel(M_m, x - y_m) for m in order, then goes into out once
+    kernel, _ = PAIR_KERNELS[name]
+    monkeypatch.setattr(kernels, "PAIR_BUDGET", 64)
+    targets, sources = rng.uniform(-1.0, 1.0, size=(300, 3)), rng.uniform(-1.0, 1.0, size=(7, 3))
+    weights = rng.normal(size=(7, 5))
+    out = rng.normal(size=(300, kernel_width(name)))
+    total = np.zeros(out.shape[::-1])
+    for w, y in zip(weights, sources):
+        z = (targets - y).T
+        total += kernel(sym3.sym_matrix(w), z, z[0] * z[0] + z[1] * z[1] + z[2] * z[2])
+    expected = out + total.T
+    assert np.array_equal(kernels.pair_sum(kernel, weights, targets, sources, out), expected)
 
 
 @pytest.mark.parametrize("name", sorted(PAIR_KERNELS))
 def test_pair_sum_bits_do_not_depend_on_chunking_for_one_source(monkeypatch, rng, name):
-    # one source: budget 1 makes every block a single pair, the layout in
-    # which a numpy reduction over 3 terms need not add them in order
+    # one source runs strips: budget 1 makes every strip a single pair, the
+    # layout in which a numpy reduction over 3 terms need not add them in order
     kernel, _ = PAIR_KERNELS[name]
     targets, sources = rng.uniform(-1.0, 1.0, size=(60, 3)), rng.uniform(-1.0, 1.0, size=(1, 3))
     weights = rng.normal(size=(1, 5))
-    width = 6 if name == "strain" else 3
     sums = []
     for budget in (1, 7, kernels.PAIR_BUDGET):
         monkeypatch.setattr(kernels, "PAIR_BUDGET", budget)
-        sums.append(kernels.pair_sum(kernel, weights, targets, sources, np.zeros((60, width))))
+        sums.append(kernels.pair_sum(kernel, weights, targets, sources,
+                                     np.zeros((60, kernel_width(name)))))
     assert all(np.array_equal(sums[0], other) for other in sums[1:])
 
 
@@ -452,6 +495,28 @@ def test_strain_pair_sum_memory_is_bounded(rng):
         tracemalloc.stop()
     assert np.all(np.isfinite(out))
     assert peak < 8 * 2 ** 20
+
+
+def test_strip_pair_sum_memory_does_not_grow_with_targets(rng):
+    # strips keep one (3, <= PAIR_BUDGET) total and reuse their offsets
+    # buffer, so past two full strips the peak is flat; a (3, targets) total
+    # alone would add 1.4 MiB from 40,000 to 100,000 targets
+    sources = rng.uniform(0.0, 1.0, size=(50, 3))
+    weights = rng.normal(size=(50, 5))
+    peaks = []
+    for n_targets in (40_000, 100_000):
+        targets = rng.uniform(-1.0, 2.0, size=(n_targets, 3))
+        out = np.zeros((n_targets, 3))
+        tracemalloc.start()
+        try:
+            kernels.pair_sum(kernels.stresslet_velocity_kernel, weights, targets, sources, out)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert np.all(np.isfinite(out))
+        peaks.append(peak)
+    assert peaks[1] < peaks[0] + 2 ** 18
+    assert peaks[1] < 4 * 2 ** 20
 
 
 def brute_force_pairs(targets, sources, radius):

@@ -367,11 +367,15 @@ def test_velocity_far_vs_full_modes():
 
 
 def test_velocity_point_inside_particle_raises():
-    c = cl.generate_lattice(UNIT_BOX, 1, 0.1)
-    sol = refl.run_reflections(c, UNIAXIAL)
-    pts = np.array([[0.1, 0.1, 0.1], [0.5, 0.5, 0.52]])
-    with pytest.raises(KernelDomainError, match="evaluation point 1 inside particle 0"):
-        refl.evaluate_velocity(sol, UNIAXIAL, pts)
+    # two points and one particle: the velocity would run in strips; two
+    # points and eight particles: in row blocks
+    for per_axis, point, particle in ((1, [0.5, 0.5, 0.52], 0), (2, [0.75, 0.27, 0.75], 5)):
+        c = cl.generate_lattice(UNIT_BOX, per_axis, 0.1)
+        sol = refl.run_reflections(c, UNIAXIAL)
+        pts = np.array([[0.1, 0.1, 0.1], point])
+        with pytest.raises(KernelDomainError,
+                           match=f"evaluation point 1 inside particle {particle}"):
+            refl.evaluate_velocity(sol, UNIAXIAL, pts)
 
 
 def test_velocity_sphere_full_requires_spheres():
