@@ -205,7 +205,9 @@ def brute_force_min_distance(centers):
 
 def _min_distance(centers):
     """Exact minimum separation via `kernels.pairs_within`, at a radius that
-    starts at the cloud's extent over N and doubles until it finds a pair.
+    starts at the mean spacing (prod extent / N)^(1/3), or at the largest
+    extent over N when the centres are collinear or coplanar, and doubles
+    until it finds a pair.
 
     The search only selects candidate pairs, in sorted order; distances are
     recomputed with the same arithmetic as the brute-force oracle, so the two
@@ -214,7 +216,8 @@ def _min_distance(centers):
     n = len(centers)
     if n <= 1:
         return np.inf, None
-    r = float(np.ptp(centers, axis=0).max()) / n or 1.0
+    extent = np.ptp(centers, axis=0)
+    r = float(np.prod(extent) / n) ** (1.0 / 3.0) or float(extent.max()) / n or 1.0
     while True:
         t, s, z = pairs_within(centers, centers, r)
         if len(t) > n:                  # more than the n self-pairs

@@ -113,12 +113,14 @@ class EffectiveModel:
     matrix: np.ndarray               # (5,5)
 
     def rasterize(self, box, n):
-        """Sample the model on the requested grid (zero outside the support)."""
+        """Sample the model on the requested grid: the matrix on every cell
+        whose centre lies in the closed support box, zero elsewhere. Cell
+        centres increase along each axis, so those cells form one block, and
+        the matrix is written to it by slices."""
         out = GridField.zeros(box, n, (5, 5))
-        centers = out.cell_centers()
-        inside = np.all((centers >= self.box[0]) & (centers <= self.box[1]),
-                        axis=-1)
-        out.values[inside] = self.matrix
+        cut = tuple(slice(np.searchsorted(ax, lo, "left"), np.searchsorted(ax, hi, "right"))
+                    for ax, lo, hi in zip(out.axes(), self.box[0], self.box[1]))
+        out.values[cut] = self.matrix
         return out
 
     def sup_norm(self):
@@ -179,9 +181,11 @@ def hminus1_distance(f, g):
     weights. The whole estimate is a fixed positive quadratic form of the
     field difference, so it is a genuine grid norm: symmetric, triangle
     inequality and translation invariance hold to rounding. Requires cubic
-    cells. Each distinct nonzero component is integrated once, and its sum
-    is added again, in component order, for every equal one (the diagonal of
-    a sphere field against c phi I, the (b, a) twin of a symmetric (a, b)).
+    cells. The zoom transform of a component runs over the bounding block of
+    its nonzero cells. Each distinct nonzero component is integrated once,
+    and its sum is added again, in component order, for every equal one (the
+    diagonal of a sphere field against c phi I, the (b, a) twin of a
+    symmetric (a, b)).
     """
     if not f.same_grid(g):
         raise GridMismatchError("fields must share one grid")
@@ -217,10 +221,15 @@ def hminus1_distance(f, g):
         if sq is None:
             H = np.fft.fftn(arr, s=(npad,) * 3, axes=(0, 1, 2))
             far_sq = float(np.sum((H.real ** 2 + H.imag ** 2) / k2)) * dx ** 6 * dxi ** 3
-            Z = np.tensordot(E, arr, axes=(1, 0))            # (m, n, n)
-            Z = np.tensordot(E, Z, axes=(1, 1))              # (m_y, m_x, n)
-            Z = np.tensordot(E, Z, axes=(1, 2))              # (m_z, m_y, m_x)
-            Z = Z.transpose(2, 1, 0) * dx ** 3
+            del H                                  # freed before the zoom's arrays
+            # the zoom sums run over the component's nonzero block only: the
+            # columns of E it drops would multiply exact zeros
+            cx, cy, cz = _nonzero_block(arr)
+            Z = np.tensordot(E[:, cx], arr[cx, cy, cz], axes=(1, 0))   # (m, ., .)
+            Z = np.tensordot(E[:, cy], Z, axes=(1, 1))               # (m_y, m_x, .)
+            Z = np.tensordot(E[:, cz], Z, axes=(1, 2))               # (m_z, m_y, m_x)
+            Z *= dx ** 3
+            Z = Z.transpose(2, 1, 0)
             sq = far_sq + float(np.sum((Z.real ** 2 + Z.imag ** 2) * weights)) * dxi
             done.append((arr, sq))
         total += sq
@@ -319,26 +328,40 @@ def _fill_cell_kernels(khat, filled, comps, n, box, lo, m):
 clear_kernel_cache = _stresslet_cell_kernels.cache_clear
 
 
+def _nonzero_block(values):
+    """Per-axis slices of the bounding block of the cells (leading three axes)
+    where `values` does not vanish, or None when it vanishes everywhere."""
+    nonzero = np.any(values != 0.0, axis=tuple(range(3, values.ndim)))
+    cells = [np.flatnonzero(nonzero.any(axis=tuple({0, 1, 2} - {k}))) for k in range(3)]
+    if not len(cells[0]):
+        return None
+    return tuple(slice(int(c[0]), int(c[-1]) + 1) for c in cells)
+
+
 def _source_block(sources, n):
     """Slices, first cells and padded FFT lengths of the bounding block of the
-    nonzero sources (n,n,n,5), which must not all vanish."""
-    nonzero = np.any(sources != 0.0, axis=-1)
-    cells = [np.flatnonzero(nonzero.any(axis=tuple({0, 1, 2} - {k}))) for k in range(3)]
-    return (tuple(slice(c[0], c[-1] + 1) for c in cells), tuple(int(c[0]) for c in cells),
-            tuple(_padded_length(n, int(c[-1] - c[0]) + 1) for c in cells))
+    nonzero sources (., ., ., 5) of an n^3 grid, which must not all vanish;
+    slices and first cells count from the first cell of `sources`."""
+    cut = _nonzero_block(sources)
+    return (cut, tuple(c.start for c in cut),
+            tuple(_padded_length(n, c.stop - c.start) for c in cut))
 
 
-def _convolve_sources(sources, box, n):
-    """FFT convolution of per-cell stresslet coefficients (n,n,n,5) with the
-    cell-averaged kernels; returns the velocity on the same grid and the number
-    of coefficients whose kernel spectra the call filled, each on first use. Only
-    the bounding block of the nonzero sources is transformed (`_source_block`);
-    the inverse is `irfftn` axis by axis, keeping the n cells (i - lo) mod m
-    of each axis as soon as it is transformed. Only the nonzero components
-    are transformed, and their products summed in component order."""
+def _convolve_sources(sources, box, n, at=(0, 0, 0)):
+    """FFT convolution of per-cell stresslet coefficients with the
+    cell-averaged kernels of the n^3 grid on box; returns the velocity on the
+    whole grid and the number of coefficients whose kernel spectra the call
+    filled, each on first use. `sources` (., ., ., 5) is a block of the grid
+    whose first cell is `at`, the grid itself by default; the sources outside
+    it vanish. Only the bounding block of the nonzero sources is transformed
+    (`_source_block`, at cell at + its offset); the inverse is `irfftn` axis by
+    axis, keeping the n cells (i - lo) mod m of each axis as soon as it is
+    transformed. Only the nonzero components are transformed, and their
+    products summed in component order."""
     if not np.any(sources):
         return np.zeros((n, n, n, 3)), 0
-    cut, lo, m = _source_block(sources, n)
+    cut, offset, m = _source_block(sources, n)
+    lo = tuple(int(a) + o for a, o in zip(at, offset))
     box = tuple(np.asarray(box, float).ravel().tolist())
     khat, filled = _stresslet_cell_kernels(int(n), box, lo, m)
     comps = [c for c in range(5) if sources[cut + (c,)].any()]
@@ -364,9 +387,14 @@ def fixed_point_vc(model, A, box, n, tol=1e-8, max_iter=50):
     differences, convolution by padded FFT with the cell-averaged stresslet
     kernel. The coefficient's sup norm must not exceed 1/8 (the contraction
     gate). The first iterate coincides with `tilde_vc` sampled on the grid.
-    Returns (velocity GridField, log dict); the log also holds the padded FFT
-    lengths of the last iterate (`fft_shape`, None when every source
-    vanishes) and whether the solve filled no kernel spectra (`kernels_cached`).
+    The coefficient vanishes outside the bounding block of its nonzero cells,
+    found once, so the strain, the projection and the mobility are computed
+    on that block only (the differences of v on it plus a one-cell halo, so
+    each cell has the same neighbours as on the whole grid) and the block goes
+    to the convolution as is. Returns (velocity GridField, log dict); the log
+    also holds the padded FFT lengths of the last iterate (`fft_shape`, None
+    when every source vanishes) and whether the solve filled no kernel
+    spectra (`kernels_cached`).
     """
     sup = model.sup_norm()
     if sup > 0.125 + 1e-12:
@@ -375,19 +403,26 @@ def fixed_point_vc(model, A, box, n, tol=1e-8, max_iter=50):
     A = np.asarray(A, dtype=float).reshape(5)
     h = raster.cell_size
     vol = raster.cell_volume
+    # a coefficient that vanishes everywhere gives zero sources on any block
+    block = _nonzero_block(raster.values) or (slice(0, 1),) * 3
+    coeff = np.ascontiguousarray(raster.values[block])
+    del raster
+    at = tuple(b.start for b in block)
+    halo = tuple(slice(max(b.start - 1, 0), min(b.stop + 1, n)) for b in block)
+    inner = tuple(slice(b.start - g.start, b.stop - g.start) for b, g in zip(block, halo))
     v = np.zeros((n, n, n, 3))
     increments = []
     converged = False
     filled = 0
     for _ in range(max_iter):
         if increments:
-            grads = np.gradient(v, *h, axis=(0, 1, 2))
-            gmat = np.stack(grads, axis=-1)          # [..., i, j] = dv_i/dx_j
+            grads = np.gradient(v[halo], *h, axis=(0, 1, 2))
+            gmat = np.stack([g[inner] for g in grads], axis=-1)   # [..., i, j] = dv_i/dx_j
             strain = project_sym_tracefree(gmat)
         else:
-            strain = np.zeros((n, n, n, 5))
-        rhs = apply_mobility(raster.values, strain + A)
-        v_new, new_spectra = _convolve_sources(rhs, box, n)
+            strain = np.zeros(coeff.shape[:3] + (5,))
+        rhs = apply_mobility(coeff, strain + A)
+        v_new, new_spectra = _convolve_sources(rhs, box, n, at)
         filled += new_spectra
         inc = float(np.sqrt(np.sum((v_new - v) ** 2) * vol))
         increments.append(inc)

@@ -240,7 +240,8 @@ def pair_sum(kernel, weights, targets, sources, out, exclude_within=None):
       pairwise sum, and out[rows] adds the row sums;
     * more targets than sources: strips of at most PAIR_BUDGET consecutive
       targets take one source at a time, in source order, against a total
-      that starts from zero; out[rows] then adds the strip's total.
+      that starts from zero; out[rows] then adds the strip's total. The
+      strip's coordinates, offsets and total are allocated once per call.
 
     Either way a target's sum does not depend on the block size, nor on which
     block or strip holds it, so its bits do not depend on PAIR_BUDGET. Returns out.
@@ -250,12 +251,19 @@ def pair_sum(kernel, weights, targets, sources, out, exclude_within=None):
         for rows, z, r2 in pair_blocks(targets, sources, exclude_within):
             out[rows] += kernel(m, z, r2).sum(axis=-1).T
         return out
+    # one strip's coordinates, offsets and total, allocated once per call; a
+    # shorter last strip takes a contiguous prefix of each
+    k, width = out.shape[1], min(len(targets), PAIR_BUDGET)
+    coords, buf, acc = np.empty(3 * width), np.empty(5 * width), np.empty(k * width)
     for rows in row_blocks(len(targets), 1):
+        size = len(range(*rows.indices(len(targets))))
         # Fortran order: each coordinate of the strip is one contiguous run
-        strip = np.asfortranarray(targets[rows])
-        buf, total = np.empty((5, len(strip))), np.zeros((out.shape[1], len(strip)))
+        strip = coords[:3 * size].reshape(3, size).T
+        strip[...] = targets[rows]
+        offsets, total = buf[:5 * size].reshape(5, size), acc[:k * size].reshape(k, size)
+        total.fill(0.0)
         for j, source in enumerate(sources):
-            total += kernel(m[:, :, j], *pair_offsets(strip, source, exclude_within, buf))
+            total += kernel(m[:, :, j], *pair_offsets(strip, source, exclude_within, offsets))
         out[rows] += total.T
     return out
 

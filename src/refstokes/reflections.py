@@ -143,16 +143,20 @@ def pair_interaction_matrix(cloud):
     """Dense (5N, 5N) matrix of one reflection sweep (zero diagonal blocks).
 
     Column c of block (l, m) is the strain at x_l of the moment
-    mobility_m e_c at x_m. Filled one `kernels.pair_blocks` row block at a time.
+    mobility_m e_c at x_m. The matrix is filled transposed, as contiguous rows
+    TT[m, c] of a C-ordered (N, 5, N, 5) array, one `kernels.pair_blocks` row
+    block of sources m at a time: the strain kernel is even in z, so the
+    offsets x_m - x_l give T's bits. Returns the Fortran-ordered transpose,
+    which LAPACK reads in one contiguous pass.
     """
     n = cloud.n
-    T = np.empty((n, 5, n, 5))
-    columns = [sym_matrix(mob.T) for mob in np.moveaxis(cloud.mobilities, 2, 0)]  # M_l e_c
+    TT = np.empty((n, 5, n, 5))
+    moments = [sym_matrix(mob.T)[..., None] for mob in np.moveaxis(cloud.mobilities, 2, 0)]
     for rows, z, r2 in kernels.pair_blocks(cloud.centers, cloud.centers, exclude_within=0.0):
-        for c, moment in enumerate(columns):
-            strain = kernels.stresslet_strain_kernel(moment, z, r2)
-            T[rows, :, :, c] = np.stack(sym_coefficients(strain), axis=1)
-    return T.reshape(5 * n, 5 * n)
+        for c, moment in enumerate(moments):    # M_m e_c, one per source row
+            strain = kernels.stresslet_strain_kernel(moment[:, :, rows], z, r2)
+            TT[rows, c] = np.stack(sym_coefficients(strain), axis=-1)
+    return TT.reshape(5 * n, 5 * n).T
 
 
 def dense_fixed_point(cloud, A):

@@ -166,6 +166,15 @@ def min_distance_clouds(rng):
     yield np.linspace(0, 1, 9)[:, None] * direction
     yield rng.uniform(0, 1, size=(50, 1)) * direction
     yield np.linspace(0, 1, 7)[:, None] * np.array([0.0, 1.0, 0.0])
+    # zero extents: the search starts from the largest extent over N
+    for axis in range(3):
+        plane = rng.uniform(0, 1, size=(80, 3))
+        plane[:, axis] = 0.25
+        yield plane
+    yield rng.uniform(0, 1, size=(40, 1)) * np.array([0.0, 0.0, 1.0]) + 0.5
+    yield np.array([[0.3, 0.3, 0.3], [0.3, 0.3, 0.3]])
+    yield np.stack(np.meshgrid(np.linspace(0, 1, 6), np.linspace(0, 2, 4), [0.5], indexing="ij"),
+                   axis=-1).reshape(-1, 3)
 
 
 def test_min_distance_matches_brute_force(rng):

@@ -145,6 +145,34 @@ def test_uniform_model_basics():
     assert np.all(raster.values[~mask] == 0.0)
 
 
+def reference_rasterize(model, box, n):
+    """`EffectiveModel.rasterize` by a boolean mask over all cell centres."""
+    out = GridField.zeros(box, n, (5, 5))
+    centers = out.cell_centers()
+    inside = np.all((centers >= model.box[0]) & (centers <= model.box[1]), axis=-1)
+    out.values[inside] = model.matrix
+    return out
+
+
+@pytest.mark.parametrize("support", [
+    [[0.0] * 3, [1.0] * 3],                   # inside the padded grid
+    [[-0.5] * 3, [1.5] * 3],                  # the whole grid
+    [[0.1875, -0.5, 0.0], [0.8125, 1.0, 1.5]],  # faces exactly on cell centres
+    [[0.01] * 3, [0.02] * 3],                 # covers no cell centre
+    [[2.0] * 3, [3.0] * 3],                   # outside the grid
+    [[0.6, 0.0, 0.0], [0.4, 1.0, 1.0]],       # an inverted axis
+])
+def test_rasterize_matches_mask_reference(rng, support):
+    # grid 16 on [-0.5, 1.5]: the centres are -0.4375 + k/8, so 0.1875 and
+    # 0.8125 are centres, and a face there keeps its cell
+    gbox = np.array([[-0.5] * 3, [1.5] * 3])
+    model = eff.EffectiveModel(box=np.array(support), matrix=rng.normal(size=(5, 5)))
+    want = reference_rasterize(model, gbox, 16)
+    assert np.array_equal(model.rasterize(gbox, 16).values, want.values)
+    if support[0][0] == 0.1875:
+        assert np.any(want.values[5]) and np.any(want.values[10]) and not np.any(want.values[11])
+
+
 def test_uniform_model_gate_class():
     eps0 = 0.05
     assert eff.uniform_Meff(UNIT_BOX, 0.009, 5.0).sup_norm() <= eps0
@@ -250,6 +278,24 @@ def test_hminus1_reuses_equal_components_bit_for_bit(rng):
     g.values[..., 3, 4] = 0.5 * bumps[0]
     assert eff.hminus1_distance(f, g) == reference_hminus1(f, g)
     assert eff.hminus1_distance(g, f) == reference_hminus1(g, f)
+
+
+@pytest.mark.parametrize("block", [
+    (slice(3, 9), slice(0, 16), slice(10, 12)),    # touches two faces of one axis
+    (slice(5, 6), slice(7, 8), slice(15, 16)),     # a single cell on a face
+    (slice(0, 16),) * 3,                           # the whole grid
+])
+def test_hminus1_on_a_sub_block_matches_reference(rng, block):
+    # the zoom sums run over each component's nonzero block only
+    f = GridField.zeros(np.array([[-4.0] * 3, [4.0] * 3]), 16, (5, 5))
+    f.values[block] = rng.normal(size=f.values[block].shape)
+    f.values[block + (2, 2)] = 0.0
+    # a component whose block is smaller than the field's
+    inner = tuple(slice(b.start, b.start + max(1, (b.stop - b.start) // 2)) for b in block)
+    f.values[..., 3, 4] = 0.0
+    f.values[inner + (3, 4)] = rng.normal(size=f.values[inner + (3, 4)].shape)
+    g = eff.uniform_Meff(np.array([[0.0] * 3, [2.0] * 3]), 0.02).rasterize(f.box, f.n)
+    assert eff.hminus1_distance(f, g) == reference_hminus1(f, g)
 
 
 def test_hminus1_one_fft_per_distinct_component(rng, monkeypatch):
@@ -479,6 +525,16 @@ def test_convolve_sources_block_matches_full_padding(rng, block):
         want = full_padding_convolution(sources, gbox, n)
         got = eff._convolve_sources(sources, gbox, n)[0]
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+        # the same sources handed over as a block at its first cell, with or
+        # without a margin of zero cells, give the full-grid call's bits
+        for _ in range(3):
+            at = [int(rng.integers(0, b.start + 1)) for b in block]
+            end = [int(rng.integers(b.stop, n + 1)) for b in block]
+            part = tuple(slice(a, e) for a, e in zip(at, end))
+            assert np.array_equal(eff._convolve_sources(sources[part], gbox, n, tuple(at))[0],
+                                  got)
+        assert np.array_equal(eff._convolve_sources(sources[block], gbox, n,
+                                                    tuple(b.start for b in block))[0], got)
     spans = [s.stop - s.start for s in block]
     assert eff._source_block(sources, n)[2] == tuple(eff._padded_length(n, s) for s in spans)
 
@@ -494,6 +550,70 @@ def test_padded_length():
     assert eff._padded_length(10, 3) == 12 and eff._padded_length(10, 7) == 16
     for n in (5, 7, 10, 13, 32):
         assert eff._padded_length(n, n) == 2 * n
+
+
+def reference_fixed_point(model, A, box, n, tol=1e-8, max_iter=50):
+    """`fixed_point_vc` on the whole grid: differences, projection and
+    mobility on all n^3 cells, and the full-grid convolution call."""
+    raster = reference_rasterize(model, box, n)
+    A = np.asarray(A, dtype=float).reshape(5)
+    h, vol = raster.cell_size, raster.cell_volume
+    v = np.zeros((n, n, n, 3))
+    increments, converged, filled = [], False, 0
+    for _ in range(max_iter):
+        if increments:
+            strain = sym3.project_sym_tracefree(
+                np.stack(np.gradient(v, *h, axis=(0, 1, 2)), axis=-1))
+        else:
+            strain = np.zeros((n, n, n, 5))
+        rhs = sym3.apply_mobility(raster.values, strain + A)
+        v_new, new_spectra = eff._convolve_sources(rhs, box, n)
+        filled += new_spectra
+        increments.append(float(np.sqrt(np.sum((v_new - v) ** 2) * vol)))
+        v = v_new
+        if increments[-1] <= tol:
+            converged = True
+            break
+    return v, {"increments": increments, "iterations": len(increments), "converged": converged,
+               "fft_shape": list(eff._source_block(rhs, n)[2]) if rhs.any() else None,
+               "kernels_cached": filled == 0}
+
+
+PADDED = np.array([[-0.5] * 3, [1.5] * 3])
+SUPPORTS = {   # (model box, grid box, phi)
+    "inside": (UNIT_BOX, PADDED, 0.02),
+    "padding 0": (UNIT_BOX, UNIT_BOX, 0.02),
+    "flush with a face": (np.array([[-0.5, 0.0, 0.1], [0.3, 1.0, 0.9]]), PADDED, 0.02),
+    "no cell centre": (np.array([[0.01] * 3, [0.02] * 3]), PADDED, 0.02),
+    "phi 0": (UNIT_BOX, PADDED, 0.0),
+}
+
+
+@pytest.mark.parametrize("support", SUPPORTS)
+@pytest.mark.parametrize("n", [8, 16])
+def test_fixed_point_matches_full_grid_loop(support, n):
+    # the support-block engine keeps every bit of the whole-grid iteration:
+    # velocity, increments and the log, for one, two and all iterations
+    mbox, gbox, phi = SUPPORTS[support]
+    model = eff.uniform_Meff(mbox, phi)
+    for A in (UNIAXIAL, np.array([0.3, -0.7, 0.5, 0.2, -0.4])):
+        for max_iter in (1, 2, 50):
+            eff.clear_kernel_cache()
+            v, log = eff.fixed_point_vc(model, A, gbox, n, max_iter=max_iter)
+            eff.clear_kernel_cache()
+            want_v, want_log = reference_fixed_point(model, A, gbox, n, max_iter=max_iter)
+            assert np.array_equal(v.values, want_v)
+            assert log == want_log
+    assert log["converged"]
+
+
+def test_fixed_point_convolves_the_support_block(monkeypatch):
+    # padding 0.5 at n = 32: the coefficient covers cells 8..23 of each axis
+    seen, convolve = [], eff._convolve_sources
+    monkeypatch.setattr(eff, "_convolve_sources",
+                        lambda s, *a: seen.append((s.shape, a[2:])) or convolve(s, *a))
+    eff.fixed_point_vc(eff.uniform_Meff(UNIT_BOX, 0.02), UNIAXIAL, PADDED, 32, max_iter=2)
+    assert seen == [((16, 16, 16, 5), ((8, 8, 8),))] * 2
 
 
 def test_fixed_point_zero_model():

@@ -498,13 +498,15 @@ def test_strain_pair_sum_memory_is_bounded(rng):
 
 
 def test_strip_pair_sum_memory_does_not_grow_with_targets(rng):
-    # strips keep one (3, <= PAIR_BUDGET) total and reuse their offsets
-    # buffer, so past two full strips the peak is flat; a (3, targets) total
-    # alone would add 1.4 MiB from 40,000 to 100,000 targets
+    # the strip coordinates, offsets and (3, <= PAIR_BUDGET) total are
+    # allocated once per call, so the peak of one full strip (16,384 targets)
+    # holds for 100,000 to 16 KiB; strips that allocate their own buffers
+    # while the previous strip's are alive add 0.25 MiB, and a (3, targets)
+    # total alone would add 2 MiB
     sources = rng.uniform(0.0, 1.0, size=(50, 3))
     weights = rng.normal(size=(50, 5))
     peaks = []
-    for n_targets in (40_000, 100_000):
+    for n_targets in (kernels.PAIR_BUDGET, 100_000):
         targets = rng.uniform(-1.0, 2.0, size=(n_targets, 3))
         out = np.zeros((n_targets, 3))
         tracemalloc.start()
@@ -515,7 +517,7 @@ def test_strip_pair_sum_memory_does_not_grow_with_targets(rng):
             tracemalloc.stop()
         assert np.all(np.isfinite(out))
         peaks.append(peak)
-    assert peaks[1] < peaks[0] + 2 ** 18
+    assert peaks[1] < peaks[0] + 2 ** 14
     assert peaks[1] < 4 * 2 ** 20
 
 
