@@ -309,11 +309,11 @@ def run_compare_sweep(cfg):
         a = _radius_for_phi(cfg, phi)
         cloud = build_cloud(cfg, a=a)
         stats = cloudmod.validate(cloud)
-        # the grid checks (cubic cells, power-of-two n) fail here, before the solve
-        MN = effective.assemble_MN(cloud, gbox, n)
+        # the grid checks (cubic cells, power-of-two n) fail here, before the
+        # solve; both fields go straight in, so both are freed before it
         model = effective.uniform_Meff(cloud.box, phi, cfg.compare.coefficient)
-        Meff = model.rasterize(gbox, n)
-        hm1 = effective.hminus1_distance(MN, Meff)
+        hm1 = effective.hminus1_distance(effective.assemble_MN(cloud, gbox, n),
+                                         model.rasterize(gbox, n))
         sol = reflections.run_reflections(cloud, A, fixed_n=3,
                                           **_solver_kwargs(cfg))
         vc, _ = effective.fixed_point_vc(model, A, gbox, n, max_iter=1)

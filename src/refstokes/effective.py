@@ -112,15 +112,20 @@ class EffectiveModel:
     box: np.ndarray                  # support box K
     matrix: np.ndarray               # (5,5)
 
+    def support(self, grid):
+        """Per-axis slices of the block of cells of `grid` (a GridField) whose
+        centres lie in the closed support box. Cell centres increase along
+        each axis, so those cells form one block; a slice is empty (stop <=
+        start) when no centre on its axis lies in the box."""
+        return tuple(slice(int(np.searchsorted(ax, lo, "left")),
+                           int(np.searchsorted(ax, hi, "right")))
+                     for ax, lo, hi in zip(grid.axes(), self.box[0], self.box[1]))
+
     def rasterize(self, box, n):
-        """Sample the model on the requested grid: the matrix on every cell
-        whose centre lies in the closed support box, zero elsewhere. Cell
-        centres increase along each axis, so those cells form one block, and
-        the matrix is written to it by slices."""
+        """Sample the model on the requested grid: the matrix on its
+        `support` block, written by slices, zero elsewhere."""
         out = GridField.zeros(box, n, (5, 5))
-        cut = tuple(slice(np.searchsorted(ax, lo, "left"), np.searchsorted(ax, hi, "right"))
-                    for ax, lo, hi in zip(out.axes(), self.box[0], self.box[1]))
-        out.values[cut] = self.matrix
+        out.values[self.support(out)] = self.matrix
         return out
 
     def sup_norm(self):
@@ -181,11 +186,14 @@ def hminus1_distance(f, g):
     weights. The whole estimate is a fixed positive quadratic form of the
     field difference, so it is a genuine grid norm: symmetric, triangle
     inequality and translation invariance hold to rounding. Requires cubic
-    cells. The zoom transform of a component runs over the bounding block of
-    its nonzero cells. Each distinct nonzero component is integrated once,
-    and its sum is added again, in component order, for every equal one (the
-    diagonal of a sphere field against c phi I, the (b, a) twin of a
-    symmetric (a, b)).
+    cells. The difference is formed one component at a time in one n^3
+    buffer, and the squared magnitudes are weighted in place, so one grid-size
+    working field is alive beyond the padded spectrum or the zoom cube. The
+    zoom transform of a component runs over the bounding block of its nonzero
+    cells. Each distinct nonzero component is integrated once (a copy of it
+    is kept to match later ones), and its sum is added again, in component
+    order, for every equal one (the diagonal of a sphere field against
+    c phi I, the (b, a) twin of a symmetric (a, b)).
     """
     if not f.same_grid(g):
         raise GridMismatchError("fields must share one grid")
@@ -213,15 +221,22 @@ def hminus1_distance(f, g):
     xi = ((np.arange(m) + 0.5) / _HM1_SUB - (kmax + 0.5)) * dxi
     x1 = lo + (np.arange(n) + 0.5) * dx
     E = np.exp(-1j * np.outer(xi, x1))
-    diff = (f.values - g.values).reshape(n, n, n, -1)
-    total, done = 0.0, []                    # (component, its far + near sum)
-    for c in np.flatnonzero(np.any(diff, axis=(0, 1, 2))):
-        arr = diff[..., c]
+    fv, gv = f.values.reshape(n, n, n, -1), g.values.reshape(n, n, n, -1)
+    arr = np.empty((n, n, n))                # one component's difference at a time
+    total, done = 0.0, []                    # (copy of a component, its far + near sum)
+    for c in range(fv.shape[-1]):
+        np.subtract(fv[..., c], gv[..., c], out=arr)
+        if not arr.any():
+            continue
         sq = next((v for a, v in done if np.array_equal(a, arr)), None)
         if sq is None:
             H = np.fft.fftn(arr, s=(npad,) * 3, axes=(0, 1, 2))
-            far_sq = float(np.sum((H.real ** 2 + H.imag ** 2) / k2)) * dx ** 6 * dxi ** 3
-            del H                                  # freed before the zoom's arrays
+            t = np.square(H.real)
+            t += np.square(H.imag, out=H.imag)
+            del H                                  # freed before the next large array
+            t /= k2
+            far_sq = float(np.sum(t)) * dx ** 6 * dxi ** 3
+            del t
             # the zoom sums run over the component's nonzero block only: the
             # columns of E it drops would multiply exact zeros
             cx, cy, cz = _nonzero_block(arr)
@@ -230,8 +245,13 @@ def hminus1_distance(f, g):
             Z = np.tensordot(E[:, cz], Z, axes=(1, 2))               # (m_z, m_y, m_x)
             Z *= dx ** 3
             Z = Z.transpose(2, 1, 0)
-            sq = far_sq + float(np.sum((Z.real ** 2 + Z.imag ** 2) * weights)) * dxi
-            done.append((arr, sq))
+            t = np.square(Z.real)
+            t += np.square(Z.imag, out=Z.imag)
+            del Z
+            t *= weights
+            sq = far_sq + float(np.sum(t)) * dxi
+            del t
+            done.append((arr.copy(), sq))
         total += sq
     return float(np.sqrt(total / (2.0 * np.pi) ** 3))
 
@@ -387,11 +407,12 @@ def fixed_point_vc(model, A, box, n, tol=1e-8, max_iter=50):
     differences, convolution by padded FFT with the cell-averaged stresslet
     kernel. The coefficient's sup norm must not exceed 1/8 (the contraction
     gate). The first iterate coincides with `tilde_vc` sampled on the grid.
-    The coefficient vanishes outside the bounding block of its nonzero cells,
-    found once, so the strain, the projection and the mobility are computed
-    on that block only (the differences of v on it plus a one-cell halo, so
-    each cell has the same neighbours as on the whole grid) and the block goes
-    to the convolution as is. Returns (velocity GridField, log dict); the log
+    The model is never rasterized: its matrix is broadcast over its `support`
+    block (a zero matrix or an empty support gives zero sources on one cell),
+    so the strain, the projection and the mobility are computed on that block
+    only (the differences of v on it plus a one-cell halo, so each cell has
+    the same neighbours as on the whole grid) and the block goes to the
+    convolution as is. Returns (velocity GridField, log dict); the log
     also holds the padded FFT lengths of the last iterate (`fft_shape`, None
     when every source vanishes) and whether the solve filled no kernel
     spectra (`kernels_cached`).
@@ -399,18 +420,17 @@ def fixed_point_vc(model, A, box, n, tol=1e-8, max_iter=50):
     sup = model.sup_norm()
     if sup > 0.125 + 1e-12:
         raise GateError(f"sup-norm {sup:.3g} of the coefficient exceeds the 1/8 gate")
-    raster = model.rasterize(box, n)
+    grid = GridField.zeros(box, n, (3,))     # the grid and the zero first iterate
     A = np.asarray(A, dtype=float).reshape(5)
-    h = raster.cell_size
-    vol = raster.cell_volume
-    # a coefficient that vanishes everywhere gives zero sources on any block
-    block = _nonzero_block(raster.values) or (slice(0, 1),) * 3
-    coeff = np.ascontiguousarray(raster.values[block])
-    del raster
+    h, vol = grid.cell_size, grid.cell_volume
+    block, matrix = model.support(grid), np.asarray(model.matrix, dtype=float)
+    if not matrix.any() or any(b.stop <= b.start for b in block):
+        # a coefficient that vanishes everywhere gives zero sources on any block
+        block, matrix = (slice(0, 1),) * 3, np.zeros((5, 5))
     at = tuple(b.start for b in block)
     halo = tuple(slice(max(b.start - 1, 0), min(b.stop + 1, n)) for b in block)
     inner = tuple(slice(b.start - g.start, b.stop - g.start) for b, g in zip(block, halo))
-    v = np.zeros((n, n, n, 3))
+    v = grid.values
     increments = []
     converged = False
     filled = 0
@@ -420,8 +440,8 @@ def fixed_point_vc(model, A, box, n, tol=1e-8, max_iter=50):
             gmat = np.stack([g[inner] for g in grads], axis=-1)   # [..., i, j] = dv_i/dx_j
             strain = project_sym_tracefree(gmat)
         else:
-            strain = np.zeros(coeff.shape[:3] + (5,))
-        rhs = apply_mobility(coeff, strain + A)
+            strain = np.zeros(tuple(b.stop - b.start for b in block) + (5,))
+        rhs = apply_mobility(matrix, strain + A)
         v_new, new_spectra = _convolve_sources(rhs, box, n, at)
         filled += new_spectra
         inc = float(np.sqrt(np.sum((v_new - v) ** 2) * vol))
@@ -433,7 +453,7 @@ def fixed_point_vc(model, A, box, n, tol=1e-8, max_iter=50):
     log = {"increments": increments, "iterations": len(increments), "converged": converged,
            "fft_shape": list(_source_block(rhs, n)[2]) if increments and rhs.any() else None,
            "kernels_cached": filled == 0}
-    return GridField(box=np.asarray(box, float), n=n, values=v), log
+    return GridField(box=grid.box, n=n, values=v), log
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -314,6 +316,28 @@ def test_hminus1_one_fft_per_distinct_component(rng, monkeypatch):
     assert len(calls) == 1 + 15
 
 
+def traced_peak(call):
+    """Peak traced allocation of call(), in bytes."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_hminus1_memory_is_bounded():
+    # one sphere against c phi I at n = 32: one component's difference, the
+    # padded spectrum and the zoom cube are alive at a time, not the whole
+    # (n, n, n, 25) difference and full-size squared magnitudes (23 MiB)
+    box = np.array([[-0.5] * 3, [1.5] * 3])
+    c = cl.generate_lattice(UNIT_BOX, 1, 0.15)
+    MN = eff.assemble_MN(c, box, 32)
+    Meff = eff.uniform_Meff(UNIT_BOX, cl.validate(c).phi_global).rasterize(box, 32)
+    eff.hminus1_distance(MN, Meff)      # the refined weights are cached
+    assert traced_peak(lambda: eff.hminus1_distance(MN, Meff)) < 16 * 2 ** 20
+
+
 def reference_refined_weights(kmax):
     """`_refined_weights` built on (m, m, m) coordinate grids."""
     m = (2 * kmax + 1) * eff._HM1_SUB
@@ -614,6 +638,33 @@ def test_fixed_point_convolves_the_support_block(monkeypatch):
                         lambda s, *a: seen.append((s.shape, a[2:])) or convolve(s, *a))
     eff.fixed_point_vc(eff.uniform_Meff(UNIT_BOX, 0.02), UNIAXIAL, PADDED, 32, max_iter=2)
     assert seen == [((16, 16, 16, 5), ((8, 8, 8),))] * 2
+
+
+@pytest.mark.parametrize("support", SUPPORTS)
+def test_support_is_the_raster_block(support):
+    mbox, gbox, _ = SUPPORTS[support]
+    model = eff.EffectiveModel(box=mbox, matrix=np.eye(5))   # "phi 0" included
+    block = model.support(GridField.zeros(gbox, 16))
+    want = eff._nonzero_block(model.rasterize(gbox, 16).values)
+    if support == "no cell centre":
+        assert want is None and all(b.stop <= b.start for b in block)
+    else:
+        assert block == want
+
+
+def test_fixed_point_never_rasterizes(monkeypatch):
+    # the solve broadcasts the matrix over its support block
+    def rasterize(self, box, n):
+        raise AssertionError("fixed_point_vc rasterized the model")
+    monkeypatch.setattr(eff.EffectiveModel, "rasterize", rasterize)
+    for mbox, gbox, phi in SUPPORTS.values():
+        _, log = eff.fixed_point_vc(eff.uniform_Meff(mbox, phi), UNIAXIAL, gbox, 8)
+        assert log["converged"]
+    # a warm one-iterate solve at n = 32 peaks below one (n, n, n, 5, 5) field
+    model = eff.uniform_Meff(UNIT_BOX, 0.02)
+    eff.fixed_point_vc(model, UNIAXIAL, PADDED, 32, max_iter=1)
+    peak = traced_peak(lambda: eff.fixed_point_vc(model, UNIAXIAL, PADDED, 32, max_iter=1))
+    assert peak < 32 ** 3 * 25 * 8
 
 
 def test_fixed_point_zero_model():
