@@ -136,7 +136,7 @@ class EffectiveModel:
 def uniform_Meff(box, phi, coefficient=5.0):
     """Uniform effective model c * phi * I on the box (the sphere weak limit
     has c = 5)."""
-    if phi < 0:
+    if not phi >= 0:
         raise ValueError("phi must be nonnegative")
     return EffectiveModel(box=np.asarray(box, float),
                           matrix=coefficient * phi * np.eye(5))
@@ -195,8 +195,8 @@ def hminus1_distance(f, g):
     order, for every equal one (the diagonal of a sphere field against
     c phi I, the (b, a) twin of a symmetric (a, b)).
     """
-    if not f.same_grid(g):
-        raise GridMismatchError("fields must share one grid")
+    if not f.same_grid(g) or f.values.shape != g.values.shape:
+        raise GridMismatchError("fields must share one grid and component shape")
     h = f.cell_size
     if not np.allclose(h, h[0], rtol=1e-12, atol=0.0):
         raise ValueError("the spectral quadrature requires cubic cells")
@@ -358,37 +358,29 @@ def _nonzero_block(values):
     return tuple(slice(int(c[0]), int(c[-1]) + 1) for c in cells)
 
 
-def _source_block(sources, n):
-    """Slices, first cells and padded FFT lengths of the bounding block of the
-    nonzero sources (., ., ., 5) of an n^3 grid, which must not all vanish;
-    slices and first cells count from the first cell of `sources`."""
-    cut = _nonzero_block(sources)
-    return (cut, tuple(c.start for c in cut),
-            tuple(_padded_length(n, c.stop - c.start) for c in cut))
-
-
 def _convolve_sources(sources, box, n, at=(0, 0, 0)):
     """FFT convolution of per-cell stresslet coefficients with the
-    cell-averaged kernels of the n^3 grid on box; returns the velocity on the
-    whole grid and the number of coefficients whose kernel spectra the call
-    filled, each on first use. `sources` (., ., ., 5) is a block of the grid
-    whose first cell is `at`, the grid itself by default; the sources outside
-    it vanish. Only the bounding block of the nonzero sources is transformed
-    (`_source_block`, at cell at + its offset); the inverse is `irfftn` axis by
-    axis, keeping the n cells (i - lo) mod m of each axis as soon as it is
+    cell-averaged kernels of the n^3 grid on box. `sources` (., ., ., 5) is a
+    block of the grid whose first cell is `at`, the grid itself by default;
+    the sources outside it vanish. The block is transformed as given, padded
+    per axis to `_padded_length` of its span; the inverse is `irfftn` axis by
+    axis, keeping the n cells (i - at) mod m of each axis as soon as it is
     transformed. Only the nonzero components are transformed, and their
-    products summed in component order."""
-    if not np.any(sources):
-        return np.zeros((n, n, n, 3)), 0
-    cut, offset, m = _source_block(sources, n)
-    lo = tuple(int(a) + o for a, o in zip(at, offset))
+    products summed in component order. Returns the velocity on the whole
+    grid, the number of coefficients whose kernel spectra the call filled
+    (each on first use), and the padded lengths (None when every component
+    vanishes, which gives exact zeros)."""
+    comps = [c for c in range(5) if sources[..., c].any()]
+    if not comps:
+        return np.zeros((n, n, n, 3)), 0, None
+    m = tuple(_padded_length(n, span) for span in sources.shape[:3])
+    lo = tuple(int(a) for a in at)
     box = tuple(np.asarray(box, float).ravel().tolist())
     khat, filled = _stresslet_cell_kernels(int(n), box, lo, m)
-    comps = [c for c in range(5) if sources[cut + (c,)].any()]
     missing = [c for c in comps if c not in filled]
     if missing:
         _fill_cell_kernels(khat, filled, missing, int(n), box, lo, m)
-    shat = [np.fft.rfftn(sources[cut + (c,)], s=m, axes=(0, 1, 2)) for c in comps]
+    shat = [np.fft.rfftn(sources[..., c], s=m, axes=(0, 1, 2)) for c in comps]
     keep = [(np.arange(n) - l) % k for l, k in zip(lo, m)]
     out = np.empty((n, n, n, 3))
     for i in range(3):
@@ -397,7 +389,7 @@ def _convolve_sources(sources, box, n, at=(0, 0, 0)):
             acc += sc * khat[i, c]
         acc = np.fft.ifft(np.fft.ifft(acc, axis=0)[keep[0]], axis=1)[:, keep[1]]
         out[..., i] = np.fft.irfft(acc, m[2], axis=2)[..., keep[2]]
-    return out, len(missing)
+    return out, len(missing), m
 
 
 def fixed_point_vc(model, A, box, n, tol=1e-8, max_iter=50):
@@ -406,17 +398,22 @@ def fixed_point_vc(model, A, box, n, tol=1e-8, max_iter=50):
     Iterates v <- conv(coeff(D(v) + A)) on the grid, strains by centered
     differences, convolution by padded FFT with the cell-averaged stresslet
     kernel. The coefficient's sup norm must not exceed 1/8 (the contraction
-    gate). The first iterate coincides with `tilde_vc` sampled on the grid.
-    The model is never rasterized: its matrix is broadcast over its `support`
-    block (a zero matrix or an empty support gives zero sources on one cell),
-    so the strain, the projection and the mobility are computed on that block
-    only (the differences of v on it plus a one-cell halo, so each cell has
-    the same neighbours as on the whole grid) and the block goes to the
-    convolution as is. Returns (velocity GridField, log dict); the log
-    also holds the padded FFT lengths of the last iterate (`fft_shape`, None
-    when every source vanishes) and whether the solve filled no kernel
+    gate); tol must be positive and max_iter at least 1. The first iterate
+    coincides with `tilde_vc` sampled on the grid. The model is never
+    rasterized: its matrix is broadcast over its `support` block, found once
+    per solve, so the strain, the projection and the mobility are computed on
+    that block only (the differences of v on it plus a one-cell halo, so each
+    cell has the same neighbours as on the whole grid), and the block goes to
+    the convolution as is. Zero sources (a zero matrix or an empty support)
+    converge on the first iterate. Returns (velocity GridField, log dict); the
+    log also holds the padded FFT lengths of the last iterate (`fft_shape`,
+    None when every source vanishes) and whether the solve filled no kernel
     spectra (`kernels_cached`).
     """
+    if not tol > 0:
+        raise ValueError("tol must be positive")
+    if max_iter < 1:
+        raise ValueError("max_iter must be >= 1")
     sup = model.sup_norm()
     if sup > 0.125 + 1e-12:
         raise GateError(f"sup-norm {sup:.3g} of the coefficient exceeds the 1/8 gate")
@@ -424,25 +421,20 @@ def fixed_point_vc(model, A, box, n, tol=1e-8, max_iter=50):
     A = np.asarray(A, dtype=float).reshape(5)
     h, vol = grid.cell_size, grid.cell_volume
     block, matrix = model.support(grid), np.asarray(model.matrix, dtype=float)
-    if not matrix.any() or any(b.stop <= b.start for b in block):
-        # a coefficient that vanishes everywhere gives zero sources on any block
-        block, matrix = (slice(0, 1),) * 3, np.zeros((5, 5))
     at = tuple(b.start for b in block)
     halo = tuple(slice(max(b.start - 1, 0), min(b.stop + 1, n)) for b in block)
     inner = tuple(slice(b.start - g.start, b.stop - g.start) for b, g in zip(block, halo))
     v = grid.values
-    increments = []
-    converged = False
-    filled = 0
+    increments, converged, filled = [], False, 0
     for _ in range(max_iter):
         if increments:
             grads = np.gradient(v[halo], *h, axis=(0, 1, 2))
             gmat = np.stack([g[inner] for g in grads], axis=-1)   # [..., i, j] = dv_i/dx_j
             strain = project_sym_tracefree(gmat)
         else:
-            strain = np.zeros(tuple(b.stop - b.start for b in block) + (5,))
+            strain = np.zeros(v[block].shape[:3] + (5,))
         rhs = apply_mobility(matrix, strain + A)
-        v_new, new_spectra = _convolve_sources(rhs, box, n, at)
+        v_new, new_spectra, lengths = _convolve_sources(rhs, box, n, at)
         filled += new_spectra
         inc = float(np.sqrt(np.sum((v_new - v) ** 2) * vol))
         increments.append(inc)
@@ -451,8 +443,7 @@ def fixed_point_vc(model, A, box, n, tol=1e-8, max_iter=50):
             converged = True
             break
     log = {"increments": increments, "iterations": len(increments), "converged": converged,
-           "fft_shape": list(_source_block(rhs, n)[2]) if increments and rhs.any() else None,
-           "kernels_cached": filled == 0}
+           "fft_shape": list(lengths) if lengths else None, "kernels_cached": filled == 0}
     return GridField(box=grid.box, n=n, values=v), log
 
 

@@ -182,8 +182,9 @@ def test_uniform_model_gate_class():
 
 
 def test_negative_phi_rejected():
-    with pytest.raises(ValueError):
-        eff.uniform_Meff(UNIT_BOX, -0.1)
+    for phi in (-0.1, np.nan):
+        with pytest.raises(ValueError):
+            eff.uniform_Meff(UNIT_BOX, phi)
 
 
 # ---------------------------------------------------------------------------
@@ -374,6 +375,9 @@ def test_hminus1_grid_mismatch():
     g = gaussian_field(n=64, side=16.0)
     with pytest.raises(GridMismatchError):
         eff.hminus1_distance(f, g)
+    # one grid, different component shapes
+    with pytest.raises(GridMismatchError):
+        eff.hminus1_distance(GridField.zeros(f.box, 8, (5, 5)), GridField.zeros(f.box, 8, (3,)))
 
 
 def test_hminus1_requires_cubic_cells():
@@ -476,8 +480,8 @@ def test_convolve_sources_bit_for_bit(rng):
     n, gbox = 8, np.array([[-0.5] * 3, [1.5] * 3])
     sources = rng.normal(size=(n, n, n, 5))
     eff.clear_kernel_cache()
-    out, filled = eff._convolve_sources(sources, gbox, n)
-    assert filled == 5
+    out, filled, lengths = eff._convolve_sources(sources, gbox, n)
+    assert filled == 5 and lengths == (2 * n,) * 3
     assert np.array_equal(out, five_component_convolution(sources, gbox, n))
 
 
@@ -488,7 +492,7 @@ def test_convolve_sources_skips_zero_components(rng, nonzero):
     sources = np.zeros((n, n, n, 5))
     sources[..., list(nonzero)] = rng.normal(size=(n, n, n, len(nonzero)))
     eff.clear_kernel_cache()
-    out, filled = eff._convolve_sources(sources, gbox, n)
+    out, filled, _ = eff._convolve_sources(sources, gbox, n)
     # only the nonzero components' kernel spectra are filled
     assert filled == len(nonzero)
     assert eff._stresslet_cell_kernels(n, tuple(gbox.ravel().tolist()), (0, 0, 0),
@@ -547,25 +551,22 @@ def test_convolve_sources_block_matches_full_padding(rng, block):
         sources = np.zeros((n, n, n, 5))
         sources[block] = rng.normal(size=sources[block].shape)
         want = full_padding_convolution(sources, gbox, n)
-        got = eff._convolve_sources(sources, gbox, n)[0]
-        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
-        # the same sources handed over as a block at its first cell, with or
-        # without a margin of zero cells, give the full-grid call's bits
+        # the whole grid, the block at its first cell, and the block with a
+        # margin of zero cells: each is transformed as given
+        parts = [(slice(0, n),) * 3, block]
         for _ in range(3):
-            at = [int(rng.integers(0, b.start + 1)) for b in block]
-            end = [int(rng.integers(b.stop, n + 1)) for b in block]
-            part = tuple(slice(a, e) for a, e in zip(at, end))
-            assert np.array_equal(eff._convolve_sources(sources[part], gbox, n, tuple(at))[0],
-                                  got)
-        assert np.array_equal(eff._convolve_sources(sources[block], gbox, n,
-                                                    tuple(b.start for b in block))[0], got)
-    spans = [s.stop - s.start for s in block]
-    assert eff._source_block(sources, n)[2] == tuple(eff._padded_length(n, s) for s in spans)
+            parts.append(tuple(slice(int(rng.integers(0, b.start + 1)),
+                                     int(rng.integers(b.stop, n + 1))) for b in block))
+        for part in parts:
+            at = tuple(p.start for p in part)
+            got, _, lengths = eff._convolve_sources(sources[part], gbox, n, at)
+            assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+            assert lengths == tuple(eff._padded_length(n, p.stop - p.start) for p in part)
 
 
 def test_convolve_sources_zero_sources_give_exact_zeros():
-    out, filled = eff._convolve_sources(np.zeros((6, 6, 6, 5)), UNIT_BOX, 6)
-    assert out.shape == (6, 6, 6, 3) and not out.any() and filled == 0
+    out, filled, lengths = eff._convolve_sources(np.zeros((6, 6, 6, 5)), UNIT_BOX, 6)
+    assert out.shape == (6, 6, 6, 3) and not out.any() and filled == 0 and lengths is None
 
 
 def test_padded_length():
@@ -578,7 +579,8 @@ def test_padded_length():
 
 def reference_fixed_point(model, A, box, n, tol=1e-8, max_iter=50):
     """`fixed_point_vc` on the whole grid: differences, projection and
-    mobility on all n^3 cells, and the full-grid convolution call."""
+    mobility on all n^3 cells, and the convolution of the bounding block of
+    the nonzero sources, cut here from the whole-grid right-hand side."""
     raster = reference_rasterize(model, box, n)
     A = np.asarray(A, dtype=float).reshape(5)
     h, vol = raster.cell_size, raster.cell_volume
@@ -591,7 +593,9 @@ def reference_fixed_point(model, A, box, n, tol=1e-8, max_iter=50):
         else:
             strain = np.zeros((n, n, n, 5))
         rhs = sym3.apply_mobility(raster.values, strain + A)
-        v_new, new_spectra = eff._convolve_sources(rhs, box, n)
+        cut = eff._nonzero_block(rhs) or (slice(0, n),) * 3
+        v_new, new_spectra, lengths = eff._convolve_sources(rhs[cut], box, n,
+                                                            tuple(c.start for c in cut))
         filled += new_spectra
         increments.append(float(np.sqrt(np.sum((v_new - v) ** 2) * vol)))
         v = v_new
@@ -599,7 +603,7 @@ def reference_fixed_point(model, A, box, n, tol=1e-8, max_iter=50):
             converged = True
             break
     return v, {"increments": increments, "iterations": len(increments), "converged": converged,
-               "fft_shape": list(eff._source_block(rhs, n)[2]) if rhs.any() else None,
+               "fft_shape": list(lengths) if lengths else None,
                "kernels_cached": filled == 0}
 
 
@@ -609,6 +613,7 @@ SUPPORTS = {   # (model box, grid box, phi)
     "padding 0": (UNIT_BOX, UNIT_BOX, 0.02),
     "flush with a face": (np.array([[-0.5, 0.0, 0.1], [0.3, 1.0, 0.9]]), PADDED, 0.02),
     "no cell centre": (np.array([[0.01] * 3, [0.02] * 3]), PADDED, 0.02),
+    "no cell centre at a face": (np.array([[-0.5, 0.0, 0.1], [-0.45, 1.0, 0.9]]), PADDED, 0.02),
     "phi 0": (UNIT_BOX, PADDED, 0.0),
 }
 
@@ -648,6 +653,8 @@ def test_support_is_the_raster_block(support):
     want = eff._nonzero_block(model.rasterize(gbox, 16).values)
     if support == "no cell centre":
         assert want is None and all(b.stop <= b.start for b in block)
+    elif support == "no cell centre at a face":
+        assert want is None and block[0] == slice(0, 0)
     else:
         assert block == want
 
@@ -672,6 +679,16 @@ def test_fixed_point_zero_model():
     v, log = eff.fixed_point_vc(model, UNIAXIAL, UNIT_BOX, 8)
     assert log["converged"] and log["iterations"] == 1
     assert np.all(v.values == 0.0)
+
+
+@pytest.mark.parametrize("bad", [{"max_iter": 0}, {"tol": 0.0}, {"tol": -1.0},
+                                 {"tol": np.nan}])
+def test_fixed_point_input_contract(bad):
+    # an empty support at a grid face too: no iterate runs on a bad input
+    for support in ("inside", "no cell centre at a face"):
+        mbox, gbox, phi = SUPPORTS[support]
+        with pytest.raises(ValueError):
+            eff.fixed_point_vc(eff.uniform_Meff(mbox, phi), UNIAXIAL, gbox, 8, **bad)
 
 
 def test_fixed_point_gate():
