@@ -154,13 +154,16 @@ def validate_document(doc, schema_name):
             raise SchemaError(error.message)
 
 
-def _refuse_constant(name):   # NaN and Infinity, refused as `allow_nan=False` refuses them
-    raise SchemaError(f"{name} is not a JSON number")
+def _finite_number(text):   # NaN, Infinity, and numbers such as 1e400 that overflow to inf
+    value = float(text)
+    if not math.isfinite(value):
+        raise SchemaError(f"{text} is not a JSON number in float range")
+    return value
 
 
 def _read_json(path, schema_name):
     with open(path) as fh:
-        doc = json.load(fh, parse_constant=_refuse_constant)
+        doc = json.load(fh, parse_constant=_finite_number, parse_float=_finite_number)
     validate_document(doc, schema_name)
     return doc
 

@@ -65,15 +65,15 @@ class ParticleCloud:
         if centers.ndim != 2 or centers.shape[1] != 3:
             raise ValueError("centers must have shape (N, 3)")
         box = np.ascontiguousarray(self.box, dtype=float)
-        if box.shape != (2, 3) or np.any(box[1] <= box[0]):
+        if box.shape != (2, 3) or not np.all(box[1] > box[0]):
             raise ValueError("box must be [[lo],[hi]] with hi > lo per axis")
         mob = np.ascontiguousarray(self.mobilities, dtype=float)
         if mob.shape != (len(centers), 5, 5):
             raise ValueError("mobilities must have shape (N, 5, 5)")
         if not (np.isfinite(centers).all() and np.isfinite(mob).all()):
             raise ValueError("non-finite cloud data")
-        if self.a <= 0:
-            raise ValueError("radius must be positive")
+        if not 0 < self.a < np.inf:
+            raise ValueError("radius must be positive and finite")
         for arr in (centers, box, mob):
             arr.setflags(write=False)
         object.__setattr__(self, "centers", centers)
@@ -131,7 +131,7 @@ def generate_lattice(box, n_per_axis, a):
         raise ValueError("n_per_axis must be >= 1")
     side = box[1] - box[0]
     h = side / n_per_axis
-    if np.min(h) <= SEPARATION_FACTOR * a:
+    if not np.min(h) > SEPARATION_FACTOR * a:
         raise SeparationError(
             f"lattice spacing {np.min(h):.6g} <= {SEPARATION_FACTOR}*a = "
             f"{SEPARATION_FACTOR * a:.6g} (adjacent pair (0, 1))",
@@ -151,7 +151,7 @@ def generate_rsa(box, n, a, dmin, seed):
     placement exceeds the attempt budget of 10^4 * n trials.
     """
     box = np.asarray(box, dtype=float)
-    if dmin <= SEPARATION_FACTOR * a:
+    if not dmin > SEPARATION_FACTOR * a:
         raise SeparationError(
             f"dmin = {dmin:.6g} must exceed {SEPARATION_FACTOR}*a = {SEPARATION_FACTOR * a:.6g}")
     if n < 1:

@@ -112,6 +112,12 @@ class EffectiveModel:
     box: np.ndarray                  # support box K
     matrix: np.ndarray               # (5,5)
 
+    def __post_init__(self):
+        if np.shape(self.box) != (2, 3) or not np.all(np.diff(self.box, axis=0) > 0):
+            raise ValueError("box must be [[lo],[hi]] with hi > lo per axis")
+        if np.shape(self.matrix) != (5, 5) or not np.isfinite(self.matrix).all():
+            raise ValueError("matrix must be a finite 5x5 array")
+
     def support(self, grid):
         """Per-axis slices of the block of cells of `grid` (a GridField) whose
         centres lie in the closed support box. Cell centres increase along
@@ -136,8 +142,8 @@ class EffectiveModel:
 def uniform_Meff(box, phi, coefficient=5.0):
     """Uniform effective model c * phi * I on the box (the sphere weak limit
     has c = 5)."""
-    if not phi >= 0:
-        raise ValueError("phi must be nonnegative")
+    if not 0 <= phi < np.inf:
+        raise ValueError("phi must be nonnegative and finite")
     return EffectiveModel(box=np.asarray(box, float),
                           matrix=coefficient * phi * np.eye(5))
 
@@ -398,7 +404,7 @@ def fixed_point_vc(model, A, box, n, tol=1e-8, max_iter=50):
     Iterates v <- conv(coeff(D(v) + A)) on the grid, strains by centered
     differences, convolution by padded FFT with the cell-averaged stresslet
     kernel. The coefficient's sup norm must not exceed 1/8 (the contraction
-    gate); tol must be positive and max_iter at least 1. The first iterate
+    gate); tol must be positive and finite and max_iter at least 1. The first iterate
     coincides with `tilde_vc` sampled on the grid. The model is never
     rasterized: its matrix is broadcast over its `support` block, found once
     per solve, so the strain, the projection and the mobility are computed on
@@ -410,8 +416,8 @@ def fixed_point_vc(model, A, box, n, tol=1e-8, max_iter=50):
     None when every source vanishes) and whether the solve filled no kernel
     spectra (`kernels_cached`).
     """
-    if not tol > 0:
-        raise ValueError("tol must be positive")
+    if not 0 < tol < np.inf:
+        raise ValueError("tol must be positive and finite")
     if max_iter < 1:
         raise ValueError("max_iter must be >= 1")
     sup = model.sup_norm()

@@ -23,7 +23,7 @@ class GridField:
 
     def __post_init__(self):
         box = np.ascontiguousarray(self.box, dtype=float)
-        if box.shape != (2, 3) or np.any(box[1] <= box[0]):
+        if box.shape != (2, 3) or not np.all(box[1] > box[0]):
             raise ValueError("box must be [[lo],[hi]] with hi > lo per axis")
         n = int(self.n)
         if n < 1 or (n & (n - 1)) != 0:

@@ -30,7 +30,7 @@ cuts (targets x sources) pairs into its row blocks for the dense reflection
 matrix, the near-cell quadrature and `pair_sum`, which embeds its weights once
 per call and runs along the longer point set: with targets <= sources each
 block row sums its sources (numpy's pairwise sum), and with more targets than
-sources strips of at most `PAIR_BUDGET` targets add one source at a time, in
+sources strips of at most `PAIR_BUDGET` targets add one-source blocks, in
 source order. Each kernel computes in one array of its own (`out=`, in place),
 never in its inputs, in its docstring's order.
 
@@ -191,20 +191,17 @@ def stresslet_strain(mobility, strain, x):
 
 def pair_offsets(targets, sources, exclude_within=None, out=None):
     """Offsets z = target - source and r2 = z0^2 + z1^2 + z2^2, added in that
-    order: a (targets x sources) block as (3, targets, sources) and (targets,
-    sources) arrays, or, for one source of shape (3,), a strip as (3, targets)
-    and (targets,). Pairs with |z| <= exclude_within get r2 = inf, so the
+    order, of a (targets x sources) block: (3, targets, sources) and (targets,
+    sources) arrays. Pairs with |z| <= exclude_within get r2 = inf, so the
     kernels give them zero; exclude_within=0 drops self-pairs. Given `out`, a
-    (5, ...) array, z, r2 and a scratch row are written into it, so that a
-    strip reuses one buffer for every source."""
+    (5, targets, sources) array, z, r2 and a scratch block are written into it."""
     if out is None:
-        shape = (len(targets),) + sources.shape[:-1]
+        shape = (len(targets), len(sources))
         z, r2, t = np.empty((3,) + shape), np.empty(shape), np.empty(shape)
     else:
         z, r2, t = out[:3], out[3], out[4]
-    along = targets.T if sources.ndim == 1 else targets.T[:, :, None]
     for i in range(3):
-        np.subtract(along[i], sources[..., i], out=z[i])
+        np.subtract(targets[:, i, None], sources[:, i], out=z[i])
     np.multiply(z[0], z[0], out=r2)
     r2 += np.multiply(z[1], z[1], out=t)
     r2 += np.multiply(z[2], z[2], out=t)
@@ -239,9 +236,10 @@ def pair_sum(kernel, weights, targets, sources, out, exclude_within=None):
     * targets <= sources: each `pair_blocks` row sums its sources with numpy's
       pairwise sum, and out[rows] adds the row sums;
     * more targets than sources: strips of at most PAIR_BUDGET consecutive
-      targets take one source at a time, in source order, against a total
-      that starts from zero; out[rows] then adds the strip's total. The
-      strip's coordinates, offsets and total are allocated once per call.
+      targets take one source at a time, as a (strip x 1) block, in source
+      order, against a total that starts from zero; out[rows] then adds the
+      strip's total. Each strip allocates its own Fortran copy, (5, strip, 1)
+      offsets and (k, strip, 1) total, and frees them before the next strip.
 
     Either way a target's sum does not depend on the block size, nor on which
     block or strip holds it, so its bits do not depend on PAIR_BUDGET. Returns out.
@@ -251,20 +249,14 @@ def pair_sum(kernel, weights, targets, sources, out, exclude_within=None):
         for rows, z, r2 in pair_blocks(targets, sources, exclude_within):
             out[rows] += kernel(m, z, r2).sum(axis=-1).T
         return out
-    # one strip's coordinates, offsets and total, allocated once per call; a
-    # shorter last strip takes a contiguous prefix of each
-    k, width = out.shape[1], min(len(targets), PAIR_BUDGET)
-    coords, buf, acc = np.empty(3 * width), np.empty(5 * width), np.empty(k * width)
     for rows in row_blocks(len(targets), 1):
-        size = len(range(*rows.indices(len(targets))))
         # Fortran order: each coordinate of the strip is one contiguous run
-        strip = coords[:3 * size].reshape(3, size).T
-        strip[...] = targets[rows]
-        offsets, total = buf[:5 * size].reshape(5, size), acc[:k * size].reshape(k, size)
-        total.fill(0.0)
-        for j, source in enumerate(sources):
-            total += kernel(m[:, :, j], *pair_offsets(strip, source, exclude_within, offsets))
-        out[rows] += total.T
+        strip = np.asfortranarray(targets[rows])
+        offsets, total = np.empty((5, len(strip), 1)), np.zeros((out.shape[1], len(strip), 1))
+        for j, y in enumerate(sources[:, None]):
+            total += kernel(m[:, :, j:j + 1], *pair_offsets(strip, y, exclude_within, offsets))
+        out[rows] += total[..., 0].T
+        del strip, offsets, total
     return out
 
 

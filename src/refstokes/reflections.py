@@ -121,8 +121,8 @@ def run_reflections(cloud, A, tol=1e-10, max_iter=100, fixed_n=None,
     the totals include exactly the strain levels 0..fixed_n-1 (the velocity
     approximation of order fixed_n).
     """
-    if not tol > 0:
-        raise ValueError("tol must be positive")
+    if not 0 < tol < np.inf:
+        raise ValueError("tol must be positive and finite")
     if fixed_n is not None and fixed_n < 1:
         raise ValueError("fixed_n must be >= 1")
     _check_gate(cloud, gate, force)

@@ -231,6 +231,7 @@ def test_reflect_rejects_invalid_cloud_file(tmp_path, capsys, doc, message):
 
 NAN_LATTICE = {"seed": 1, "strain": [1, 0, 0, 0, 0],
                "cloud": {"kind": "lattice", "box": UNIT_BOX, "n_per_axis": 3, "a": 0.08}}
+OVERFLOW = 123.25   # written as 1e400, which Python's json reads as inf
 
 
 @pytest.mark.parametrize("doc, constant", [
@@ -241,15 +242,23 @@ NAN_LATTICE = {"seed": 1, "strain": [1, 0, 0, 0, 0],
     (dict(NAN_LATTICE, cloud={"kind": "rsa", "box": UNIT_BOX, "n": 50, "a": 0.001,
                               "dmin": float("nan")}), "NaN"),
     (dict(NAN_LATTICE, solver={"tol": float("nan")}), "NaN"),
-], ids=["gate_nan", "gate_infinity", "dmin_nan", "tol_nan"])
+    # 1e400 switched the gate off, made 200,000 draws before a saturation
+    # error, and stopped after one sweep with "converged": true
+    (dict(NAN_LATTICE, solver={"gate": OVERFLOW}), "1e400"),
+    (dict(NAN_LATTICE, cloud={"kind": "rsa", "box": UNIT_BOX, "n": 20, "a": 0.001,
+                              "dmin": OVERFLOW}), "1e400"),
+    (dict(NAN_LATTICE, solver={"tol": OVERFLOW}), "1e400"),
+], ids=["gate_nan", "gate_infinity", "dmin_nan", "tol_nan", "gate_overflow", "dmin_overflow",
+        "tol_overflow"])
 def test_config_refuses_non_finite_numbers(tmp_path, capsys, doc, constant):
     cloud_path = tmp_path / "cloud.json"
     assert cli.main(["generate", "--config", lattice_config(tmp_path, a=0.08),
                      "--out", str(cloud_path)]) == 0
     capsys.readouterr()
-    cfgp = write_config(tmp_path, doc, name="bad.json")
-    for argv in (["generate", "--config", cfgp, "--out", str(tmp_path / "c.json")],
-                 ["reflect", "--config", cfgp, "--cloud", str(cloud_path),
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc).replace(str(OVERFLOW), "1e400"))
+    for argv in (["generate", "--config", str(bad), "--out", str(tmp_path / "c.json")],
+                 ["reflect", "--config", str(bad), "--cloud", str(cloud_path),
                   "--out", str(tmp_path / "s.json")]):
         assert cli.main(argv) == 4
         assert f"{constant} is not a JSON number" in capsys.readouterr().err
@@ -257,15 +266,17 @@ def test_config_refuses_non_finite_numbers(tmp_path, capsys, doc, constant):
 
 
 def test_reflect_refuses_a_nan_tol_flag(tmp_path, capsys):
+    # and an infinite one, which stopped after one sweep with "converged": true
     cfgp = lattice_config(tmp_path)
     cloud_path = tmp_path / "cloud.json"
     assert cli.main(["generate", "--config", cfgp, "--out", str(cloud_path)]) == 0
     capsys.readouterr()
     sol_path = tmp_path / "s.json"
-    assert cli.main(["reflect", "--config", cfgp, "--cloud", str(cloud_path),
-                     "--out", str(sol_path), "--tol", "nan"]) == 4
-    assert "tol must be positive" in capsys.readouterr().err
-    assert not sol_path.exists()
+    for tol in ("nan", "inf"):
+        assert cli.main(["reflect", "--config", cfgp, "--cloud", str(cloud_path),
+                         "--out", str(sol_path), "--tol", tol]) == 4
+        assert "tol must be positive and finite" in capsys.readouterr().err
+        assert not sol_path.exists()
 
 
 def test_reflect_determinism(tmp_path, capsys):
@@ -491,6 +502,20 @@ def test_validate_cloud_file(tmp_path, capsys):
 def test_bad_arguments_exit_code(capsys):
     assert cli.main(["reflect"]) == 4          # missing required flags
     assert cli.main(["frobnicate"]) == 4       # unknown verb
+
+
+def test_unknown_cloud_kind():
+    cfg = cli.ExperimentConfig(cloud={"kind": "poisson", "box": UNIT_BOX, "a": 0.01})
+    with pytest.raises(ValueError, match="unknown cloud kind 'poisson'"):
+        cli.build_cloud(cfg)
+
+
+def test_internal_error_exit_code(monkeypatch, capsys):
+    def broken(cfg, args):
+        raise RuntimeError("broken handler")
+    monkeypatch.setattr(cli, "cmd_validate", broken)
+    assert cli.main(["validate"]) == 1
+    assert capsys.readouterr().err == "internal error: broken handler\n"
 
 
 def test_bad_config_schema(tmp_path):

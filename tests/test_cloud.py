@@ -114,6 +114,49 @@ def test_rsa_dmin_violation():
         cl.generate_rsa(UNIT_BOX, 10, 0.02, 0.05, seed=0)   # dmin <= 4a
 
 
+ONE_CENTER = {"centers": [[0.5, 0.5, 0.5]], "a": 0.01, "mobilities": np.eye(5)[None],
+              "box": UNIT_BOX}
+
+
+@pytest.mark.parametrize("change, message", [
+    ({"box": [[0.0, 0.0, 0.0], [1.0, 0.0, 1.0]]}, "box must be"),
+    ({"box": [[0.0, 0.0, 0.0], [1.0, np.nan, 1.0]]}, "box must be"),
+    ({"mobilities": np.eye(5)[None].repeat(2, axis=0)}, r"mobilities must have shape \(N, 5, 5\)"),
+    ({"centers": [[np.nan, 0.5, 0.5]]}, "non-finite cloud data"),
+    ({"a": 0.0}, "radius must be positive"),
+    # a NaN radius with custom mobilities got as far as `validate`, which
+    # blamed containment
+    ({"a": np.nan}, "radius must be positive and finite"),
+    ({"a": np.inf}, "radius must be positive and finite"),
+], ids=["flat_box", "nan_box", "mobility_rows", "nan_center", "zero_radius", "nan_radius",
+        "infinite_radius"])
+def test_cloud_refuses_bad_data(change, message):
+    with pytest.raises(ValueError, match=message):
+        cl.ParticleCloud(**dict(ONE_CENTER, **change))
+
+
+@pytest.mark.parametrize("make, error, message", [
+    (lambda: cl.generate_lattice(UNIT_BOX, 0, 0.01), ValueError, "n_per_axis must be >= 1"),
+    (lambda: cl.generate_lattice(UNIT_BOX, 2, np.nan), SeparationError, "lattice spacing"),
+    (lambda: cl.generate_rsa(UNIT_BOX, 0, 0.01, 0.05, seed=0), ValueError, "n must be >= 1"),
+    (lambda: cl.generate_rsa(UNIT_BOX, 1, 0.6, 2.5, seed=0), SeparationError, "box too small"),
+    # a NaN dmin placed 20 centres that ignored it
+    (lambda: cl.generate_rsa(UNIT_BOX, 20, 0.01, np.nan, seed=1), SeparationError,
+     "dmin = nan must exceed"),
+    (lambda: cl.generate_rsa(UNIT_BOX, 20, np.nan, 0.05, seed=1), SeparationError,
+     "dmin = 0.05 must exceed"),
+], ids=["lattice_no_cells", "lattice_nan_radius", "rsa_no_centers", "rsa_box_too_small",
+        "rsa_nan_dmin", "rsa_nan_radius"])
+def test_generators_refuse_bad_sizes(make, error, message):
+    with pytest.raises(error, match=message):
+        make()
+
+
+def test_brute_force_min_distance_of_one_particle():
+    for centers in ([[0.5, 0.5, 0.5]], np.zeros((0, 3))):
+        assert cl.brute_force_min_distance(centers) == (np.inf, None)
+
+
 def test_validate_coincident_centers():
     # the pair names two particles, never one particle with itself
     centers = [[0.5, 0.5, 0.5], [0.5, 0.5, 0.5], [0.2, 0.2, 0.2]]

@@ -162,7 +162,6 @@ def reference_rasterize(model, box, n):
     [[0.1875, -0.5, 0.0], [0.8125, 1.0, 1.5]],  # faces exactly on cell centres
     [[0.01] * 3, [0.02] * 3],                 # covers no cell centre
     [[2.0] * 3, [3.0] * 3],                   # outside the grid
-    [[0.6, 0.0, 0.0], [0.4, 1.0, 1.0]],       # an inverted axis
 ])
 def test_rasterize_matches_mask_reference(rng, support):
     # grid 16 on [-0.5, 1.5]: the centres are -0.4375 + k/8, so 0.1875 and
@@ -175,6 +174,22 @@ def test_rasterize_matches_mask_reference(rng, support):
         assert np.any(want.values[5]) and np.any(want.values[10]) and not np.any(want.values[11])
 
 
+@pytest.mark.parametrize("make, message", [
+    # swapped corners read as a zero coefficient: `fixed_point_vc` returned a
+    # zero velocity with converged: True
+    (lambda: eff.uniform_Meff([[1, 1, 1], [0, 0, 0]], 0.02), "box must be"),
+    (lambda: eff.EffectiveModel(box=np.array([[0.6, 0.0, 0.0], [0.4, 1.0, 1.0]]),
+                                matrix=np.eye(5)), "box must be"),
+    (lambda: eff.EffectiveModel(box=np.array([[0.0, 0.0, 0.0], [1.0, np.nan, 1.0]]),
+                                matrix=np.eye(5)), "box must be"),
+    (lambda: eff.EffectiveModel(box=UNIT_BOX, matrix=np.full((5, 5), np.nan)), "finite 5x5"),
+    (lambda: eff.EffectiveModel(box=UNIT_BOX, matrix=np.eye(3)), "finite 5x5"),
+], ids=["swapped_box", "inverted_axis", "nan_box", "nan_matrix", "matrix_shape"])
+def test_effective_model_refuses_bad_inputs(make, message):
+    with pytest.raises(ValueError, match=message):
+        make()
+
+
 def test_uniform_model_gate_class():
     eps0 = 0.05
     assert eff.uniform_Meff(UNIT_BOX, 0.009, 5.0).sup_norm() <= eps0
@@ -182,7 +197,8 @@ def test_uniform_model_gate_class():
 
 
 def test_negative_phi_rejected():
-    for phi in (-0.1, np.nan):
+    # an infinite phi built a NaN matrix after a RuntimeWarning
+    for phi in (-0.1, np.nan, np.inf):
         with pytest.raises(ValueError):
             eff.uniform_Meff(UNIT_BOX, phi)
 
@@ -378,6 +394,12 @@ def test_hminus1_grid_mismatch():
     # one grid, different component shapes
     with pytest.raises(GridMismatchError):
         eff.hminus1_distance(GridField.zeros(f.box, 8, (5, 5)), GridField.zeros(f.box, 8, (3,)))
+
+
+def test_hminus1_refuses_a_one_cell_grid():
+    one = GridField.zeros(UNIT_BOX, 1)
+    with pytest.raises(ValueError, match="padded grid too small"):
+        eff.hminus1_distance(one, one)
 
 
 def test_hminus1_requires_cubic_cells():
@@ -682,7 +704,7 @@ def test_fixed_point_zero_model():
 
 
 @pytest.mark.parametrize("bad", [{"max_iter": 0}, {"tol": 0.0}, {"tol": -1.0},
-                                 {"tol": np.nan}])
+                                 {"tol": np.nan}, {"tol": np.inf}])
 def test_fixed_point_input_contract(bad):
     # an empty support at a grid face too: no iterate runs on a bad input
     for support in ("inside", "no cell centre at a face"):

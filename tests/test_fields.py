@@ -14,6 +14,17 @@ def test_power_of_two_enforced():
         GridField.zeros(BOX, 0)
 
 
+@pytest.mark.parametrize("box, values, message", [
+    ([[0.0, 0.0, 0.0], [1.0, -1.0, 1.0]], np.zeros((2, 2, 2)), "box must be"),
+    ([[0.0, 0.0, 0.0], [1.0, np.nan, 1.0]], np.zeros((2, 2, 2)), "box must be"),
+    (BOX, np.zeros((2, 2, 4)), r"values must start with shape \(2,2,2\)"),
+    (BOX, np.full((2, 2, 2, 3), np.inf), "non-finite field values"),
+], ids=["inverted_box", "nan_box", "values_shape", "infinite_values"])
+def test_grid_field_refuses_bad_data(box, values, message):
+    with pytest.raises(ValueError, match=message):
+        GridField(box=np.asarray(box), n=2, values=values)
+
+
 def test_geometry_helpers():
     f = GridField.zeros(BOX, 4)
     assert np.allclose(f.cell_size, 0.5)

@@ -43,6 +43,12 @@ def test_oseen_row_divergence():
     assert np.max(np.abs(fd)) < 1e-6
 
 
+def test_point_functions_need_three_coordinates():
+    for fn in (kernels.oseen, kernels.oseen_pressure):
+        with pytest.raises(ValueError, match=r"trailing axis of length 3, got shape \(4, 2\)"):
+            fn(np.ones((4, 2)))
+
+
 def test_oseen_zero_input_raises():
     with pytest.raises(KernelDomainError):
         kernels.oseen(np.zeros(3))
@@ -498,11 +504,11 @@ def test_strain_pair_sum_memory_is_bounded(rng):
 
 
 def test_strip_pair_sum_memory_does_not_grow_with_targets(rng):
-    # the strip coordinates, offsets and (3, <= PAIR_BUDGET) total are
-    # allocated once per call, so the peak of one full strip (16,384 targets)
-    # holds for 100,000 to 16 KiB; strips that allocate their own buffers
-    # while the previous strip's are alive add 0.25 MiB, and a (3, targets)
-    # total alone would add 2 MiB
+    # each strip frees its Fortran copy, offsets and (3, <= PAIR_BUDGET, 1)
+    # total before the next strip allocates its own, so the peak of one full
+    # strip (16,384 targets) holds for 100,000 to 16 KiB; strips that allocate
+    # while the previous strip's buffers are alive add 0.25 MiB, and a
+    # (3, targets) total alone would add 2 MiB
     sources = rng.uniform(0.0, 1.0, size=(50, 3))
     weights = rng.normal(size=(50, 5))
     peaks = []

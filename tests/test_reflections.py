@@ -124,7 +124,7 @@ def test_fixed_n_zero_rejected_before_gate():
         refl.run_reflections(c, UNIAXIAL, fixed_n=0)
 
 
-@pytest.mark.parametrize("tol", [0.0, -1e-10, float("nan")])
+@pytest.mark.parametrize("tol", [0.0, -1e-10, float("nan"), float("inf")])
 def test_tol_must_be_positive(tol):
     with pytest.raises(ValueError, match="tol must be positive"):
         refl.run_reflections(two_sphere_cloud(), UNIAXIAL, tol=tol)
@@ -435,6 +435,19 @@ def test_diagnostic_slope_envelope():
         seps.append(a / d)
     slope = np.polyfit(np.log(seps), np.log(ratios), 1)[0]
     assert 1.4 <= slope <= 3.1
+
+
+def test_diagnostic_max_norm():
+    # q = inf: ratios of the largest per-particle level norms
+    c = cl.generate_lattice(UNIT_BOX, 2, 0.02)
+    state = refl.init_reflections(c, UNIAXIAL)
+    norms = [np.max(np.linalg.norm(state.A_current, axis=1))]
+    for _ in range(2):
+        state = refl.reflect_step(state)
+        norms.append(np.max(np.linalg.norm(state.A_current, axis=1)))
+    ratios = refl.contraction_diagnostic(c, UNIAXIAL, q=np.inf, n_levels=2)
+    assert ratios == pytest.approx(refl.level_ratios(norms), rel=1e-13)
+    assert 0.0 < ratios[0] < 1.0
 
 
 def test_diagnostic_parameter_checks():
