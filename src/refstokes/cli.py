@@ -5,7 +5,7 @@ document drives every command; a few common fields can be overridden by
 flags. All outputs (cloud files, solution files, CSV tables, reports) are
 deterministic functions of the config, so re-runs are byte-identical. This
 module reads and writes them through one schema-checked JSON reader, one JSON
-writer and one CSV writer; `cloud.save_cloud`/`load_cloud` also do, for bench/.
+writer and one CSV writer; `cloud.save_cloud`/`load_cloud` (bench/) skip the schema.
 
 Exit codes: 0 success, 2 generation infeasible (separation/saturation),
 3 convergence-gate violation, 4 invalid parameter, 1 internal error.

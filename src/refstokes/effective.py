@@ -192,14 +192,14 @@ def hminus1_distance(f, g):
     weights. The whole estimate is a fixed positive quadratic form of the
     field difference, so it is a genuine grid norm: symmetric, triangle
     inequality and translation invariance hold to rounding. Requires cubic
-    cells. The difference is formed one component at a time in one n^3
-    buffer, and the squared magnitudes are weighted in place, so one grid-size
-    working field is alive beyond the padded spectrum or the zoom cube. The
-    zoom transform of a component runs over the bounding block of its nonzero
-    cells. Each distinct nonzero component is integrated once (a copy of it
-    is kept to match later ones), and its sum is added again, in component
-    order, for every equal one (the diagonal of a sphere field against
-    c phi I, the (b, a) twin of a symmetric (a, b)).
+    cells. The difference is formed afresh one component at a time, and the
+    squared magnitudes are weighted in place, so one grid-size working field
+    is alive beyond the distinct components, the padded spectrum or the zoom
+    cube. The zoom transform of a component runs over the bounding block of
+    its nonzero cells. Each distinct nonzero component is integrated once (and
+    kept to match later ones), and its sum is added again, in component order,
+    for every equal one (the diagonal of a sphere field against c phi I, the
+    (b, a) twin of a symmetric (a, b)).
     """
     if not f.same_grid(g) or f.values.shape != g.values.shape:
         raise GridMismatchError("fields must share one grid and component shape")
@@ -228,10 +228,9 @@ def hminus1_distance(f, g):
     x1 = lo + (np.arange(n) + 0.5) * dx
     E = np.exp(-1j * np.outer(xi, x1))
     fv, gv = f.values.reshape(n, n, n, -1), g.values.reshape(n, n, n, -1)
-    arr = np.empty((n, n, n))                # one component's difference at a time
-    total, done = 0.0, []                    # (copy of a component, its far + near sum)
+    total, done = 0.0, []                    # (a distinct component, its far + near sum)
     for c in range(fv.shape[-1]):
-        np.subtract(fv[..., c], gv[..., c], out=arr)
+        arr = fv[..., c] - gv[..., c]
         if not arr.any():
             continue
         sq = next((v for a, v in done if np.array_equal(a, arr)), None)
@@ -257,7 +256,7 @@ def hminus1_distance(f, g):
             t *= weights
             sq = far_sq + float(np.sum(t)) * dxi
             del t
-            done.append((arr.copy(), sq))
+            done.append((arr, sq))
         total += sq
     return float(np.sqrt(total / (2.0 * np.pi) ** 3))
 
@@ -330,24 +329,26 @@ def _stresslet_cell_kernels(n, box, lo, m):
 
 def _fill_cell_kernels(khat, filled, comps, n, box, lo, m):
     """Fill [i, c], the rfft of velocity component i of one cell carrying unit
-    coefficient c, for each c in comps, in one pass over the lag grid: index q
-    holds lag q for q <= n - 1 - lo, else lag q - m. Near lags are subdivided
-    exactly as in `tilde_vc`."""
+    coefficient c, for each c in comps, from one (3, *m) kernel array filled
+    slab by slab over the `kernels.row_blocks` of the lag grid, each slab with
+    offsets of its own: index q holds lag q for q <= n - 1 - lo, else lag
+    q - m. Near lags are subdivided exactly as in `tilde_vc`."""
     h = (np.array(box[3:]) - np.array(box[:3])) / n
-    lags = [np.where(np.arange(k) <= n - 1 - l, np.arange(k), np.arange(k) - k)
-            for l, k in zip(lo, m)]
-    z = np.stack(np.meshgrid(*(lag * hk for lag, hk in zip(lags, h)), indexing="ij", copy=False))
-    r2 = z[0] * z[0] + z[1] * z[1] + z[2] * z[2]
-    near = r2 <= (_NEAR_FACTOR * float(np.max(h))) ** 2
-    r2[near] = np.inf
-    zn = np.stack([zi[near] for zi in z], axis=-1)
+    x, y, z = (np.where(np.arange(k) <= n - 1 - l, np.arange(k), np.arange(k) - k) * hk
+               for l, k, hk in zip(lo, m, h))
     units = np.prod(h) * np.eye(5)
+    kern = np.empty((3,) + m)
     for c in comps:
-        kern = kernels.stresslet_velocity_kernel(sym_matrix(units[c]), z, r2)
-        kern[:, near] = _subcell_velocity(units[c], zn, h).T
+        for rows in kernels.row_blocks(m[0], m[1] * m[2]):
+            zs = np.stack(np.meshgrid(x[rows], y, z, indexing="ij", copy=False))
+            r2 = zs[0] * zs[0] + zs[1] * zs[1] + zs[2] * zs[2]
+            near = r2 <= (_NEAR_FACTOR * float(np.max(h))) ** 2
+            r2[near] = np.inf
+            kern[:, rows] = kernels.stresslet_velocity_kernel(sym_matrix(units[c]), zs, r2)
+            if near.any():
+                kern[:, rows][:, near] = _subcell_velocity(units[c], zs[:, near].T, h).T
         for i in range(3):
             khat[i, c] = np.fft.rfftn(kern[i])
-        del kern   # freed before the next unit's kernel is built
         filled.add(c)
 
 

@@ -24,8 +24,9 @@ infinite r2 gives exactly zero. The strain kernel returns six entries of
 sym(z (x) v), which the linear `sym3.sym_coefficients` projects, so a sweep
 projects once per target after the sum. The point functions are the
 single-pair case; the sphere's pressure and traction are closed forms on the
-same moment terms. `row_blocks` is the one chunk policy: slices of whole rows,
-at most `PAIR_BUDGET` elements each, sized to stay in cache. `pair_blocks`
+same moment terms. `row_blocks` sizes every pair evaluation, the FFT kernel
+fill of `effective` included: slices of whole rows of at most `PAIR_BUDGET`
+elements, sized to stay in cache, each owning its temporaries. `pair_blocks`
 cuts (targets x sources) pairs into its row blocks for the dense reflection
 matrix, the near-cell quadrature and `pair_sum`, which embeds its weights once
 per call and runs along the longer point set: with targets <= sources each
@@ -94,6 +95,7 @@ def _moment_terms(m, z, r2, rows):
     and r2: b = mz in w[0:3], s = z.b in w[3], |z|^5 in w[4], the rest scratch.
     b sums the symmetric m over its slowest axis, so numpy's einsum loop (never
     BLAS) adds the 3 terms in order whatever the layout; s is added explicitly."""
+    # in place: fresh temporaries per op (same bits) ran 117-119 vs 41-49 sweep ns/pair, N <= 2000
     w = np.empty((rows,) + np.broadcast_shapes(np.shape(m)[2:], np.shape(z)[1:], np.shape(r2)))
     np.einsum("ji...,j...->i...", m, z, out=w[:3])
     np.multiply(z, w[:3], out=w[3:6])
@@ -189,17 +191,14 @@ def stresslet_strain(mobility, strain, x):
 # pair sums
 
 
-def pair_offsets(targets, sources, exclude_within=None, out=None):
+def pair_offsets(targets, sources, exclude_within=None):
     """Offsets z = target - source and r2 = z0^2 + z1^2 + z2^2, added in that
-    order, of a (targets x sources) block: (3, targets, sources) and (targets,
-    sources) arrays. Pairs with |z| <= exclude_within get r2 = inf, so the
-    kernels give them zero; exclude_within=0 drops self-pairs. Given `out`, a
-    (5, targets, sources) array, z, r2 and a scratch block are written into it."""
-    if out is None:
-        shape = (len(targets), len(sources))
-        z, r2, t = np.empty((3,) + shape), np.empty(shape), np.empty(shape)
-    else:
-        z, r2, t = out[:3], out[3], out[4]
+    order, of a (targets x sources) block: fresh (3, targets, sources) and
+    (targets, sources) arrays, which belong to the block. Pairs with
+    |z| <= exclude_within get r2 = inf, so the kernels give them zero;
+    exclude_within=0 drops self-pairs."""
+    shape = (len(targets), len(sources))
+    z, r2, t = np.empty((3,) + shape), np.empty(shape), np.empty(shape)
     for i in range(3):
         np.subtract(targets[:, i, None], sources[:, i], out=z[i])
     np.multiply(z[0], z[0], out=r2)
@@ -238,8 +237,8 @@ def pair_sum(kernel, weights, targets, sources, out, exclude_within=None):
     * more targets than sources: strips of at most PAIR_BUDGET consecutive
       targets take one source at a time, as a (strip x 1) block, in source
       order, against a total that starts from zero; out[rows] then adds the
-      strip's total. Each strip allocates its own Fortran copy, (5, strip, 1)
-      offsets and (k, strip, 1) total, and frees them before the next strip.
+      strip's total. Each strip allocates its own Fortran copy and (k, strip,
+      1) total, and each of its one-source blocks its own offsets.
 
     Either way a target's sum does not depend on the block size, nor on which
     block or strip holds it, so its bits do not depend on PAIR_BUDGET. Returns out.
@@ -252,11 +251,10 @@ def pair_sum(kernel, weights, targets, sources, out, exclude_within=None):
     for rows in row_blocks(len(targets), 1):
         # Fortran order: each coordinate of the strip is one contiguous run
         strip = np.asfortranarray(targets[rows])
-        offsets, total = np.empty((5, len(strip), 1)), np.zeros((out.shape[1], len(strip), 1))
+        total = np.zeros((out.shape[1], len(strip), 1))
         for j, y in enumerate(sources[:, None]):
-            total += kernel(m[:, :, j:j + 1], *pair_offsets(strip, y, exclude_within, offsets))
+            total += kernel(m[:, :, j:j + 1], *pair_offsets(strip, y, exclude_within))
         out[rows] += total[..., 0].T
-        del strip, offsets, total
     return out
 
 

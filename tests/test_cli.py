@@ -297,8 +297,8 @@ def test_reflect_determinism(tmp_path, capsys):
 
 def test_outputs_do_not_depend_on_blas_threads(tmp_path):
     # reflect (without --oracle, whose dense LAPACK solve is thread-dependent
-    # in its last digits) and compare write the same bytes under 1 and 2
-    # BLAS threads
+    # in its last digits), compare and einstein write the same bytes under 1
+    # and 2 BLAS threads
     doc = {"seed": 4,
            "cloud": {"kind": "rsa", "box": UNIT_BOX, "n": 40, "a": 0.008,
                      "dmin": 0.07},
@@ -307,7 +307,7 @@ def test_outputs_do_not_depend_on_blas_threads(tmp_path):
     cfgp = write_config(tmp_path, doc)
     assert cli.main(["generate", "--config", cfgp, "--out", str(tmp_path / "cloud.json")]) == 0
     src = str(Path(cli.__file__).parents[1])
-    outputs = ("solution.json", "convergence.csv", "report.json")
+    outputs = ("solution.json", "convergence.csv", "report.json", "einstein.csv")
     for threads in ("1", "2"):
         env = {k: v for k, v in os.environ.items() if not k.endswith("_NUM_THREADS")}
         env.update(PYTHONPATH=src, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
@@ -316,7 +316,8 @@ def test_outputs_do_not_depend_on_blas_threads(tmp_path):
         out.mkdir()
         argv = [["reflect", "--config", cfgp, "--cloud", str(tmp_path / "cloud.json"),
                  "--out", str(out / outputs[0]), "--csv", str(out / outputs[1])],
-                ["compare", "--config", cfgp, "--out", str(out / outputs[2])]]
+                ["compare", "--config", cfgp, "--out", str(out / outputs[2])],
+                ["einstein", "--config", cfgp, "--out", str(out / outputs[3])]]
         code = f"import sys; from refstokes import cli; sys.exit(any(cli.main(a) for a in {argv!r}))"
         subprocess.run([sys.executable, "-W", "ignore", "-c", code], env=env, check=True,
                        capture_output=True)

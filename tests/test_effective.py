@@ -483,6 +483,17 @@ def cold_kernel_spectra(n, gbox, lo, m):
     return khat
 
 
+def test_cell_kernel_spectra_do_not_depend_on_chunking(monkeypatch):
+    # slabs of one lag row, slabs of 5 rows (12 = 5 + 5 + 2) and the whole
+    # lag grid in one slab (the default budget) fill the same spectra
+    n, gbox, lo, m = 8, np.array([[-0.5] * 3, [1.5] * 3]), (2, 2, 0), (12, 16, 12)
+    spectra = []
+    for budget in (1, 5 * m[1] * m[2], kernels.PAIR_BUDGET):
+        monkeypatch.setattr(kernels, "PAIR_BUDGET", budget)
+        spectra.append(cold_kernel_spectra(n, gbox, lo, m))
+    assert all(np.array_equal(spectra[0], other) for other in spectra[1:])
+
+
 def five_component_convolution(sources, gbox, n):
     """`_convolve_sources` of sources filling the grid: all five components
     transformed, their products summed, and one full padded irfftn."""

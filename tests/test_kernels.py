@@ -504,11 +504,11 @@ def test_strain_pair_sum_memory_is_bounded(rng):
 
 
 def test_strip_pair_sum_memory_does_not_grow_with_targets(rng):
-    # each strip frees its Fortran copy, offsets and (3, <= PAIR_BUDGET, 1)
-    # total before the next strip allocates its own, so the peak of one full
-    # strip (16,384 targets) holds for 100,000 to 16 KiB; strips that allocate
-    # while the previous strip's buffers are alive add 0.25 MiB, and a
-    # (3, targets) total alone would add 2 MiB
+    # a strip's Fortran copy and (3, <= PAIR_BUDGET, 1) total, and a one-source
+    # block's offsets, are dropped when the next strip or block takes their
+    # place, so the peak of one full strip (16,384 targets), set inside a
+    # kernel call, holds for 100,000 to 16 KiB; a (3, targets) total alone
+    # would add 2 MiB
     sources = rng.uniform(0.0, 1.0, size=(50, 3))
     weights = rng.normal(size=(50, 5))
     peaks = []
