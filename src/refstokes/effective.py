@@ -42,8 +42,7 @@ _RASTER_SUB = 8
 # H^-1 quadrature: zero-padding factor, half-width in spectral cells of the
 # refined near cube, and its subcells per spectral cell (even)
 _HM1_PAD, _HM1_KMAX, _HM1_SUB = 2, 6, 6
-# mean-field quadrature: source cells within _NEAR_FACTOR * max cell size are
-# split into _NEAR_SUB^3 subcells; `tilde_vc` and the FFT kernels share both
+# mean-field quadrature: the near-cell rule of `_near_radius`, _NEAR_SUB^3 subcells
 _NEAR_FACTOR, _NEAR_SUB = 2.0, 4
 # integral of 1/|xi|^2 over the unit cube, for the residual origin microcell
 _C0_UNIT_CUBE = 7.674124
@@ -206,7 +205,7 @@ def hminus1_distance(f, g):
     h = f.cell_size
     if not np.allclose(h, h[0], rtol=1e-12, atol=0.0):
         raise ValueError("the spectral quadrature requires cubic cells")
-    n, dx, lo = f.n, float(h[0]), float(f.box[0][0])
+    n, dx = f.n, float(h[0])
     npad = n * _HM1_PAD
     kmax = min(_HM1_KMAX, npad // 2 - 1)
     if kmax < 1:
@@ -225,8 +224,7 @@ def hminus1_distance(f, g):
     weights = _refined_weights(kmax)
     m = weights.shape[0]
     xi = ((np.arange(m) + 0.5) / _HM1_SUB - (kmax + 0.5)) * dxi
-    x1 = lo + (np.arange(n) + 0.5) * dx
-    E = np.exp(-1j * np.outer(xi, x1))
+    E = np.exp(-1j * np.outer(xi, f.axes()[0]))
     fv, gv = f.values.reshape(n, n, n, -1), g.values.reshape(n, n, n, -1)
     total, done = 0.0, []                    # (a distinct component, its far + near sum)
     for c in range(fv.shape[-1]):
@@ -265,6 +263,13 @@ def hminus1_distance(f, g):
 # mean-field correction velocity
 
 
+def _near_radius(h):
+    """The near-cell rule of `tilde_vc` and the FFT kernel fill: subdivide the
+    source cells within _NEAR_FACTOR * max(h), widened by the relative margin
+    of `kernels.pairs_within` so that rounding never moves a lattice cell across."""
+    return _NEAR_FACTOR * float(np.max(h)) * (1.0 + 1e-9)
+
+
 def _subcell_velocity(m, z, h):
     """Stresslet velocity at offsets z (K, 3) from the centres of near cells
     of size h, by the midpoint rule over the _NEAR_SUB^3 subcells of each
@@ -288,10 +293,9 @@ def tilde_vc(field, A, points):
     """Correction velocity of a coefficient field by direct quadrature.
 
     Evaluates the convolution of the per-cell sources coeff(A) with the
-    stresslet kernel by the midpoint rule over source cells; cells closer
-    than _NEAR_FACTOR * max cell size to an evaluation point are subdivided
-    _NEAR_SUB^3 times (the kernel is degree -2, locally integrable). `field`
-    is a rank-2 GridField.
+    stresslet kernel by the midpoint rule over source cells; the cells within
+    `_near_radius` of an evaluation point are subdivided (the kernel is degree
+    -2, locally integrable). `field` is a rank-2 GridField.
     """
     points = np.atleast_2d(np.asarray(points, dtype=float))
     out = np.zeros((len(points), 3))
@@ -299,7 +303,7 @@ def tilde_vc(field, A, points):
     mask = np.any(S != 0.0, axis=-1)
     centers, S = field.cell_centers()[mask], S[mask]
     h = field.cell_size
-    near = _NEAR_FACTOR * float(np.max(h))
+    near = _near_radius(h)
     kernels.pair_sum(kernels.stresslet_velocity_kernel, field.cell_volume * S,
                      points, centers, out, exclude_within=near)
     # the near cells pair_sum skipped, subdivided
@@ -332,7 +336,7 @@ def _fill_cell_kernels(khat, filled, comps, n, box, lo, m):
     coefficient c, for each c in comps, from one (3, *m) kernel array filled
     slab by slab over the `kernels.row_blocks` of the lag grid, each slab with
     offsets of its own: index q holds lag q for q <= n - 1 - lo, else lag
-    q - m. Near lags are subdivided exactly as in `tilde_vc`."""
+    q - m. The lags within `_near_radius` are subdivided, as in `tilde_vc`."""
     h = (np.array(box[3:]) - np.array(box[:3])) / n
     x, y, z = (np.where(np.arange(k) <= n - 1 - l, np.arange(k), np.arange(k) - k) * hk
                for l, k, hk in zip(lo, m, h))
@@ -342,7 +346,7 @@ def _fill_cell_kernels(khat, filled, comps, n, box, lo, m):
         for rows in kernels.row_blocks(m[0], m[1] * m[2]):
             zs = np.stack(np.meshgrid(x[rows], y, z, indexing="ij", copy=False))
             r2 = zs[0] * zs[0] + zs[1] * zs[1] + zs[2] * zs[2]
-            near = r2 <= (_NEAR_FACTOR * float(np.max(h))) ** 2
+            near = r2 <= _near_radius(h) ** 2
             r2[near] = np.inf
             kern[:, rows] = kernels.stresslet_velocity_kernel(sym_matrix(units[c]), zs, r2)
             if near.any():
@@ -405,8 +409,9 @@ def fixed_point_vc(model, A, box, n, tol=1e-8, max_iter=50):
     Iterates v <- conv(coeff(D(v) + A)) on the grid, strains by centered
     differences, convolution by padded FFT with the cell-averaged stresslet
     kernel. The coefficient's sup norm must not exceed 1/8 (the contraction
-    gate); tol must be positive and finite and max_iter at least 1. The first iterate
-    coincides with `tilde_vc` sampled on the grid. The model is never
+    gate); tol must be positive and finite and max_iter at least 1. On any grid
+    the first iterate is `tilde_vc` at the cell centres, to rounding: both
+    subdivide the cells `_near_radius` selects. The model is never
     rasterized: its matrix is broadcast over its `support` block, found once
     per solve, so the strain, the projection and the mobility are computed on
     that block only (the differences of v on it plus a one-cell halo, so each

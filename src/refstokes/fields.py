@@ -2,8 +2,7 @@
 
 The leading three axes of `values` index cells (cell-centered samples); any
 trailing axes are the per-cell component shape, e.g. () for a scalar field,
-(3,) for a velocity, (5, 5) for a strain-to-stress coefficient field. The
-per-axis resolution is a power of two so grids feed the FFT paths directly.
+(3,) for a velocity, (5, 5) for a strain-to-stress coefficient field.
 """
 
 from __future__ import annotations
@@ -18,7 +17,7 @@ __all__ = ["GridField"]
 @dataclass(frozen=True, eq=False)
 class GridField:
     box: np.ndarray      # (2, 3) lower/upper corners
-    n: int               # cells per axis (power of two)
+    n: int               # cells per axis, at least 1
     values: np.ndarray   # (n, n, n) + component shape
 
     def __post_init__(self):
@@ -26,8 +25,8 @@ class GridField:
         if box.shape != (2, 3) or not np.all(box[1] > box[0]):
             raise ValueError("box must be [[lo],[hi]] with hi > lo per axis")
         n = int(self.n)
-        if n < 1 or (n & (n - 1)) != 0:
-            raise ValueError(f"grid resolution must be a power of two, got {n}")
+        if n < 1:
+            raise ValueError(f"grid resolution must be at least 1, got {n}")
         values = np.ascontiguousarray(self.values, dtype=float)
         if values.shape[:3] != (n, n, n):
             raise ValueError(f"values must start with shape ({n},{n},{n})")

@@ -174,6 +174,27 @@ def test_reflect_oracle_deviation(tmp_path, capsys):
     assert summary["oracle_max_deviation"] < 1e-8
 
 
+def test_reflect_oracle_reports_the_largest_particle_deviation(tmp_path, capsys):
+    # a loose tol leaves a deviation well above rounding, spread over the rows
+    doc = {"seed": 2, "solver": {"tol": 1e-4},
+           "cloud": {"kind": "rsa", "box": UNIT_BOX, "n": 50, "a": 0.015, "dmin": 0.08},
+           "strain": [1, 0, 0, 0, 0]}
+    cfgp = write_config(tmp_path, doc)
+    cloud_path, sol_path = tmp_path / "cloud.json", tmp_path / "s.json"
+    assert cli.main(["generate", "--config", cfgp, "--out", str(cloud_path)]) == 0
+    capsys.readouterr()
+    assert cli.main(["reflect", "--config", cfgp, "--cloud", str(cloud_path),
+                     "--out", str(sol_path), "--oracle"]) == 0
+    summary = json.loads(capsys.readouterr().out)
+    cloud = cl.load_cloud(cloud_path)
+    a_hat = np.array(json.loads(sol_path.read_text())["a_hat"])
+    dense = refl.dense_fixed_point(cloud, sym3.sym_from_list(doc["strain"]))
+    rows = np.linalg.norm(a_hat - dense.A_hat, axis=1)
+    assert 0 < summary["oracle_max_particle_deviation"] < summary["oracle_max_deviation"]
+    assert summary["oracle_max_particle_deviation"] == pytest.approx(rows.max(), rel=1e-9)
+    assert summary["oracle_max_deviation"] == pytest.approx(np.linalg.norm(rows), rel=1e-9)
+
+
 def test_reflect_gate_exit_code(tmp_path, capsys):
     cfgp = lattice_config(tmp_path, n_per_axis=2, a=0.115)
     cloud_path = tmp_path / "cloud.json"
@@ -390,8 +411,7 @@ def test_config_refuses_size_keys_of_another_kind(tmp_path, capsys):
 
 @pytest.mark.filterwarnings("ignore:grid spacing")
 @pytest.mark.parametrize("box, grid_n, message", [
-    ([[0, 0, 0], [2, 2, 0.5]], 16, "the spectral quadrature requires cubic cells"),
-    (UNIT_BOX, 12, "grid resolution must be a power of two, got 12")])
+    ([[0, 0, 0], [2, 2, 0.5]], 16, "the spectral quadrature requires cubic cells")])
 def test_compare_checks_its_grid_before_the_solve(tmp_path, capsys, monkeypatch,
                                                   box, grid_n, message):
     def solve(*args, **kwargs):
@@ -404,6 +424,17 @@ def test_compare_checks_its_grid_before_the_solve(tmp_path, capsys, monkeypatch,
         "sweep": {"phis": [1e-3]}})
     assert cli.main(["compare", "--config", cfgp, "--out", str(tmp_path / "r.json")]) == 4
     assert capsys.readouterr().err == f"error: {message}\n"
+
+
+@pytest.mark.filterwarnings("ignore:grid spacing")
+def test_compare_runs_on_a_grid_of_twelve(tmp_path):
+    # no power of two: the FFT lengths are 2^a 3^b, the H^-1 grid is padded to 24
+    cfgp = lattice_config(tmp_path, sweep={"phis": [1e-3]}, grid={"n": 12, "padding": 0.5})
+    out = tmp_path / "report.json"
+    assert cli.main(["compare", "--config", cfgp, "--out", str(out)]) == 0
+    report = json.loads(out.read_text())
+    assert report["grid_n"] == 12 and len(report["entries"]) == 1
+    assert report["entries"][0]["hminus1"] > 0 and report["entries"][0]["lp_proxy"] > 0
 
 
 @pytest.mark.filterwarnings("ignore:grid spacing")

@@ -555,7 +555,7 @@ def full_padding_convolution(sources, box, n):
     lag = np.where(np.arange(2 * n) < n, np.arange(2 * n), np.arange(2 * n) - 2 * n)
     z = np.meshgrid(lag * h[0], lag * h[1], lag * h[2], indexing="ij")
     r2 = z[0] * z[0] + z[1] * z[1] + z[2] * z[2]
-    near = r2 <= (eff._NEAR_FACTOR * float(np.max(h))) ** 2
+    near = r2 <= eff._near_radius(h) ** 2
     r2[near] = np.inf
     zn = np.stack([zi[near] for zi in z], axis=-1)
     out = np.zeros((n, n, n, 3))
@@ -731,18 +731,25 @@ def test_fixed_point_gate():
 
 
 def test_fixed_point_first_iterate_matches_tilde_vc():
-    model = eff.uniform_Meff(UNIT_BOX, 0.02, 5.0)
-    gbox = np.array([[-0.5] * 3, [1.5] * 3])
-    n = 16
-    raster = model.rasterize(gbox, n)
-    # UNIAXIAL has only coefficients 0 and 1; the second strain sends all
-    # five source coefficients, the off-diagonal ones included, through the FFT
-    for A in (UNIAXIAL, np.array([0.3, -0.7, 0.5, 0.2, -0.4])):
-        v1, _ = eff.fixed_point_vc(model, A, gbox, n, max_iter=1)
-        pts = v1.cell_centers().reshape(-1, 3)
-        direct = eff.tilde_vc(raster, A, pts).reshape(n, n, n, 3)
-        scale = np.max(np.abs(direct))
-        assert np.max(np.abs(v1.values - direct)) < 1e-6 * scale
+    # the unit box padded by 0.5 has dyadic cells, 2/n; padding 0.3 (cells
+    # 1.6/n) and the box of side 0.3 (cells 0.6/n) do not, so a source cell
+    # at exactly the near radius has offsets that round either way, and n
+    # takes values that are not powers of two
+    grids = [(UNIT_BOX, 0.5, 16)] + [(box, padding, n) for box, padding in
+                                     ((UNIT_BOX, 0.3), (0.3 * UNIT_BOX, 0.5))
+                                     for n in (12, 16, 24)]
+    for box, padding, n in grids:
+        model = eff.uniform_Meff(box, 0.02, 5.0)
+        gbox = box + padding * (box[1] - box[0]) * np.array([[-1.0], [1.0]])
+        raster = model.rasterize(gbox, n)
+        # UNIAXIAL has only coefficients 0 and 1; the second strain sends all
+        # five source coefficients, the off-diagonal ones included, through the FFT
+        for A in (UNIAXIAL, np.array([0.3, -0.7, 0.5, 0.2, -0.4])):
+            v1, _ = eff.fixed_point_vc(model, A, gbox, n, max_iter=1)
+            pts = v1.cell_centers().reshape(-1, 3)
+            direct = eff.tilde_vc(raster, A, pts).reshape(n, n, n, 3)
+            scale = np.max(np.abs(direct))
+            assert np.max(np.abs(v1.values - direct)) < 1e-6 * scale, (box[1][0], padding, n)
 
 
 def test_kernel_cache_holds_one_grid():

@@ -6,12 +6,17 @@ from refstokes.fields import GridField
 BOX = np.array([[-1.0, -1.0, -1.0], [1.0, 1.0, 1.0]])
 
 
-def test_power_of_two_enforced():
-    GridField.zeros(BOX, 8)
-    with pytest.raises(ValueError):
-        GridField.zeros(BOX, 12)
-    with pytest.raises(ValueError):
-        GridField.zeros(BOX, 0)
+@pytest.mark.parametrize("n", [1, 3, 8, 12, 24])
+def test_any_positive_resolution_accepted(n):
+    f = GridField.zeros(BOX, n)
+    assert f.n == n and f.values.shape == (n, n, n)
+    assert np.allclose(f.cell_size, 2.0 / n)
+
+
+@pytest.mark.parametrize("n", [0, -1, -8])
+def test_resolution_below_one_refused(n):
+    with pytest.raises(ValueError, match=f"grid resolution must be at least 1, got {n}"):
+        GridField(box=BOX, n=n, values=np.zeros((1, 1, 1)))
 
 
 @pytest.mark.parametrize("box, values, message", [
