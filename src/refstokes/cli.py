@@ -314,10 +314,9 @@ def run_compare_sweep(cfg):
         cloud = build_cloud(cfg, a=a)
         stats = cloudmod.validate(cloud)
         # the grid checks (n >= 1, cubic cells) fail here, before the solve;
-        # both fields go straight in, so both are freed before it
+        # spheres against c phi I need scalar fields only, no 5x5 grid
         model = effective.uniform_Meff(cloud.box, phi, cfg.compare.coefficient)
-        hm1 = effective.hminus1_distance(effective.assemble_MN(cloud, gbox, n),
-                                         model.rasterize(gbox, n))
+        hm1 = effective.sphere_hminus1_distance(cloud, model, gbox, n)
         sol = reflections.run_reflections(cloud, A, fixed_n=3,
                                           **_solver_kwargs(cfg))
         vc, _ = effective.fixed_point_vc(model, A, gbox, n, max_iter=1)

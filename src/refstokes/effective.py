@@ -29,6 +29,7 @@ __all__ = [
     "EffectiveModel",
     "uniform_Meff",
     "hminus1_distance",
+    "sphere_hminus1_distance",
     "tilde_vc",
     "fixed_point_vc",
     "clear_kernel_cache",
@@ -65,23 +66,15 @@ def _subcell_offsets(h, sub):
     return np.stack(grids, axis=-1).reshape(-1, 3)
 
 
-def assemble_MN(cloud, box, n):
-    """Rasterize the per-ball coefficient density onto a grid.
-
-    Each particle contributes its mobility scaled by 3/(4 pi a^3) on its own
-    ball; boundary cells receive the covered fraction (estimated from
-    _RASTER_SUB^3 midpoints per cell, on the cells `kernels.pairs_within`
-    finds near each ball, counted in `kernels.row_blocks` of (cell, ball)
-    pairs), so strictly interior cells carry the
-    exact matrix and the total integral matches sum of mobilities to a
-    fraction of a percent even when the balls are a few cells wide.
-    """
-    field = GridField.zeros(box, n, (5, 5))
+def _coverage(cloud, field):
+    """(flat cell, particle, weight) of the cells `kernels.pairs_within` finds
+    near each ball, sorted by (cell, particle); weight is 3/(4 pi a^3) times
+    the fraction of the cell's _RASTER_SUB^3 subcell midpoints in the ball."""
     h = field.cell_size
     if cloud.n and np.max(h) > cloud.a / 2.0:
         warnings.warn(
             f"grid spacing {np.max(h):.3g} is coarser than a/2 = {cloud.a / 2:.3g}; "
-            "rasterization is under-resolved", stacklevel=2)
+            "rasterization is under-resolved", stacklevel=3)
     # every subcell midpoint lies within (7/16)|h| of its cell centre
     cells = field.cell_centers().reshape(-1, 3)
     t, s, _ = kernels.pairs_within(cells, cloud.centers,
@@ -97,9 +90,19 @@ def assemble_MN(cloud, box, n):
         count[rows] = np.count_nonzero((r2 <= cloud.a ** 2).reshape(-1, _RASTER_SUB ** 3),
                                        axis=1)
     scale = 3.0 / (4.0 * np.pi * cloud.a ** 3)
+    return t, s, scale * (count / _RASTER_SUB ** 3)
+
+
+def assemble_MN(cloud, box, n):
+    """Rasterize the per-ball coefficient density onto an (n, n, n, 5, 5) grid:
+    each mobility times 3/(4 pi a^3) on its ball, boundary cells times their
+    covered fraction (`_coverage`), so strictly interior cells carry the exact
+    matrix and the total integral matches the sum of mobilities to a fraction
+    of a percent even when the balls are a few cells wide."""
+    field = GridField.zeros(box, n, (5, 5))
+    t, s, weight = _coverage(cloud, field)
     # pairs come sorted by (cell, particle): each cell sums in particle order
-    np.add.at(field.values.reshape(-1, 5, 5), t,
-              (scale * (count / _RASTER_SUB ** 3))[:, None, None] * cloud.mobilities[s])
+    np.add.at(field.values.reshape(-1, 5, 5), t, weight[:, None, None] * cloud.mobilities[s])
     return field
 
 
@@ -212,12 +215,8 @@ def hminus1_distance(f, g):
         raise ValueError("padded grid too small for the spectral quadrature")
     k1 = np.fft.fftfreq(npad, d=dx) * 2.0 * np.pi
     dxi = k1[1]
-    k2 = k1[:, None, None] ** 2 + k1[None, :, None] ** 2 + k1[None, None, :] ** 2
     # the near cube around the origin is handled on the refined subgrid
-    j1 = np.abs(np.rint(np.fft.fftfreq(npad) * npad).astype(int))
-    nx = j1 <= kmax
-    near = nx[:, None, None] & nx[None, :, None] & nx[None, None, :]
-    k2[near] = np.inf
+    nx = np.abs(np.rint(np.fft.fftfreq(npad) * npad).astype(int)) <= kmax
     # zoom transform: exact spectrum samples on the refined subgrid of the
     # near cube (keeps the whole estimate a positive quadratic form of the
     # field, so symmetry/triangle/translation hold to rounding)
@@ -237,7 +236,11 @@ def hminus1_distance(f, g):
             t = np.square(H.real)
             t += np.square(H.imag, out=H.imag)
             del H                                  # freed before the next large array
-            t /= k2
+            # |xi|^2 one `row_blocks` slab at a time, inf on the near cube
+            for rows in kernels.row_blocks(npad, npad * npad):
+                k2 = k1[rows, None, None] ** 2 + k1[None, :, None] ** 2 + k1[None, None, :] ** 2
+                k2[nx[rows, None, None] & nx[None, :, None] & nx[None, None, :]] = np.inf
+                t[rows] /= k2
             far_sq = float(np.sum(t)) * dx ** 6 * dxi ** 3
             del t
             # the zoom sums run over the component's nonzero block only: the
@@ -259,6 +262,21 @@ def hminus1_distance(f, g):
     return float(np.sqrt(total / (2.0 * np.pi) ** 3))
 
 
+def sphere_hminus1_distance(cloud, model, box, n):
+    """`hminus1_distance(assemble_MN(cloud, box, n), model.rasterize(box, n))`
+    of a sphere cloud and a model c I without (n, n, n, 5, 5) fields: both are
+    a scalar field times I, so it is sqrt(5) times the distance of the scalar
+    fields, the cloud's summed over the `_coverage` pairs as in `assemble_MN`."""
+    matrix = np.asarray(model.matrix, dtype=float)
+    if not (cloud.spherical and np.array_equal(matrix, matrix[0, 0] * np.eye(5))):
+        raise ValueError("the scalar H^-1 distance needs a sphere cloud and a model c I")
+    f, g = GridField.zeros(box, n), GridField.zeros(box, n)
+    t, s, weight = _coverage(cloud, f)
+    np.add.at(f.values.reshape(-1), t, weight * cloud.mobilities[s, 0, 0])
+    g.values[model.support(g)] = matrix[0, 0]
+    return float(np.sqrt(5.0) * hminus1_distance(f, g))
+
+
 # ---------------------------------------------------------------------------
 # mean-field correction velocity
 
@@ -270,16 +288,15 @@ def _near_radius(h):
     return _NEAR_FACTOR * float(np.max(h)) * (1.0 + 1e-9)
 
 
-def _subcell_velocity(m, z, h):
+def _subcell_velocity(m, z, h, offsets):
     """Stresslet velocity at offsets z (K, 3) from the centres of near cells
-    of size h, by the midpoint rule over the _NEAR_SUB^3 subcells of each
-    cell. m holds the 5 coefficients of a whole cell, each a scalar or a
-    (K, 1) array; a subcell centre within 1e-9 max(h) of its target is
+    of size h, by the midpoint rule over the subcell `offsets` of each cell
+    (`_subcell_offsets(h, _NEAR_SUB)`). m holds the 5 coefficients of a whole
+    cell, each a scalar or a (K, 1) array; a subcell centre within 1e-9 max(h) of its target is
     dropped. The kernel is evaluated on the `kernels.pair_blocks` of the
     (K x _NEAR_SUB^3) block, and each row adds its subcells one after
     another in subcell order."""
     w = sym_matrix(np.asarray(m) / _NEAR_SUB ** 3)
-    offsets = _subcell_offsets(h, _NEAR_SUB)
     out = np.zeros((len(z), 3))
     for rows, zs, r2 in kernels.pair_blocks(z, offsets, exclude_within=1e-9 * np.max(h)):
         v = np.stack(kernels.stresslet_velocity_kernel(
@@ -309,7 +326,7 @@ def tilde_vc(field, A, points):
     # the near cells pair_sum skipped, subdivided
     pn, cn, zn = kernels.pairs_within(points, centers, near)
     weights = (field.cell_volume * S[cn]).T[..., None]
-    np.add.at(out, pn, _subcell_velocity(weights, zn, h))
+    np.add.at(out, pn, _subcell_velocity(weights, zn, h, _subcell_offsets(h, _NEAR_SUB)))
     return out
 
 
@@ -332,27 +349,30 @@ def _stresslet_cell_kernels(n, box, lo, m):
 
 
 def _fill_cell_kernels(khat, filled, comps, n, box, lo, m):
-    """Fill [i, c], the rfft of velocity component i of one cell carrying unit
-    coefficient c, for each c in comps, from one (3, *m) kernel array filled
-    slab by slab over the `kernels.row_blocks` of the lag grid, each slab with
-    offsets of its own: index q holds lag q for q <= n - 1 - lo, else lag
-    q - m. The lags within `_near_radius` are subdivided, as in `tilde_vc`."""
+    """Fill [i, c], the rfftn of velocity component i of one cell carrying unit
+    coefficient c, for each c in comps, over the `kernels.row_blocks` slabs of
+    the lag grid, each with offsets shared by the coefficients (lag q at index
+    q <= n - 1 - lo, else q - m; lags within `_near_radius` subdivided, as in
+    `tilde_vc`), transformed on axes 2 and 1, then on axis 0 (rfftn's order)."""
     h = (np.array(box[3:]) - np.array(box[:3])) / n
     x, y, z = (np.where(np.arange(k) <= n - 1 - l, np.arange(k), np.arange(k) - k) * hk
                for l, k, hk in zip(lo, m, h))
     units = np.prod(h) * np.eye(5)
-    kern = np.empty((3,) + m)
+    offsets = _subcell_offsets(h, _NEAR_SUB)
+    for rows in kernels.row_blocks(m[0], m[1] * m[2]):
+        zs = np.stack(np.meshgrid(x[rows], y, z, indexing="ij", copy=False))
+        r2 = zs[0] * zs[0] + zs[1] * zs[1] + zs[2] * zs[2]
+        near = r2 <= _near_radius(h) ** 2
+        r2[near] = np.inf
+        zn = zs[:, near].T
+        for c in comps:
+            kern = kernels.stresslet_velocity_kernel(sym_matrix(units[c]), zs, r2)
+            if len(zn):
+                kern[:, near] = _subcell_velocity(units[c], zn, h, offsets).T
+            khat[:, c, rows] = np.fft.fft(np.fft.rfft(kern, axis=3), axis=2)
     for c in comps:
-        for rows in kernels.row_blocks(m[0], m[1] * m[2]):
-            zs = np.stack(np.meshgrid(x[rows], y, z, indexing="ij", copy=False))
-            r2 = zs[0] * zs[0] + zs[1] * zs[1] + zs[2] * zs[2]
-            near = r2 <= _near_radius(h) ** 2
-            r2[near] = np.inf
-            kern[:, rows] = kernels.stresslet_velocity_kernel(sym_matrix(units[c]), zs, r2)
-            if near.any():
-                kern[:, rows][:, near] = _subcell_velocity(units[c], zs[:, near].T, h).T
         for i in range(3):
-            khat[i, c] = np.fft.rfftn(kern[i])
+            np.fft.fft(khat[i, c], axis=0, out=khat[i, c])
         filled.add(c)
 
 

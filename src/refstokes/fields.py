@@ -39,9 +39,9 @@ class GridField:
 
     @classmethod
     def zeros(cls, box, n, component_shape=()):
-        n = int(n)
+        # at least one cell, so that __post_init__ refuses n < 1, not np.zeros
         return cls(box=np.asarray(box, float), n=n,
-                   values=np.zeros((n, n, n) + tuple(component_shape)))
+                   values=np.zeros((max(int(n), 1),) * 3 + tuple(component_shape)))
 
     @property
     def cell_size(self):

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import asdict
 from pathlib import Path
 
@@ -424,6 +425,41 @@ def test_compare_checks_its_grid_before_the_solve(tmp_path, capsys, monkeypatch,
         "sweep": {"phis": [1e-3]}})
     assert cli.main(["compare", "--config", cfgp, "--out", str(tmp_path / "r.json")]) == 4
     assert capsys.readouterr().err == f"error: {message}\n"
+
+
+@pytest.mark.filterwarnings("ignore:grid spacing")
+def test_compare_makes_no_coefficient_grid(monkeypatch):
+    # spheres against c phi I: the H^-1 distance of scalar fields. No block
+    # the size of an (n, n, n, 5, 5) field is alive when the quadrature
+    # starts, and the traced peak before the reflection solve stays below two
+    # of them (the 25-component fields peak at 25.9 MiB here, 11.8 without)
+    n = 32
+    field_bytes = n ** 3 * 25 * 8
+    cfg = cli.ExperimentConfig.from_json({
+        "seed": 1, "strain": [1.0, 0.0, 0.0, 0.0, 0.0],
+        "cloud": {"kind": "lattice", "box": UNIT_BOX, "n_per_axis": 2, "a": 0.02},
+        "grid": {"n": n, "padding": 0.5}, "sweep": {"phis": [1e-3]}})
+    largest, before_solve = [], []
+    hminus1, solve = eff.hminus1_distance, refl.run_reflections
+
+    def quadrature(f, g):
+        largest.append(max(t.size for t in tracemalloc.take_snapshot().traces))
+        return hminus1(f, g)
+
+    def reflections(*args, **kwargs):
+        before_solve.append(tracemalloc.get_traced_memory()[1])
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(eff, "hminus1_distance", quadrature)
+    monkeypatch.setattr(refl, "run_reflections", reflections)
+    eff._refined_weights(eff._HM1_KMAX)         # cached before tracing
+    tracemalloc.start()
+    try:
+        cli.run_compare_sweep(cfg)
+    finally:
+        tracemalloc.stop()
+    assert largest and max(largest) < field_bytes
+    assert before_solve and before_solve[0] < 2 * field_bytes
 
 
 @pytest.mark.filterwarnings("ignore:grid spacing")

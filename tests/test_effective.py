@@ -346,13 +346,50 @@ def traced_peak(call):
 def test_hminus1_memory_is_bounded():
     # one sphere against c phi I at n = 32: one component's difference, the
     # padded spectrum and the zoom cube are alive at a time, not the whole
-    # (n, n, n, 25) difference and full-size squared magnitudes (23 MiB)
+    # (n, n, n, 25) difference and full-size squared magnitudes (23 MiB), and
+    # |xi|^2 is built a slab at a time, not as a padded grid (13.4 MiB); the
+    # peak is 11.3 MiB, the zoom cube and its squared magnitudes
     box = np.array([[-0.5] * 3, [1.5] * 3])
     c = cl.generate_lattice(UNIT_BOX, 1, 0.15)
     MN = eff.assemble_MN(c, box, 32)
     Meff = eff.uniform_Meff(UNIT_BOX, cl.validate(c).phi_global).rasterize(box, 32)
     eff.hminus1_distance(MN, Meff)      # the refined weights are cached
-    assert traced_peak(lambda: eff.hminus1_distance(MN, Meff)) < 16 * 2 ** 20
+    assert traced_peak(lambda: eff.hminus1_distance(MN, Meff)) < 12 * 2 ** 20
+
+
+SPHERE_CLOUDS = {
+    "lattice": lambda: cl.generate_lattice(UNIT_BOX, 2, 0.1),
+    "rsa": lambda: cl.generate_rsa(UNIT_BOX, 30, 0.03, 0.15, seed=5),
+}
+
+
+@pytest.mark.filterwarnings("ignore:grid spacing")
+@pytest.mark.parametrize("kind", sorted(SPHERE_CLOUDS))
+@pytest.mark.parametrize("n", [8, 16, 24])
+@pytest.mark.parametrize("padding", [0.0, 0.3, 0.5])
+def test_sphere_hminus1_matches_the_assembled_fields(kind, n, padding):
+    # the scalar path against the 25-component fields it replaces
+    c = SPHERE_CLOUDS[kind]()
+    box = np.array([UNIT_BOX[0] - padding, UNIT_BOX[1] + padding])
+    model = eff.uniform_Meff(UNIT_BOX, cl.validate(c).phi_global)
+    want = eff.hminus1_distance(eff.assemble_MN(c, box, n), model.rasterize(box, n))
+    got = eff.sphere_hminus1_distance(c, model, box, n)
+    assert want > 0 and abs(got - want) <= 1e-15 * want
+
+
+def test_sphere_hminus1_refuses_what_is_not_a_scalar_field():
+    c = cl.generate_lattice(UNIT_BOX, 2, 0.1)
+    model = eff.uniform_Meff(UNIT_BOX, 0.01)
+    mob = np.array(c.mobilities)
+    mob[3, 0, 1] = mob[3, 1, 0] = 1e-3 * mob[3, 0, 0]
+    rod = cl.ParticleCloud(centers=c.centers, a=c.a, mobilities=mob, box=c.box)
+    with pytest.raises(ValueError, match="needs a sphere cloud and a model c I"):
+        eff.sphere_hminus1_distance(rod, model, UNIT_BOX, 8)
+    for matrix in (0.01 * np.diag([1.0, 1.0, 1.0, 1.0, 2.0]),
+                   0.01 * (np.eye(5) + 1e-3 * np.eye(5, k=1))):
+        anisotropic = eff.EffectiveModel(box=UNIT_BOX, matrix=matrix)
+        with pytest.raises(ValueError, match="needs a sphere cloud and a model c I"):
+            eff.sphere_hminus1_distance(c, anisotropic, UNIT_BOX, 8)
 
 
 def reference_refined_weights(kmax):
@@ -469,9 +506,10 @@ def test_subcell_velocity_bit_for_bit(rng):
     # more rows than one pair chunk holds, and a target on a subcell centre
     h = np.array([0.05, 0.04, 0.06])
     z = rng.uniform(-0.1, 0.1, size=(kernels.PAIR_BUDGET // 64 * 2 + 7, 3))
-    z[5] = eff._subcell_offsets(h, eff._NEAR_SUB)[9]
+    offsets = eff._subcell_offsets(h, eff._NEAR_SUB)
+    z[5] = offsets[9]
     for m in (np.prod(h) * rng.normal(size=5), rng.normal(size=(5, len(z), 1))):
-        assert np.array_equal(eff._subcell_velocity(m, z, h),
+        assert np.array_equal(eff._subcell_velocity(m, z, h, offsets),
                               reference_subcell_velocity(m, z, h))
 
 
@@ -492,6 +530,36 @@ def test_cell_kernel_spectra_do_not_depend_on_chunking(monkeypatch):
         monkeypatch.setattr(kernels, "PAIR_BUDGET", budget)
         spectra.append(cold_kernel_spectra(n, gbox, lo, m))
     assert all(np.array_equal(spectra[0], other) for other in spectra[1:])
+
+
+def reference_kernel_spectra(n, gbox, lo, m):
+    """The kernel spectra as `rfftn` of whole lag-grid kernels: lag q at index
+    q <= n - 1 - lo, else q - m, the near lags subdivided."""
+    h = (gbox[1] - gbox[0]) / n
+    lags = (np.where(np.arange(k) <= n - 1 - l, np.arange(k), np.arange(k) - k) * hk
+            for l, k, hk in zip(lo, m, h))
+    z = np.stack(np.meshgrid(*lags, indexing="ij"))
+    r2 = z[0] * z[0] + z[1] * z[1] + z[2] * z[2]
+    near = r2 <= eff._near_radius(h) ** 2
+    r2[near] = np.inf
+    khat = np.empty((3, 5, m[0], m[1], m[2] // 2 + 1), dtype=complex)
+    for c, unit in enumerate(np.prod(h) * np.eye(5)):
+        kern = kernels.stresslet_velocity_kernel(sym3.sym_matrix(unit), z, r2)
+        kern[:, near] = eff._subcell_velocity(unit, z[:, near].T, h,
+                                              eff._subcell_offsets(h, eff._NEAR_SUB)).T
+        for i in range(3):
+            khat[i, c] = np.fft.rfftn(kern[i])
+    return khat
+
+
+@pytest.mark.parametrize("n, gbox, lo, m", [
+    (8, np.array([[-0.5] * 3, [1.5] * 3]), (2, 2, 0), (12, 16, 12)),
+    (16, np.array([[-0.5, -0.2, 0.0], [1.5, 1.0, 0.9]]), (3, 0, 5), (24, 32, 24)),  # 2 slabs
+])
+def test_cell_kernel_spectra_are_rfftn_of_the_lag_grid(n, gbox, lo, m):
+    # the slabs' transforms on axes 2 and 1, finished on axis 0, keep rfftn's bits
+    assert np.array_equal(cold_kernel_spectra(n, gbox, lo, m),
+                          reference_kernel_spectra(n, gbox, lo, m))
 
 
 def five_component_convolution(sources, gbox, n):
@@ -561,7 +629,7 @@ def full_padding_convolution(sources, box, n):
     out = np.zeros((n, n, n, 3))
     for c, unit in enumerate(np.prod(h) * np.eye(5)):
         kern = kernels.stresslet_velocity_kernel(sym3.sym_matrix(unit), z, r2)
-        close = eff._subcell_velocity(unit, zn, h)
+        close = eff._subcell_velocity(unit, zn, h, eff._subcell_offsets(h, eff._NEAR_SUB))
         shat = np.fft.rfftn(sources[..., c], s=(2 * n,) * 3, axes=(0, 1, 2))
         for i in range(3):
             kern[i][near] = close[:, i]
@@ -795,10 +863,11 @@ def test_kernel_transforms_only_for_the_components_used(monkeypatch):
     # a basis strain's first iterate has sources in coefficient 0 alone
     gbox, n = np.array([[-0.5] * 3, [1.5] * 3]), 16
     model = eff.uniform_Meff(UNIT_BOX, 0.01)
-    calls, rfftn = [], np.fft.rfftn
-    # kernel spectra are transforms of the padded lag grid itself; source
-    # transforms pad to the lengths s
-    monkeypatch.setattr(np.fft, "rfftn", lambda *a, **k: calls.append("s" not in k) or rfftn(*a, **k))
+    calls, fft = [], np.fft.fft
+    # each kernel spectrum is finished by one fft along axis 0 (the slab
+    # transforms run along later axes, the convolution uses rfftn and ifft)
+    monkeypatch.setattr(np.fft, "fft",
+                        lambda *a, **k: calls.append(k.get("axis") == 0) or fft(*a, **k))
     eff.clear_kernel_cache()
     logs = []
     for max_iter, kernel_transforms in ((1, 3), (50, 12), (50, 0)):

@@ -17,6 +17,8 @@ def test_any_positive_resolution_accepted(n):
 def test_resolution_below_one_refused(n):
     with pytest.raises(ValueError, match=f"grid resolution must be at least 1, got {n}"):
         GridField(box=BOX, n=n, values=np.zeros((1, 1, 1)))
+    with pytest.raises(ValueError, match=f"grid resolution must be at least 1, got {n}"):
+        GridField.zeros(BOX, n, (5, 5))
 
 
 @pytest.mark.parametrize("box, values, message", [
