@@ -155,32 +155,43 @@ def uniform_Meff(box, phi, coefficient=5.0):
 
 
 @functools.lru_cache(maxsize=1)
-def _refined_weights(kmax):
-    """Cell-integrated 1/|xi|^2 weights on the refined spectral subgrid.
+def _near_origin_weights(kmax):
+    """The block of `_refined_weights` subcells within 2.6 subcells of the
+    origin (one slice for every axis) and their weights: means over 24^3
+    points, exact (a quarter of the unit-cube constant) on the 8 corner ones."""
+    s = 1.0 / _HM1_SUB
+    c1 = (np.arange((2 * kmax + 1) * _HM1_SUB) + 0.5) * s - (kmax + 0.5)
+    near = np.flatnonzero(np.abs(c1) < 2.6 * s)
+    row = (c1[near, None] + ((np.arange(24) + 0.5) / 24 - 0.5) * s) ** 2
+    w = np.empty((len(near),) * 3)
+    for i, j, l in np.ndindex(w.shape):
+        rr = row[i][:, None, None] + row[j][None, :, None] + row[l][None, None, :]
+        w[i, j, l] = np.mean(1.0 / rr) * s ** 3
+    c = np.abs(c1[near]) < 0.6 * s
+    w[c[:, None, None] & c[None, :, None] & c[None, None, :]] = (_C0_UNIT_CUBE / 4.0) * s
+    w.setflags(write=False)
+    return slice(int(near[0]), int(near[-1]) + 1), w
+
+
+def _refined_weights(kmax, rows=slice(None)):
+    """Cell-integrated 1/|xi|^2 weights on the refined spectral subgrid, [x, y, z]
+    for the z indices in `rows` (all by default), laid out (z, y, x).
 
     The near region is the cube of (2 kmax + 1)^3 spectral cells around the
     origin, split into subcells of width 1/_HM1_SUB (units of one spectral
-    cell). The origin falls on a subcell corner, so no weight is singular: the 8
-    corner-touching subcells get their exact integral (a quarter of the
-    unit-cube constant), subcells nearby are subdivided, the rest use the
-    midpoint value. Scale-invariant: multiply by the spectral cell width.
+    cell). The origin falls on a subcell corner, so no weight is singular: the
+    subcells near it take `_near_origin_weights`, the rest the midpoint value.
+    Scale-invariant: multiply by the spectral cell width.
     """
     m = (2 * kmax + 1) * _HM1_SUB
     s = 1.0 / _HM1_SUB
-    c1 = (np.arange(m) + 0.5) * s - (kmax + 0.5)
-    c2 = c1 ** 2
-    w = s ** 3 / (c2[:, None, None] + c2[None, :, None] + c2[None, None, :])
-    # subdivide subcells within a couple of subcells of the origin
-    t = ((np.arange(24) + 0.5) / 24 - 0.5) * s
-    row, mid = (c1[:, None] + t) ** 2, np.abs(c1) < 2.6 * s
-    for i, j, l in np.argwhere(mid[:, None, None] & mid[None, :, None] & mid[None, None, :]):
-        rr = row[i][:, None, None] + row[j][None, :, None] + row[l][None, None, :]
-        w[i, j, l] = np.mean(1.0 / rr) * s ** 3
-    # the 8 subcells whose corner touches the origin, exactly
-    c = np.abs(c1) < 0.6 * s
-    w[c[:, None, None] & c[None, :, None] & c[None, None, :]] = (_C0_UNIT_CUBE / 4.0) * s
-    w.setflags(write=False)
-    return w
+    c2 = ((np.arange(m) + 0.5) * s - (kmax + 0.5)) ** 2
+    w = s ** 3 / ((c2[None, :] + c2[:, None]) + c2[rows, None, None])    # [z, y, x]
+    near, block = _near_origin_weights(kmax)
+    z = np.arange(m)[rows] - near.start
+    inside = (z >= 0) & (z < block.shape[2])
+    w[inside, near, near] = block.T[z[inside]]
+    return w.T
 
 
 def hminus1_distance(f, g):
@@ -194,14 +205,15 @@ def hminus1_distance(f, g):
     weights. The whole estimate is a fixed positive quadratic form of the
     field difference, so it is a genuine grid norm: symmetric, triangle
     inequality and translation invariance hold to rounding. Requires cubic
-    cells. The difference is formed afresh one component at a time, and the
-    squared magnitudes are weighted in place, so one grid-size working field
-    is alive beyond the distinct components, the padded spectrum or the zoom
-    cube. The zoom transform of a component runs over the bounding block of
-    its nonzero cells. Each distinct nonzero component is integrated once (and
-    kept to match later ones), and its sum is added again, in component order,
-    for every equal one (the diagonal of a sphere field against c phi I, the
-    (b, a) twin of a symmetric (a, b)).
+    cells. The difference is formed afresh one component at a time. Each of
+    its two sums reads one real array filled over `kernels.row_blocks` slabs,
+    with bits that do not depend on their size: the far one from the n padded
+    planes of the transform on axes 2 and 1, the zoom one from a slab of its
+    last contraction and of the weights. The zoom transform of a component
+    runs over the bounding block of its nonzero cells. Each distinct nonzero
+    component is integrated once (and kept to match later ones), and its sum
+    is added again, in component order, for every equal one (the diagonal of
+    a sphere field against c phi I, the (b, a) twin of a symmetric (a, b)).
     """
     if not f.same_grid(g) or f.values.shape != g.values.shape:
         raise GridMismatchError("fields must share one grid and component shape")
@@ -220,8 +232,7 @@ def hminus1_distance(f, g):
     # zoom transform: exact spectrum samples on the refined subgrid of the
     # near cube (keeps the whole estimate a positive quadratic form of the
     # field, so symmetry/triangle/translation hold to rounding)
-    weights = _refined_weights(kmax)
-    m = weights.shape[0]
+    m = (2 * kmax + 1) * _HM1_SUB
     xi = ((np.arange(m) + 0.5) / _HM1_SUB - (kmax + 0.5)) * dxi
     E = np.exp(-1j * np.outer(xi, f.axes()[0]))
     fv, gv = f.values.reshape(n, n, n, -1), g.values.reshape(n, n, n, -1)
@@ -232,15 +243,16 @@ def hminus1_distance(f, g):
             continue
         sq = next((v for a, v in done if np.array_equal(a, arr)), None)
         if sq is None:
-            H = np.fft.fftn(arr, s=(npad,) * 3, axes=(0, 1, 2))
-            t = np.square(H.real)
-            t += np.square(H.imag, out=H.imag)
-            del H                                  # freed before the next large array
-            # |xi|^2 one `row_blocks` slab at a time, inf on the near cube
+            # axes 2 and 1, then axis 0 over slabs of axis 1 (fftn's order and
+            # bits), each slab squared and over |xi|^2, inf on the near cube
+            H = np.fft.fftn(arr, s=(npad, npad), axes=(1, 2))
+            t = np.empty((npad,) * 3)
             for rows in kernels.row_blocks(npad, npad * npad):
-                k2 = k1[rows, None, None] ** 2 + k1[None, :, None] ** 2 + k1[None, None, :] ** 2
-                k2[nx[rows, None, None] & nx[None, :, None] & nx[None, None, :]] = np.inf
-                t[rows] /= k2
+                G = np.fft.fft(H[:, rows], n=npad, axis=0)
+                k2 = k1[:, None, None] ** 2 + k1[None, rows, None] ** 2 + k1[None, None, :] ** 2
+                k2[nx[:, None, None] & nx[None, rows, None] & nx[None, None, :]] = np.inf
+                np.divide(np.square(G.real) + np.square(G.imag), k2, out=t[:, rows])
+            del H, G, k2                     # freed before the zoom
             far_sq = float(np.sum(t)) * dx ** 6 * dxi ** 3
             del t
             # the zoom sums run over the component's nonzero block only: the
@@ -248,13 +260,15 @@ def hminus1_distance(f, g):
             cx, cy, cz = _nonzero_block(arr)
             Z = np.tensordot(E[:, cx], arr[cx, cy, cz], axes=(1, 0))   # (m, ., .)
             Z = np.tensordot(E[:, cy], Z, axes=(1, 1))               # (m_y, m_x, .)
-            Z = np.tensordot(E[:, cz], Z, axes=(1, 2))               # (m_z, m_y, m_x)
-            Z *= dx ** 3
-            Z = Z.transpose(2, 1, 0)
-            t = np.square(Z.real)
-            t += np.square(Z.imag, out=Z.imag)
-            del Z
-            t *= weights
+            # the last contraction over slabs of whole pairs of xi_z rows (m is
+            # even; one row would go to gemv, which rounds otherwise than gemm),
+            # weighted into t laid out (z, y, x)
+            t = np.empty((m, m, m))
+            for half in kernels.row_blocks(m // 2, 2 * m * m):
+                rows = slice(2 * half.start, 2 * half.stop)
+                S = np.tensordot(E[rows, cz], Z, axes=(1, 2)) * dx ** 3   # (., m_y, m_x)
+                np.multiply(np.square(S.real) + np.square(S.imag),
+                            _refined_weights(kmax, rows).T, out=t[rows])
             sq = far_sq + float(np.sum(t)) * dxi
             del t
             done.append((arr, sq))

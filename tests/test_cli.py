@@ -432,7 +432,9 @@ def test_compare_makes_no_coefficient_grid(monkeypatch):
     # spheres against c phi I: the H^-1 distance of scalar fields. No block
     # the size of an (n, n, n, 5, 5) field is alive when the quadrature
     # starts, and the traced peak before the reflection solve stays below two
-    # of them (the 25-component fields peak at 25.9 MiB here, 11.8 without)
+    # of them (the 25-component fields peak at 25.9 MiB here, 11.8 without,
+    # 6.7 with the quadrature filled slab by slab). The quadrature caches no
+    # weight cube, so a cold run is traced as it is
     n = 32
     field_bytes = n ** 3 * 25 * 8
     cfg = cli.ExperimentConfig.from_json({
@@ -452,7 +454,6 @@ def test_compare_makes_no_coefficient_grid(monkeypatch):
 
     monkeypatch.setattr(eff, "hminus1_distance", quadrature)
     monkeypatch.setattr(refl, "run_reflections", reflections)
-    eff._refined_weights(eff._HM1_KMAX)         # cached before tracing
     tracemalloc.start()
     try:
         cli.run_compare_sweep(cfg)

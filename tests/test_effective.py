@@ -283,8 +283,8 @@ def reference_hminus1(f, g):
     return float(np.sqrt(total / (2.0 * np.pi) ** 3))
 
 
-def test_hminus1_reuses_equal_components_bit_for_bit(rng):
-    # zero, equal (the diagonal), symmetric-pair and distinct components
+def component_fields(rng):
+    """Zero, equal (the diagonal), symmetric-pair and distinct components."""
     f = GridField.zeros(np.array([[-4.0] * 3, [4.0] * 3]), 16, (5, 5))
     bumps = [bump_field(rng, n=16).values for _ in range(4)]
     for i in range(5):
@@ -295,8 +295,34 @@ def test_hminus1_reuses_equal_components_bit_for_bit(rng):
     f.values[..., 1, 3] = -bumps[3]
     g = GridField.zeros(f.box, f.n, (5, 5))
     g.values[..., 3, 4] = 0.5 * bumps[0]
+    return f, g
+
+
+def test_hminus1_reuses_equal_components_bit_for_bit(rng):
+    f, g = component_fields(rng)
     assert eff.hminus1_distance(f, g) == reference_hminus1(f, g)
     assert eff.hminus1_distance(g, f) == reference_hminus1(g, f)
+
+
+def test_hminus1_bits_do_not_depend_on_the_slab_size(rng, monkeypatch):
+    # the far sum runs over slabs of the padded axis 1 and the zoom sum over
+    # slabs of xi_z (78 rows); a seam that reassociates a sum shows here.
+    # Budget 1 gives one-row far slabs and two-row zoom slabs, 5 * 78^2
+    # uneven slabs of both (29 of 32 far rows, 4-row zoom slabs ending in
+    # 2), 10^9 one slab each; grids 12 and 24 pad to 24 and 48. Noise puts
+    # most of a sum in the far part, bumps in the zoom part. A last-bit
+    # change often rounds away in the root, so each kind comes six times:
+    # a one-row zoom slab (numpy's gemv, not gemm) changes about one in five
+    pairs = [component_fields(rng)]
+    box = np.array([[-3.0] * 3, [3.0] * 3])
+    for n in (12, 24):
+        for _ in range(6):
+            for values in (rng.normal(size=(n, n, n)), bump_field(rng, n=n, side=6.0).values):
+                pairs.append((GridField(box=box, n=n, values=values), GridField.zeros(box, n)))
+    want = [eff.hminus1_distance(f, g) for f, g in pairs]
+    for budget in (1, 5 * 78 ** 2, 10 ** 9):
+        monkeypatch.setattr(kernels, "PAIR_BUDGET", budget)
+        assert [eff.hminus1_distance(f, g) for f, g in pairs] == want
 
 
 @pytest.mark.parametrize("block", [
@@ -343,18 +369,46 @@ def traced_peak(call):
         tracemalloc.stop()
 
 
-def test_hminus1_memory_is_bounded():
-    # one sphere against c phi I at n = 32: one component's difference, the
-    # padded spectrum and the zoom cube are alive at a time, not the whole
-    # (n, n, n, 25) difference and full-size squared magnitudes (23 MiB), and
-    # |xi|^2 is built a slab at a time, not as a padded grid (13.4 MiB); the
-    # peak is 11.3 MiB, the zoom cube and its squared magnitudes
+def sphere_against_model(n):
+    """One sphere's coefficient field and c phi I, on a grid of n."""
     box = np.array([[-0.5] * 3, [1.5] * 3])
     c = cl.generate_lattice(UNIT_BOX, 1, 0.15)
-    MN = eff.assemble_MN(c, box, 32)
-    Meff = eff.uniform_Meff(UNIT_BOX, cl.validate(c).phi_global).rasterize(box, 32)
-    eff.hminus1_distance(MN, Meff)      # the refined weights are cached
-    assert traced_peak(lambda: eff.hminus1_distance(MN, Meff)) < 12 * 2 ** 20
+    model = eff.uniform_Meff(UNIT_BOX, cl.validate(c).phi_global)
+    return eff.assemble_MN(c, box, n), model.rasterize(box, n)
+
+
+def test_hminus1_memory_is_bounded():
+    # one sphere against c phi I at n = 32: one component's difference is
+    # alive at a time, not the whole (n, n, n, 25) difference (23 MiB); the
+    # far sum holds the n padded planes of its transform on axes 2 and 1 (2
+    # MiB) and its real sum array (2 MiB), and the zoom sum its real (78^3)
+    # array and the last-but-one contraction, each filled a slab at a time.
+    # The peak is 5.9 MiB (11.3 with the complex padded spectrum and zoom cube)
+    MN, Meff = sphere_against_model(32)
+    eff.hminus1_distance(MN, Meff)
+    assert traced_peak(lambda: eff.hminus1_distance(MN, Meff)) < 7 * 2 ** 20
+
+
+def test_hminus1_memory_is_bounded_at_grid_64():
+    # the far sum's planes (16 MiB) and real sum array (16 MiB) at the peak,
+    # 34.8 MiB; the whole complex padded spectrum (32 MiB) made it 50.1 MiB
+    MN, Meff = sphere_against_model(64)
+    eff.hminus1_distance(MN, Meff)
+    assert traced_peak(lambda: eff.hminus1_distance(MN, Meff)) < 38 * 2 ** 20
+
+
+def test_hminus1_keeps_no_weight_cube():
+    # a cold call caches the 216 near-origin weights, not a (78, 78, 78) cube
+    MN, Meff = sphere_against_model(32)
+    m = (2 * eff._HM1_KMAX + 1) * eff._HM1_SUB
+    eff._near_origin_weights.cache_clear()
+    tracemalloc.start()
+    try:
+        eff.hminus1_distance(MN, Meff)
+        left = max(t.size for t in tracemalloc.take_snapshot().traces)
+    finally:
+        tracemalloc.stop()
+    assert left < m ** 3 * 8
 
 
 SPHERE_CLOUDS = {
