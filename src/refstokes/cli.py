@@ -1,11 +1,12 @@
 """Command-line front end.
 
 Verbs: generate | reflect | einstein | compare | validate. One JSON config
-document drives every command; a few common fields can be overridden by
-flags. All outputs (cloud files, solution files, CSV tables, reports) are
-deterministic functions of the config, so re-runs are byte-identical. This
-module reads and writes them through one schema-checked JSON reader, one JSON
-writer and one CSV writer; `cloud.save_cloud`/`load_cloud` (bench/) skip the schema.
+document holds every run parameter; a flag names a file a verb reads or
+writes, or is the `reflect --oracle` cross-check. All outputs (cloud files,
+solution files, CSV tables, reports) are deterministic functions of the
+config, so re-runs are byte-identical. This module reads and writes them
+through one schema-checked JSON reader, one JSON writer and one CSV writer;
+`cloud.save_cloud`/`load_cloud` (bench/) skip the schema.
 
 Exit codes: 0 success, 2 generation infeasible (separation/saturation),
 3 convergence-gate violation, 4 invalid parameter, 1 internal error.
@@ -404,7 +405,6 @@ def _build_parser():
     gen.add_argument("--config", required=True)
     gen.add_argument("--out", default="cloud.json")
     gen.add_argument("--csv", default=None, help="optional CSV of centers")
-    gen.add_argument("--seed", type=int, default=None)
 
     ref = sub.add_parser("reflect", help="run the reflection solver on a cloud")
     ref.add_argument("--config", required=True)
@@ -414,9 +414,6 @@ def _build_parser():
     ref.add_argument("--oracle", action="store_true",
                      help="cross-check against the dense solve "
                           f"(5N <= {reflections.DENSE_MAX_UNKNOWNS})")
-    ref.add_argument("--force", action="store_true",
-                     help="override the volume-fraction gate")
-    ref.add_argument("--tol", type=float, default=None)
 
     ein = sub.add_parser("einstein", help="effective-viscosity coefficient sweep")
     ein.add_argument("--config", required=True)
@@ -425,31 +422,17 @@ def _build_parser():
     cmp_ = sub.add_parser("compare", help="homogenization error report")
     cmp_.add_argument("--config", required=True)
     cmp_.add_argument("--out", default="compare.json")
-    cmp_.add_argument("--p", type=float, default=None)
 
     val = sub.add_parser("validate", help="run the built-in invariant battery")
-    val.add_argument("--config", default=None)
     val.add_argument("--cloud", default=None)
     return parser
-
-
-def _apply_overrides(cfg, args):
-    if getattr(args, "seed", None) is not None:
-        cfg.seed = args.seed
-    if getattr(args, "tol", None) is not None:
-        cfg.solver.tol = args.tol
-    if getattr(args, "force", False):
-        cfg.solver.force = True
-    if getattr(args, "p", None) is not None:
-        cfg.compare.p = args.p
-    return cfg
 
 
 def main(argv=None):
     try:
         args = _build_parser().parse_args(argv)
-        cfg = load_config(args.config) if getattr(args, "config", None) else ExperimentConfig()
-        cfg = _apply_overrides(cfg, args)
+        # validate's battery reads no config
+        cfg = load_config(args.config) if args.command != "validate" else None
         handler = {"generate": cmd_generate, "reflect": cmd_reflect,
                    "einstein": cmd_einstein, "compare": cmd_compare,
                    "validate": cmd_validate}[args.command]

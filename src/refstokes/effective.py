@@ -210,10 +210,10 @@ def hminus1_distance(f, g):
     with bits that do not depend on their size: the far one from the n padded
     planes of the transform on axes 2 and 1, the zoom one from a slab of its
     last contraction and of the weights. The zoom transform of a component
-    runs over the bounding block of its nonzero cells. Each distinct nonzero
-    component is integrated once (and kept to match later ones), and its sum
-    is added again, in component order, for every equal one (the diagonal of
-    a sphere field against c phi I, the (b, a) twin of a symmetric (a, b)).
+    runs over the bounding block of its nonzero cells. A nonzero component
+    whose inputs in both fields equal an earlier integrated one's (the
+    diagonal of a sphere field against c phi I, the (b, a) twin of a
+    symmetric (a, b)) adds that sum again; only (component, sum) pairs stay.
     """
     if not f.same_grid(g) or f.values.shape != g.values.shape:
         raise GridMismatchError("fields must share one grid and component shape")
@@ -236,12 +236,13 @@ def hminus1_distance(f, g):
     xi = ((np.arange(m) + 0.5) / _HM1_SUB - (kmax + 0.5)) * dxi
     E = np.exp(-1j * np.outer(xi, f.axes()[0]))
     fv, gv = f.values.reshape(n, n, n, -1), g.values.reshape(n, n, n, -1)
-    total, done = 0.0, []                    # (a distinct component, its far + near sum)
+    total, done = 0.0, []                    # (an integrated component, its far + near sum)
     for c in range(fv.shape[-1]):
         arr = fv[..., c] - gv[..., c]
         if not arr.any():
             continue
-        sq = next((v for a, v in done if np.array_equal(a, arr)), None)
+        sq = next((v for d, v in done if np.array_equal(fv[..., d], fv[..., c])
+                   and np.array_equal(gv[..., d], gv[..., c])), None)
         if sq is None:
             # axes 2 and 1, then axis 0 over slabs of axis 1 (fftn's order and
             # bits), each slab squared and over |xi|^2, inf on the near cube
@@ -271,7 +272,7 @@ def hminus1_distance(f, g):
                             _refined_weights(kmax, rows).T, out=t[rows])
             sq = far_sq + float(np.sum(t)) * dxi
             del t
-            done.append((arr, sq))
+            done.append((c, sq))
         total += sq
     return float(np.sqrt(total / (2.0 * np.pi) ** 3))
 

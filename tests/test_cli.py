@@ -204,8 +204,10 @@ def test_reflect_gate_exit_code(tmp_path, capsys):
     rc = cli.main(["reflect", "--config", cfgp, "--cloud", str(cloud_path),
                    "--out", str(tmp_path / "s.json")])
     assert rc == 3
-    rc = cli.main(["reflect", "--config", cfgp, "--cloud", str(cloud_path),
-                   "--out", str(tmp_path / "s.json"), "--force"])
+    forced = write_config(tmp_path, dict(json.loads(Path(cfgp).read_text()),
+                                         solver={"force": True}), name="forced.json")
+    rc = cli.main(["reflect", "--config", forced, "--cloud", str(cloud_path),
+                   "--out", str(tmp_path / "s.json")])
     assert rc == 0
 
 
@@ -214,16 +216,15 @@ def test_reflect_tol_override(tmp_path, capsys):
            "cloud": {"kind": "rsa", "box": UNIT_BOX, "n": 40, "a": 0.008,
                      "dmin": 0.07},
            "strain": [1, 0, 0, 0, 0]}
-    cfgp = write_config(tmp_path, doc)
+    cfgp = write_config(tmp_path, dict(doc, solver={"tol": 1e-10}))
+    coarse_cfg = write_config(tmp_path, dict(doc, solver={"tol": 1e-3}), name="coarse.json")
     cloud_path = tmp_path / "cloud.json"
     cli.main(["generate", "--config", cfgp, "--out", str(cloud_path)])
     capsys.readouterr()
-    base = ["reflect", "--config", cfgp, "--cloud", str(cloud_path),
-            "--out", str(tmp_path / "s.json")]
-    assert cli.main(base) == 0
-    fine = json.loads(capsys.readouterr().out)
-    assert cli.main(base + ["--tol", "1e-3"]) == 0
-    coarse = json.loads(capsys.readouterr().out)
+    for config in (cfgp, coarse_cfg):
+        assert cli.main(["reflect", "--config", config, "--cloud", str(cloud_path),
+                         "--out", str(tmp_path / "s.json")]) == 0
+    fine, coarse = (json.loads(line) for line in capsys.readouterr().out.splitlines())
     assert fine["converged"] and coarse["converged"]
     assert coarse["iterations"] < fine["iterations"]
 
@@ -285,20 +286,6 @@ def test_config_refuses_non_finite_numbers(tmp_path, capsys, doc, constant):
         assert cli.main(argv) == 4
         assert f"{constant} is not a JSON number" in capsys.readouterr().err
     assert not (tmp_path / "c.json").exists() and not (tmp_path / "s.json").exists()
-
-
-def test_reflect_refuses_a_nan_tol_flag(tmp_path, capsys):
-    # and an infinite one, which stopped after one sweep with "converged": true
-    cfgp = lattice_config(tmp_path)
-    cloud_path = tmp_path / "cloud.json"
-    assert cli.main(["generate", "--config", cfgp, "--out", str(cloud_path)]) == 0
-    capsys.readouterr()
-    sol_path = tmp_path / "s.json"
-    for tol in ("nan", "inf"):
-        assert cli.main(["reflect", "--config", cfgp, "--cloud", str(cloud_path),
-                         "--out", str(sol_path), "--tol", tol]) == 4
-        assert "tol must be positive and finite" in capsys.readouterr().err
-        assert not sol_path.exists()
 
 
 def test_reflect_determinism(tmp_path, capsys):
@@ -380,12 +367,8 @@ def test_compare_p_out_of_range(tmp_path, capsys):
                           compare={"p": 1.6, "coefficient": 5.0})
     rc = cli.main(["compare", "--config", cfgp, "--out", str(tmp_path / "r.json")])
     assert rc == 4
-    # the flag overrides a valid config value
-    cfgp = lattice_config(tmp_path, sweep={"phis": [1e-3]})
-    rc = cli.main(["compare", "--config", cfgp, "--out", str(tmp_path / "r.json"),
-                   "--p", "1.6"])
-    assert rc == 4
     assert "got 1.6" in capsys.readouterr().err
+    assert not (tmp_path / "r.json").exists()
 
 
 @pytest.mark.parametrize("kind, message", [
@@ -598,11 +581,31 @@ def test_seed_override(tmp_path, capsys):
            "cloud": {"kind": "rsa", "box": UNIT_BOX, "n": 10, "a": 0.01,
                      "dmin": 0.1},
            "strain": [1, 0, 0, 0, 0]}
-    cfgp = write_config(tmp_path, doc)
     o1, o2 = tmp_path / "c1.json", tmp_path / "c2.json"
-    cli.main(["generate", "--config", cfgp, "--out", str(o1)])
-    cli.main(["generate", "--config", cfgp, "--out", str(o2), "--seed", "2"])
+    for seed, out in ((1, o1), (2, o2)):
+        cfgp = write_config(tmp_path, dict(doc, seed=seed), name=f"config{seed}.json")
+        assert cli.main(["generate", "--config", cfgp, "--out", str(out)]) == 0
     assert o1.read_bytes() != o2.read_bytes()
+
+
+@pytest.mark.parametrize("verb, flag", [
+    ("generate", ["--seed", "2"]), ("reflect", ["--tol", "1e-3"]), ("reflect", ["--force"]),
+    ("compare", ["--p", "1.3"]), ("validate", ["--config", "config.json"])],
+    ids=["generate_seed", "reflect_tol", "reflect_force", "compare_p", "validate_config"])
+def test_run_parameters_are_not_flags(tmp_path, capsys, verb, flag):
+    # every run parameter lives in the config, so a run is rebuilt from its files
+    cfgp = lattice_config(tmp_path, sweep={"phis": [1e-3]}, grid={"n": 8, "padding": 0.5})
+    cloud_path = tmp_path / "cloud.json"
+    assert cli.main(["generate", "--config", cfgp, "--out", str(cloud_path)]) == 0
+    capsys.readouterr()
+    out = tmp_path / "out.json"
+    argv = {"generate": ["--config", cfgp, "--out", str(out)],
+            "reflect": ["--config", cfgp, "--cloud", str(cloud_path), "--out", str(out)],
+            "compare": ["--config", cfgp, "--out", str(out)],
+            "validate": ["--cloud", str(cloud_path)]}[verb]
+    assert cli.main([verb] + argv + flag) == 4
+    assert capsys.readouterr().err == f"error: unrecognized arguments: {' '.join(flag)}\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cloud.json", "config.json"]
 
 
 def test_reflect_oracle_size_limit_exit_code(tmp_path, capsys):
