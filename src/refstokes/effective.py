@@ -22,7 +22,7 @@ from . import kernels
 from .cloud import FIELD_EXCLUSION_FACTOR, validate
 from .errors import GateError, GridMismatchError
 from .fields import GridField
-from .sym3 import apply_mobility, frobenius, project_sym_tracefree, sym_matrix
+from .sym3 import apply_mobility, frobenius, project_sym_tracefree, sym_from_list, sym_matrix
 
 __all__ = [
     "assemble_MN",
@@ -331,15 +331,15 @@ def tilde_vc(field, A, points):
     """
     points = np.atleast_2d(np.asarray(points, dtype=float))
     out = np.zeros((len(points), 3))
-    S = apply_mobility(field.values, np.asarray(A, float).reshape(5))
+    S = apply_mobility(field.values, sym_from_list(A))
     mask = np.any(S != 0.0, axis=-1)
     centers, S = field.cell_centers()[mask], S[mask]
     h = field.cell_size
     near = _near_radius(h)
+    # the near cells pair_sum skips, found first (the search refuses non-finite points)
+    pn, cn, zn = kernels.pairs_within(points, centers, near)
     kernels.pair_sum(kernels.stresslet_velocity_kernel, field.cell_volume * S,
                      points, centers, out, exclude_within=near)
-    # the near cells pair_sum skipped, subdivided
-    pn, cn, zn = kernels.pairs_within(points, centers, near)
     weights = (field.cell_volume * S[cn]).T[..., None]
     np.add.at(out, pn, _subcell_velocity(weights, zn, h, _subcell_offsets(h, _NEAR_SUB)))
     return out
@@ -457,6 +457,7 @@ def fixed_point_vc(model, A, box, n, tol=1e-8, max_iter=50):
     None when every source vanishes) and whether the solve filled no kernel
     spectra (`kernels_cached`).
     """
+    A = sym_from_list(A)
     if not 0 < tol < np.inf:
         raise ValueError("tol must be positive and finite")
     if max_iter < 1:
@@ -465,7 +466,6 @@ def fixed_point_vc(model, A, box, n, tol=1e-8, max_iter=50):
     if sup > 0.125 + 1e-12:
         raise GateError(f"sup-norm {sup:.3g} of the coefficient exceeds the 1/8 gate")
     grid = GridField.zeros(box, n, (3,))     # the grid and the zero first iterate
-    A = np.asarray(A, dtype=float).reshape(5)
     h, vol = grid.cell_size, grid.cell_volume
     block, matrix = model.support(grid), np.asarray(model.matrix, dtype=float)
     at = tuple(b.start for b in block)
@@ -506,10 +506,9 @@ def einstein_coefficient(cloud, A, strains):
     The ambient strain on every particle gives the first-order coefficient
     (exactly 5/2 for spheres); the reflected strains give the converged one.
     """
-    phi = validate(cloud).phi_global
+    A, phi = sym_from_list(A), validate(cloud).phi_global
     if phi <= 0.0:
         raise ValueError("einstein coefficient undefined at zero volume fraction")
-    A = np.asarray(A, dtype=float).reshape(5)
     norm2 = frobenius(A, A)
     if norm2 == 0.0:
         raise ValueError("einstein coefficient undefined at zero strain")

@@ -267,7 +267,10 @@ def pairs_within(targets, sources, radius):
     around its own, as 9 runs of 3 consecutive cell keys. The distance test
     itself uses the arithmetic of `pair_offsets`, so a pair is kept here
     exactly when `pair_offsets(..., exclude_within=radius)` excludes it.
+    A non-finite point raises ValueError.
     """
+    if not (np.isfinite(targets).all() and np.isfinite(sources).all()):
+        raise ValueError("pairs_within needs finite points")
     swap = len(targets) > len(sources)
     big, small = (targets, sources) if swap else (sources, targets)
     if len(small) == 0:

@@ -26,7 +26,7 @@ import numpy as np
 from . import kernels
 from .cloud import ParticleCloud, validate
 from .errors import GateError, KernelDomainError
-from .sym3 import apply_mobility, embed, sym_coefficients, sym_matrix
+from .sym3 import apply_mobility, embed, sym_coefficients, sym_from_list, sym_matrix
 
 __all__ = [
     "EPS0_GATE_DEFAULT",
@@ -76,7 +76,7 @@ def _level_norm(levels, q=2.0):
 
 def init_reflections(cloud, A):
     """Initial state: every particle carries the ambient strain."""
-    A = np.asarray(A, dtype=float).reshape(5)
+    A = sym_from_list(A)
     cur = np.tile(A, (cloud.n, 1))
     return ReflectionState(cloud=cloud, A_current=cur.copy(), A_total=cur.copy(),
                            n=0, norm_history=[_level_norm(cur)])
@@ -100,7 +100,10 @@ def reflect_step(state):
 
 def _check_gate(cloud, gate, force):
     """Gate a^3/d^3 scaled by the largest mobility, max_l |M_l|_2 / |M_sphere|_2
-    (exactly 1 for spheres): the strain of one sweep grows with both."""
+    (exactly 1 for spheres): the strain of one sweep grows with both. A gate
+    that is not a positive number is refused, force or not."""
+    if not gate > 0:
+        raise ValueError(f"gate must be a positive number, got {gate}")
     stats = validate(cloud)
     factor = (np.max(np.linalg.norm(cloud.mobilities, 2, axis=(1, 2)), initial=0.0)
               / np.linalg.norm(kernels.sphere_mobility(cloud.a), 2))
@@ -121,12 +124,12 @@ def run_reflections(cloud, A, tol=1e-10, max_iter=100, fixed_n=None,
     the totals include exactly the strain levels 0..fixed_n-1 (the velocity
     approximation of order fixed_n).
     """
+    A = sym_from_list(A)
     if not 0 < tol < np.inf:
         raise ValueError("tol must be positive and finite")
     if fixed_n is not None and fixed_n < 1:
         raise ValueError("fixed_n must be >= 1")
     _check_gate(cloud, gate, force)
-    A = np.asarray(A, dtype=float).reshape(5)
     ref = np.linalg.norm(A)
     state = init_reflections(cloud, A)
     sweeps = max_iter if fixed_n is None else fixed_n - 1
@@ -166,10 +169,9 @@ def dense_fixed_point(cloud, A):
     DENSE_MAX_UNKNOWNS. Raises on a singular system (outside the contraction
     regime).
     """
-    n = cloud.n
+    A, n = sym_from_list(A), cloud.n
     if 5 * n > DENSE_MAX_UNKNOWNS:
         raise ValueError(f"dense solve guarded to 5N <= {DENSE_MAX_UNKNOWNS} (got N = {n})")
-    A = np.asarray(A, dtype=float).reshape(5)
     I_minus_T = pair_interaction_matrix(cloud)
     np.negative(I_minus_T, out=I_minus_T)
     np.fill_diagonal(I_minus_T, 1.0)      # the diagonal blocks of T are zero
@@ -196,9 +198,8 @@ def evaluate_velocity(solution, A, points):
     KernelDomainError naming the point and the particle; points on a surface
     are allowed.
     """
-    cloud = solution.cloud
+    cloud, A = solution.cloud, sym_from_list(A)
     points = np.atleast_2d(np.asarray(points, dtype=float))
-    A = np.asarray(A, dtype=float).reshape(5)
     u = points @ embed(A).T
     t, s, z = kernels.pairs_within(points, cloud.centers, cloud.a)
     inside = np.flatnonzero(np.einsum("ki,ki->k", z, z) < cloud.a ** 2 * (1.0 - 1e-12))
@@ -221,12 +222,13 @@ def contraction_diagnostic(cloud, A, q=2.0, n_levels=5,
     Returns n_levels ratios ||level_{k+1}||_q / ||level_k||_q; a vanishing
     level reports 0. These track the geometric contraction of the sweeps.
     """
+    A = sym_from_list(A)
     if n_levels < 2:
         raise ValueError("need at least 2 levels for a ratio")
-    if q <= 1.0:
+    if not q > 1.0:
         raise ValueError("q must be > 1")
     _check_gate(cloud, gate, force)
-    state = init_reflections(cloud, np.asarray(A, dtype=float).reshape(5))
+    state = init_reflections(cloud, A)
     norms = [_level_norm(state.A_current, q)]
     for _ in range(n_levels):
         state = reflect_step(state)

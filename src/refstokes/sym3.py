@@ -16,7 +16,8 @@ The basis is written once, as the closed forms `sym_matrix` and
 or entry axis first). `BASIS`, `embed` and `project_sym_tracefree` derive
 from them in the coefficient-last layout of everything else, and
 `apply_mobility` is the one spelling of a mobility's action. Diagonal strains
-are sparse in this basis. All functions broadcast over leading axes.
+are sparse in this basis. All functions broadcast over leading axes but
+`sym_from_list`, the one strain rule every function taking a strain applies.
 """
 
 from __future__ import annotations
@@ -93,7 +94,8 @@ def frobenius(s1, s2):
 
 
 def sym_from_list(data):
+    """The one strain rule: 5 finite numbers, in any shape, as a float (5,) array."""
     arr = np.asarray(data, dtype=float)
-    if arr.shape != (5,):
-        raise ValueError("expected a JSON array of 5 numbers")
-    return arr
+    if arr.size != 5 or not np.isfinite(arr).all():
+        raise ValueError("a strain must be 5 finite numbers")
+    return arr.reshape(5)

@@ -1,7 +1,7 @@
 """Acceptance suite: one test per criterion, each printing a PASS/FAIL line.
 
-Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion
-lines and timings.
+Run with `pytest tests/test_acceptance.py -q -s` to see the per-criterion
+lines and timings; each starts its own line, after pytest's progress mark.
 """
 
 import contextlib
@@ -26,11 +26,13 @@ def criterion(number, description, limit_seconds):
     try:
         yield
     except BaseException:
-        print(f"ACCEPTANCE {number:2d} FAIL  {description}")
+        print(f"\nACCEPTANCE {number:2d} FAIL  {description}")
         raise
     elapsed = time.monotonic() - start
-    print(f"ACCEPTANCE {number:2d} PASS  {description}  [{elapsed:.2f}s]")
-    assert elapsed < limit_seconds, (
+    within = elapsed < limit_seconds      # a criterion over its budget does not print PASS
+    print(f"\nACCEPTANCE {number:2d} {'PASS' if within else 'FAIL'}  {description}  "
+          f"[{elapsed:.2f}s]")
+    assert within, (
         f"criterion {number} exceeded its runtime budget: "
         f"{elapsed:.1f}s >= {limit_seconds}s")
 

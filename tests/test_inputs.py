@@ -1,0 +1,121 @@
+"""Library calls refuse non-finite or malformed inputs before any work: the
+ambient strain (one rule, `sym3.sym_from_list`), the convergence gate, the
+contraction exponent q, and the points of every pair search."""
+
+import warnings
+
+import numpy as np
+import pytest
+
+from refstokes import cloud as cl
+from refstokes import effective as eff
+from refstokes import kernels, sym3
+from refstokes import reflections as refl
+from refstokes.errors import GateError
+
+UNIT_BOX = np.array([[0.0, 0.0, 0.0], [1.0, 1.0, 1.0]])
+STRAIN = [1.0, 0.5, 0.25, 0.1, 0.2]
+CLOUD = cl.generate_lattice(UNIT_BOX, 2, 0.02)
+SOLUTION = refl.run_reflections(CLOUD, STRAIN)
+MODEL = eff.uniform_Meff(UNIT_BOX, 0.01)
+FIELD = MODEL.rasterize(UNIT_BOX, 4)
+POINTS = np.array([[0.5, 0.5, 0.5], [0.1, 0.9, 0.3]])
+
+# each of the strain entry points, as a call of the strain alone, and
+# whether a finite strain makes it run a sweep, solve or convolution
+ENTRY_POINTS = {
+    "sym_from_list": (sym3.sym_from_list, False),
+    "init_reflections": (lambda A: refl.init_reflections(CLOUD, A).A_total, False),
+    "run_reflections": (lambda A: refl.run_reflections(CLOUD, A).A_hat, True),
+    "dense_fixed_point": (lambda A: refl.dense_fixed_point(CLOUD, A).A_hat, True),
+    "evaluate_velocity": (lambda A: refl.evaluate_velocity(SOLUTION, A, POINTS), True),
+    "contraction_diagnostic": (lambda A: refl.contraction_diagnostic(CLOUD, A), True),
+    "tilde_vc": (lambda A: eff.tilde_vc(FIELD, A, POINTS), True),
+    "fixed_point_vc": (lambda A: eff.fixed_point_vc(MODEL, A, UNIT_BOX, 4)[0].values, True),
+    "einstein_coefficient": (
+        lambda A: eff.einstein_coefficient(CLOUD, A, SOLUTION.A_hat), False),
+}
+
+BAD_STRAINS = {
+    "nan": [1.0, np.nan, 0.0, 0.0, 0.0],
+    "+inf": [1.0, 0.0, np.inf, 0.0, 0.0],
+    "-inf": [1.0, 0.0, 0.0, 0.0, -np.inf],
+    "4 coefficients": [1.0, 0.0, 0.0, 0.0],
+    "6 coefficients": [1.0, 0.0, 0.0, 0.0, 0.0, 0.0],
+}
+
+
+@pytest.fixture
+def work(monkeypatch):
+    """Counts of the sweeps, solves and convolutions run while the test runs."""
+    counts = {}
+
+    def counting(owner, name):
+        original = getattr(owner, name)
+
+        def wrapper(*args, **kwargs):
+            counts[name] = counts.get(name, 0) + 1
+            return original(*args, **kwargs)
+        monkeypatch.setattr(owner, name, wrapper)
+
+    counting(refl, "reflect_step")
+    counting(eff, "_convolve_sources")
+    counting(kernels, "pair_sum")
+    counting(np.linalg, "solve")
+    return counts
+
+
+@pytest.mark.parametrize("entry", ENTRY_POINTS)
+def test_one_strain_rule(entry, work):
+    call, works = ENTRY_POINTS[entry]
+    eff.clear_kernel_cache()
+    for name, strain in BAD_STRAINS.items():
+        for form in (strain, np.array(strain), np.array([strain])):
+            with pytest.raises(ValueError, match="^a strain must be 5 finite numbers$"):
+                call(form)
+            assert work == {}, (name, work)
+    # a list, a (5,) array and a (1, 5) array are one strain, to the bit
+    outs = [np.asarray(call(form)) for form in (STRAIN, np.array(STRAIN), np.array([STRAIN]))]
+    assert all(out.tobytes() == outs[0].tobytes() for out in outs[1:])
+    assert bool(work) == works        # the counters see the work a finite strain does
+
+
+def test_sym_from_list_shapes():
+    assert sym3.sym_from_list(np.arange(5).reshape(5, 1)).dtype == float
+    for bad in ("abcde", [[1.0, 2.0], [3.0]], 1.0, None):
+        with pytest.raises(ValueError):
+            sym3.sym_from_list(bad)
+
+
+GATED = cl.generate_lattice(UNIT_BOX, 3, 0.05)      # a^3/d^3 = 0.15^3, refused at a gate of 1e-9
+
+
+@pytest.mark.parametrize("force", [False, True])
+def test_gate_and_q_must_be_in_range(force, work):
+    with pytest.raises(GateError):
+        refl.run_reflections(GATED, STRAIN, gate=1e-9)
+    for gate in (np.nan, 0.0, -1.0):
+        for run in (refl.run_reflections, refl.contraction_diagnostic):
+            with pytest.raises(ValueError, match="gate must be a positive number"):
+                run(GATED, STRAIN, gate=gate, force=force)
+    for q in (np.nan, 1.0, 0.5):
+        with pytest.raises(ValueError, match="q must be > 1"):
+            refl.contraction_diagnostic(GATED, STRAIN, q=q, force=force)
+    assert work == {}
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_pair_search_refuses_non_finite_points(bad):
+    point = np.array([[bad, 0.5, 0.5]])
+    centers = np.vstack([CLOUD.centers, point])
+    calls = [lambda: kernels.pairs_within(point, CLOUD.centers, 0.1),
+             lambda: kernels.pairs_within(CLOUD.centers, point, 0.1),
+             lambda: refl.evaluate_velocity(SOLUTION, STRAIN, point),
+             lambda: eff.outside_balls(point, CLOUD),
+             lambda: eff.tilde_vc(FIELD, STRAIN, point),
+             lambda: cl._min_distance(centers)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")      # no cast warning before the refusal
+        for call in calls:
+            with pytest.raises(ValueError, match="pairs_within needs finite points"):
+                call()
