@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import SaturationError, SeparationError
-from .kernels import pairs_within, sphere_mobility
+from .kernels import check_length, pairs_within, sphere_mobility
 
 __all__ = [
     "SEPARATION_FACTOR",
@@ -65,15 +65,14 @@ class ParticleCloud:
         if centers.ndim != 2 or centers.shape[1] != 3:
             raise ValueError("centers must have shape (N, 3)")
         box = np.ascontiguousarray(self.box, dtype=float)
-        if box.shape != (2, 3) or not np.all(box[1] > box[0]):
-            raise ValueError("box must be [[lo],[hi]] with hi > lo per axis")
+        if box.shape != (2, 3) or not np.all(np.isfinite(box) & (box[1] > box[0])):
+            raise ValueError("box must be [[lo],[hi]], finite, with hi > lo per axis")
         mob = np.ascontiguousarray(self.mobilities, dtype=float)
         if mob.shape != (len(centers), 5, 5):
             raise ValueError("mobilities must have shape (N, 5, 5)")
         if not (np.isfinite(centers).all() and np.isfinite(mob).all()):
             raise ValueError("non-finite cloud data")
-        if not 0 < self.a < np.inf:
-            raise ValueError("radius must be positive and finite")
+        check_length(self.a, "a")
         for arr in (centers, box, mob):
             arr.setflags(write=False)
         object.__setattr__(self, "centers", centers)
@@ -136,6 +135,7 @@ def generate_lattice(box, n_per_axis, a):
             f"lattice spacing {np.min(h):.6g} <= {SEPARATION_FACTOR}*a = "
             f"{SEPARATION_FACTOR * a:.6g} (adjacent pair (0, 1))",
             pair=(0, 1))
+    check_length(a, "a")
     idx = np.arange(n_per_axis) + 0.5
     gx, gy, gz = np.meshgrid(idx * h[0], idx * h[1], idx * h[2], indexing="ij")
     centers = box[0] + np.stack([gx, gy, gz], axis=-1).reshape(-1, 3)
@@ -151,9 +151,10 @@ def generate_rsa(box, n, a, dmin, seed):
     placement exceeds the attempt budget of 10^4 * n trials.
     """
     box = np.asarray(box, dtype=float)
-    if not dmin > SEPARATION_FACTOR * a:
-        raise SeparationError(
-            f"dmin = {dmin:.6g} must exceed {SEPARATION_FACTOR}*a = {SEPARATION_FACTOR * a:.6g}")
+    if not SEPARATION_FACTOR * a < dmin < np.inf:
+        raise SeparationError(f"dmin = {dmin:.6g} must exceed {SEPARATION_FACTOR}*a = "
+                              f"{SEPARATION_FACTOR * a:.6g} and be finite")
+    check_length(a, "a")
     if n < 1:
         raise ValueError("n must be >= 1")
     lo = box[0] + a

@@ -115,8 +115,9 @@ class EffectiveModel:
     matrix: np.ndarray               # (5,5)
 
     def __post_init__(self):
-        if np.shape(self.box) != (2, 3) or not np.all(np.diff(self.box, axis=0) > 0):
-            raise ValueError("box must be [[lo],[hi]] with hi > lo per axis")
+        if np.shape(self.box) != (2, 3) or not np.all(np.isfinite(self.box)
+                                                      & (np.diff(self.box, axis=0) > 0)):
+            raise ValueError("box must be [[lo],[hi]], finite, with hi > lo per axis")
         if np.shape(self.matrix) != (5, 5) or not np.isfinite(self.matrix).all():
             raise ValueError("matrix must be a finite 5x5 array")
 

@@ -22,11 +22,11 @@ class GridField:
 
     def __post_init__(self):
         box = np.ascontiguousarray(self.box, dtype=float)
-        if box.shape != (2, 3) or not np.all(box[1] > box[0]):
-            raise ValueError("box must be [[lo],[hi]] with hi > lo per axis")
+        if box.shape != (2, 3) or not np.all(np.isfinite(box) & (box[1] > box[0])):
+            raise ValueError("box must be [[lo],[hi]], finite, with hi > lo per axis")
         n = int(self.n)
-        if n < 1:
-            raise ValueError(f"grid resolution must be at least 1, got {n}")
+        if not 1 <= n == self.n:
+            raise ValueError(f"grid resolution must be at least 1, got {self.n}; n must be whole")
         values = np.ascontiguousarray(self.values, dtype=float)
         if values.shape[:3] != (n, n, n):
             raise ValueError(f"values must start with shape ({n},{n},{n})")

@@ -33,7 +33,9 @@ per call and runs along the longer point set: with targets <= sources each
 block row sums its sources (numpy's pairwise sum), and with more targets than
 sources strips of at most `PAIR_BUDGET` targets add one-source blocks, in
 source order. Each kernel computes in one array of its own (`out=`, in place),
-never in its inputs, in its docstring's order.
+never in its inputs, in its docstring's order. The pair kernels trust their
+inputs; the pair search, offsets and sums, the sphere functions and
+`mean_value_reconstruct` apply `check_length`, the one length rule, first.
 
 Point functions broadcast over leading axes of the evaluation points.
 """
@@ -48,7 +50,7 @@ from .sym3 import apply_mobility, project_sym_tracefree, sym_coefficients, sym_m
 __all__ = ["oseen", "oseen_pressure", "stresslet_field", "stresslet_strain",
            "sphere_disturbance", "sphere_pressure", "sphere_traction",
            "sphere_mobility", "mobility_from_boundary_integral",
-           "mean_value_reconstruct", "PAIR_BUDGET",
+           "mean_value_reconstruct", "PAIR_BUDGET", "check_length",
            "stresslet_strain_kernel", "stresslet_velocity_kernel", "sphere_disturbance_kernel",
            "pair_offsets", "row_blocks", "pair_blocks", "pair_sum", "pairs_within"]
 
@@ -60,6 +62,15 @@ _C38 = 3.0 * _C8
 # block temporary is then 128 KiB, so the dozen a block keeps live stay in a
 # core's L2 cache.
 PAIR_BUDGET = 16_384
+
+
+def check_length(value, name, positive=True):
+    """`value` when it is a finite number > 0 (a radius, `positive`) or >= 0 (a
+    search radius or an exclusion distance); else ValueError naming `name`."""
+    if not (0 < value < np.inf if positive else 0 <= value < np.inf):
+        rule = "radius must be positive" if positive else "distance must be non-negative"
+        raise ValueError(f"{rule} and finite, got {name} = {value}")
+    return value
 
 
 def _radii(x, what):
@@ -157,7 +168,7 @@ def _point_args(m, x, what, a=None):
     x (..., 3) broadcast against m, and r2 = |x|^2 (see `_radii`); given a
     sphere radius a, a point inside |x| = a raises KernelDomainError."""
     x, r2 = _radii(x, what)
-    if a is not None and np.any(r2 < a * a * (1.0 - 1e-12)):
+    if a is not None and np.any(r2 < check_length(a, "a") * a * (1.0 - 1e-12)):
         raise KernelDomainError(f"{what} evaluated inside the sphere")
     m = np.asarray(m, dtype=float)
     x = np.broadcast_to(x, np.broadcast_shapes(m.shape[:-1], x.shape[:-1]) + (3,))
@@ -205,7 +216,7 @@ def pair_offsets(targets, sources, exclude_within=None):
     r2 += np.multiply(z[1], z[1], out=t)
     r2 += np.multiply(z[2], z[2], out=t)
     if exclude_within is not None:
-        r2[r2 <= exclude_within ** 2] = np.inf
+        r2[r2 <= check_length(exclude_within, "exclude_within", positive=False) ** 2] = np.inf
     return z, r2
 
 
@@ -267,10 +278,11 @@ def pairs_within(targets, sources, radius):
     around its own, as 9 runs of 3 consecutive cell keys. The distance test
     itself uses the arithmetic of `pair_offsets`, so a pair is kept here
     exactly when `pair_offsets(..., exclude_within=radius)` excludes it.
-    A non-finite point raises ValueError.
+    A non-finite point, or a radius `check_length` refuses, raises ValueError.
     """
     if not (np.isfinite(targets).all() and np.isfinite(sources).all()):
         raise ValueError("pairs_within needs finite points")
+    check_length(radius, "radius", positive=False)
     swap = len(targets) > len(sources)
     big, small = (targets, sources) if swap else (sources, targets)
     if len(small) == 0:
@@ -341,7 +353,7 @@ def sphere_traction(strain, a, x):
 
 def sphere_mobility(a):
     """Strain-to-stresslet map of a rigid sphere of radius a: (20 pi/3) a^3 I."""
-    return (20.0 * np.pi / 3.0) * a ** 3 * np.eye(5)
+    return (20.0 * np.pi / 3.0) * check_length(a, "a") ** 3 * np.eye(5)
 
 
 # Gauss-Legendre order of the surface rule in `mobility_from_boundary_integral`
@@ -374,7 +386,7 @@ def mobility_from_boundary_integral(a):
     the integrand is a low-degree spherical polynomial, so any order >= 2 is
     already exact to rounding.
     """
-    xhat, w = _surface_quadrature(a, _BOUNDARY_ORDER)
+    xhat, w = _surface_quadrature(check_length(a, "a"), _BOUNDARY_ORDER)
     y = a * xhat
     traction = sphere_traction(np.eye(5)[:, None], a, y)   # basis strain j; outward normal
     u = sphere_disturbance(np.eye(5)[:, None], a, y)
@@ -395,8 +407,7 @@ def mean_value_reconstruct(ball_avg_u, r, f_radial_avgs):
     that average is a polynomial in rho of degree <= 27, as it is for every
     polynomial f of that degree; for analytic ones the error falls geometrically.
     """
-    if r <= 0:
-        raise ValueError("radius must be positive")
+    check_length(r, "r")
     nodes, wts = np.polynomial.legendre.leggauss(16)
     rho = 0.5 * r * (nodes + 1.0)
     avgs = np.array([f_radial_avgs(p) for p in rho], dtype=float)

@@ -121,6 +121,8 @@ ONE_CENTER = {"centers": [[0.5, 0.5, 0.5]], "a": 0.01, "mobilities": np.eye(5)[N
 @pytest.mark.parametrize("change, message", [
     ({"box": [[0.0, 0.0, 0.0], [1.0, 0.0, 1.0]]}, "box must be"),
     ({"box": [[0.0, 0.0, 0.0], [1.0, np.nan, 1.0]]}, "box must be"),
+    # validated with phi_global 0, so the Einstein coefficient was undefined
+    ({"box": [[0.0, 0.0, 0.0], [np.inf, 1.0, 1.0]]}, "box must be"),
     ({"mobilities": np.eye(5)[None].repeat(2, axis=0)}, r"mobilities must have shape \(N, 5, 5\)"),
     ({"centers": [[np.nan, 0.5, 0.5]]}, "non-finite cloud data"),
     ({"a": 0.0}, "radius must be positive"),
@@ -128,7 +130,7 @@ ONE_CENTER = {"centers": [[0.5, 0.5, 0.5]], "a": 0.01, "mobilities": np.eye(5)[N
     # blamed containment
     ({"a": np.nan}, "radius must be positive and finite"),
     ({"a": np.inf}, "radius must be positive and finite"),
-], ids=["flat_box", "nan_box", "mobility_rows", "nan_center", "zero_radius", "nan_radius",
+], ids=["flat_box", "nan_box", "infinite_box", "mobility_rows", "nan_center", "zero_radius", "nan_radius",
         "infinite_radius"])
 def test_cloud_refuses_bad_data(change, message):
     with pytest.raises(ValueError, match=message):
@@ -145,8 +147,11 @@ def test_cloud_refuses_bad_data(change, message):
      "dmin = nan must exceed"),
     (lambda: cl.generate_rsa(UNIT_BOX, 20, np.nan, 0.05, seed=1), SeparationError,
      "dmin = 0.05 must exceed"),
+    # an infinite dmin burnt the whole trial budget, then raised SaturationError
+    (lambda: cl.generate_rsa(UNIT_BOX, 3, 0.01, np.inf, seed=1), SeparationError,
+     "dmin = inf must exceed"),
 ], ids=["lattice_no_cells", "lattice_nan_radius", "rsa_no_centers", "rsa_box_too_small",
-        "rsa_nan_dmin", "rsa_nan_radius"])
+        "rsa_nan_dmin", "rsa_nan_radius", "rsa_infinite_dmin"])
 def test_generators_refuse_bad_sizes(make, error, message):
     with pytest.raises(error, match=message):
         make()

@@ -182,9 +182,12 @@ def test_rasterize_matches_mask_reference(rng, support):
                                 matrix=np.eye(5)), "box must be"),
     (lambda: eff.EffectiveModel(box=np.array([[0.0, 0.0, 0.0], [1.0, np.nan, 1.0]]),
                                 matrix=np.eye(5)), "box must be"),
+    (lambda: eff.EffectiveModel(box=np.array([[0.0, 0.0, 0.0], [np.inf, 1.0, 1.0]]),
+                                matrix=np.eye(5)), "box must be"),
     (lambda: eff.EffectiveModel(box=UNIT_BOX, matrix=np.full((5, 5), np.nan)), "finite 5x5"),
     (lambda: eff.EffectiveModel(box=UNIT_BOX, matrix=np.eye(3)), "finite 5x5"),
-], ids=["swapped_box", "inverted_axis", "nan_box", "nan_matrix", "matrix_shape"])
+], ids=["swapped_box", "inverted_axis", "nan_box", "infinite_box", "nan_matrix",
+        "matrix_shape"])
 def test_effective_model_refuses_bad_inputs(make, message):
     with pytest.raises(ValueError, match=message):
         make()

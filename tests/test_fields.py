@@ -13,7 +13,7 @@ def test_any_positive_resolution_accepted(n):
     assert np.allclose(f.cell_size, 2.0 / n)
 
 
-@pytest.mark.parametrize("n", [0, -1, -8])
+@pytest.mark.parametrize("n", [0, -1, -8, 2.7])
 def test_resolution_below_one_refused(n):
     with pytest.raises(ValueError, match=f"grid resolution must be at least 1, got {n}"):
         GridField(box=BOX, n=n, values=np.zeros((1, 1, 1)))
@@ -24,9 +24,10 @@ def test_resolution_below_one_refused(n):
 @pytest.mark.parametrize("box, values, message", [
     ([[0.0, 0.0, 0.0], [1.0, -1.0, 1.0]], np.zeros((2, 2, 2)), "box must be"),
     ([[0.0, 0.0, 0.0], [1.0, np.nan, 1.0]], np.zeros((2, 2, 2)), "box must be"),
+    ([[0.0, 0.0, 0.0], [np.inf, 1.0, 1.0]], np.zeros((2, 2, 2)), "box must be"),
     (BOX, np.zeros((2, 2, 4)), r"values must start with shape \(2,2,2\)"),
     (BOX, np.full((2, 2, 2, 3), np.inf), "non-finite field values"),
-], ids=["inverted_box", "nan_box", "values_shape", "infinite_values"])
+], ids=["inverted_box", "nan_box", "infinite_box", "values_shape", "infinite_values"])
 def test_grid_field_refuses_bad_data(box, values, message):
     with pytest.raises(ValueError, match=message):
         GridField(box=np.asarray(box), n=2, values=values)

@@ -1,7 +1,10 @@
 """Library calls refuse non-finite or malformed inputs before any work: the
-ambient strain (one rule, `sym3.sym_from_list`), the convergence gate, the
-contraction exponent q, and the points of every pair search."""
+ambient strain (one rule, `sym3.sym_from_list`), every radius, search radius
+and exclusion distance (one rule, `kernels.check_length`), the convergence
+gate, the contraction exponent q, and the points of every pair search."""
 
+import re
+import sys
 import warnings
 
 import numpy as np
@@ -45,9 +48,8 @@ BAD_STRAINS = {
 }
 
 
-@pytest.fixture
-def work(monkeypatch):
-    """Counts of the sweeps, solves and convolutions run while the test runs."""
+def call_counts(monkeypatch, calls):
+    """Counts of the calls to each (owner, name) of `calls` made while the test runs."""
     counts = {}
 
     def counting(owner, name):
@@ -58,11 +60,16 @@ def work(monkeypatch):
             return original(*args, **kwargs)
         monkeypatch.setattr(owner, name, wrapper)
 
-    counting(refl, "reflect_step")
-    counting(eff, "_convolve_sources")
-    counting(kernels, "pair_sum")
-    counting(np.linalg, "solve")
+    for owner, name in calls:
+        counting(owner, name)
     return counts
+
+
+@pytest.fixture
+def work(monkeypatch):
+    """Counts of the sweeps, solves and convolutions run while the test runs."""
+    return call_counts(monkeypatch, [(refl, "reflect_step"), (eff, "_convolve_sources"),
+                                     (kernels, "pair_sum"), (np.linalg, "solve")])
 
 
 @pytest.mark.parametrize("entry", ENTRY_POINTS)
@@ -119,3 +126,71 @@ def test_pair_search_refuses_non_finite_points(bad):
         for call in calls:
             with pytest.raises(ValueError, match="pairs_within needs finite points"):
                 call()
+
+
+def radial_average(rho):
+    """The ball averages of a constant source, for `mean_value_reconstruct`."""
+    return 6.0
+
+
+@pytest.fixture
+def length_work(monkeypatch):
+    """Counts of the kernel evaluations (every closed-form kernel starts with
+    `_moment_terms`), the cell-list searches of `pairs_within`, the random
+    generators of RSA trials and the radial averages run while the test runs."""
+    return call_counts(monkeypatch, [(kernels, "_moment_terms"), (np, "searchsorted"),
+                                     (np.random, "default_rng"),
+                                     (sys.modules[__name__], "radial_average")])
+
+
+FAR = np.array([[1.0, 0.5, 0.25], [0.0, 2.0, 0.0]])     # outside every sphere of radius 0.01
+
+
+def pair_sum(targets, sources, exclude_within):
+    return kernels.pair_sum(kernels.stresslet_velocity_kernel, np.ones((len(sources), 5)),
+                            targets, sources, np.zeros((len(targets), 3)), exclude_within)
+
+
+# each length entry point, as a call of the length alone: the argument it names,
+# whether the length is a radius (> 0) rather than a search radius or an
+# exclusion distance (>= 0), and whether a valid length makes it run a pair
+# search, a kernel evaluation, an RSA trial or a radial average
+LENGTH_ENTRY_POINTS = {
+    "pairs_within": (lambda r: kernels.pairs_within(POINTS, CLOUD.centers, r), "radius",
+                     False, True),
+    "pair_offsets": (lambda d: kernels.pair_offsets(POINTS, CLOUD.centers, d), "exclude_within",
+                     False, False),
+    "pair_blocks": (lambda d: list(kernels.pair_blocks(POINTS, CLOUD.centers, d)),
+                    "exclude_within", False, False),
+    "pair_sum_rows": (lambda d: pair_sum(POINTS, CLOUD.centers, d), "exclude_within",
+                      False, True),
+    "pair_sum_strips": (lambda d: pair_sum(CLOUD.centers, POINTS, d), "exclude_within",
+                        False, True),
+    "sphere_disturbance": (lambda a: kernels.sphere_disturbance(STRAIN, a, FAR), "a", True, True),
+    "sphere_pressure": (lambda a: kernels.sphere_pressure(STRAIN, a, FAR), "a", True, True),
+    "sphere_traction": (lambda a: kernels.sphere_traction(STRAIN, a, FAR), "a", True, True),
+    "sphere_mobility": (kernels.sphere_mobility, "a", True, False),
+    "mobility_from_boundary_integral": (kernels.mobility_from_boundary_integral, "a", True, True),
+    "mean_value_reconstruct": (
+        lambda r: kernels.mean_value_reconstruct(0.5, r, radial_average), "r", True, True),
+    "ParticleCloud": (lambda a: cl.ParticleCloud(centers=CLOUD.centers, a=a, box=UNIT_BOX,
+                                                 mobilities=CLOUD.mobilities), "a", True, False),
+    "generate_lattice": (lambda a: cl.generate_lattice(UNIT_BOX, 2, a), "a", True, False),
+    "generate_rsa": (lambda a: cl.generate_rsa(UNIT_BOX, 3, a, 0.05, seed=0), "a", True, True),
+}
+
+
+@pytest.mark.parametrize("entry", LENGTH_ENTRY_POINTS)
+def test_one_length_rule(entry, length_work):
+    call, name, positive, works = LENGTH_ENTRY_POINTS[entry]
+    bad = [np.nan, np.inf, -np.inf, -1.0] + ([0.0] if positive else [])
+    for length in bad:
+        # a generator's separation check refuses a NaN or infinite radius first,
+        # with a SeparationError (a ValueError) that names it too
+        with pytest.raises(ValueError, match=rf"\b{name} = {re.escape(str(length))}"):
+            call(length)
+        assert length_work == {}, (length, length_work)
+    if not positive:
+        call(0.0)
+    call(0.01)
+    assert bool(length_work) == works     # the counters see the work a valid length does
