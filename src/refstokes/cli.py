@@ -205,9 +205,9 @@ def build_cloud(cfg, a=None):
     box = np.asarray(spec["box"], dtype=float)
     radius = float(a if a is not None else spec["a"])
     if kind == "lattice":
-        return cloudmod.generate_lattice(box, int(spec["n_per_axis"]), radius)
+        return cloudmod.generate_lattice(box, spec["n_per_axis"], radius)
     if kind == "rsa":
-        return cloudmod.generate_rsa(box, int(spec["n"]), radius,
+        return cloudmod.generate_rsa(box, spec["n"], radius,
                                      float(spec["dmin"]), cfg.seed)
     raise ValueError(f"unknown cloud kind {kind!r}")
 

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import SaturationError, SeparationError
-from .kernels import check_length, pairs_within, sphere_mobility
+from .kernels import check_count, check_length, pairs_within, sphere_mobility
 
 __all__ = [
     "SEPARATION_FACTOR",
@@ -126,8 +126,7 @@ def generate_lattice(box, n_per_axis, a):
     spacing, which must exceed SEPARATION_FACTOR * a.
     """
     box = np.asarray(box, dtype=float)
-    if n_per_axis < 1:
-        raise ValueError("n_per_axis must be >= 1")
+    n_per_axis = check_count(n_per_axis, "n_per_axis", 1)
     side = box[1] - box[0]
     h = side / n_per_axis
     if not np.min(h) > SEPARATION_FACTOR * a:
@@ -145,18 +144,17 @@ def generate_lattice(box, n_per_axis, a):
 def generate_rsa(box, n, a, dmin, seed):
     """Random sequential addition of n centers with pairwise distance >= dmin.
 
-    Reproducible for a fixed seed. Placed centers are kept by their cube of
-    side dmin, so each trial checks only the 27 cubes around its own. Raises
-    SaturationError when the request is provably infeasible or when
-    placement exceeds the attempt budget of 10^4 * n trials.
+    Reproducible for a fixed seed, a whole number >= 0. Placed centers are
+    kept by their cube of side dmin, so each trial checks only the 27 cubes
+    around its own. Raises SaturationError when the request is provably
+    infeasible or when placement exceeds the attempt budget of 10^4 * n trials.
     """
     box = np.asarray(box, dtype=float)
     if not SEPARATION_FACTOR * a < dmin < np.inf:
         raise SeparationError(f"dmin = {dmin:.6g} must exceed {SEPARATION_FACTOR}*a = "
                               f"{SEPARATION_FACTOR * a:.6g} and be finite")
     check_length(a, "a")
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    n, seed = check_count(n, "n", 1), check_count(seed, "seed", 0)
     lo = box[0] + a
     hi = box[1] - a
     if np.any(hi <= lo):

@@ -461,8 +461,7 @@ def fixed_point_vc(model, A, box, n, tol=1e-8, max_iter=50):
     A = sym_from_list(A)
     if not 0 < tol < np.inf:
         raise ValueError("tol must be positive and finite")
-    if max_iter < 1:
-        raise ValueError("max_iter must be >= 1")
+    max_iter = kernels.check_count(max_iter, "max_iter", 1)
     sup = model.sup_norm()
     if sup > 0.125 + 1e-12:
         raise GateError(f"sup-norm {sup:.3g} of the coefficient exceeds the 1/8 gate")
@@ -513,6 +512,8 @@ def einstein_coefficient(cloud, A, strains):
     norm2 = frobenius(A, A)
     if norm2 == 0.0:
         raise ValueError("einstein coefficient undefined at zero strain")
+    if not np.isfinite(strains).all():
+        raise ValueError("per-particle strains must be finite")
     moments = apply_mobility(cloud.mobilities, np.reshape(strains, (cloud.n, 5)))
     work = float(np.sum(moments @ A))
     return work / (2.0 * norm2 * cloud.box_volume * phi)

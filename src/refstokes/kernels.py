@@ -34,8 +34,9 @@ block row sums its sources (numpy's pairwise sum), and with more targets than
 sources strips of at most `PAIR_BUDGET` targets add one-source blocks, in
 source order. Each kernel computes in one array of its own (`out=`, in place),
 never in its inputs, in its docstring's order. The pair kernels trust their
-inputs; the pair search, offsets and sums, the sphere functions and
+inputs; the pair search, offsets, blocks and sums, the sphere functions and
 `mean_value_reconstruct` apply `check_length`, the one length rule, first.
+`check_count` is the one rule for a count or a seed; its callers apply it first.
 
 Point functions broadcast over leading axes of the evaluation points.
 """
@@ -50,7 +51,7 @@ from .sym3 import apply_mobility, project_sym_tracefree, sym_coefficients, sym_m
 __all__ = ["oseen", "oseen_pressure", "stresslet_field", "stresslet_strain",
            "sphere_disturbance", "sphere_pressure", "sphere_traction",
            "sphere_mobility", "mobility_from_boundary_integral",
-           "mean_value_reconstruct", "PAIR_BUDGET", "check_length",
+           "mean_value_reconstruct", "PAIR_BUDGET", "check_length", "check_count",
            "stresslet_strain_kernel", "stresslet_velocity_kernel", "sphere_disturbance_kernel",
            "pair_offsets", "row_blocks", "pair_blocks", "pair_sum", "pairs_within"]
 
@@ -71,6 +72,14 @@ def check_length(value, name, positive=True):
         rule = "radius must be positive" if positive else "distance must be non-negative"
         raise ValueError(f"{rule} and finite, got {name} = {value}")
     return value
+
+
+def check_count(value, name, minimum):
+    """`value` as an int when it is a Python or numpy integer or float, whole and
+    >= `minimum`; else (NaN, inf, a fraction, a bool, None) ValueError naming `name`."""
+    if not (np.dtype(type(value)).kind in "iuf" and minimum <= value < np.inf and value % 1 == 0):
+        raise ValueError(f"{name} must be >= {minimum} and a whole number, got {value}")
+    return int(value)
 
 
 def _radii(x, what):
@@ -230,10 +239,12 @@ def row_blocks(rows, row_size):
 
 def pair_blocks(targets, sources, exclude_within=None):
     """The (targets x sources) pairs as `pair_offsets` blocks of whole target
-    rows, one per `row_blocks` slice: yields (rows, z, r2), rows the slice of
-    targets, in target order."""
-    for rows in row_blocks(len(targets), len(sources)):
-        yield (rows, *pair_offsets(targets[rows], sources, exclude_within))
+    rows, one per `row_blocks` slice, lazily: (rows, z, r2), rows the slice of
+    targets, in target order. `exclude_within` is checked on the call."""
+    if exclude_within is not None:
+        check_length(exclude_within, "exclude_within", positive=False)
+    return ((rows, *pair_offsets(targets[rows], sources, exclude_within))
+            for rows in row_blocks(len(targets), len(sources)))
 
 
 def pair_sum(kernel, weights, targets, sources, out, exclude_within=None):
@@ -254,6 +265,8 @@ def pair_sum(kernel, weights, targets, sources, out, exclude_within=None):
     Either way a target's sum does not depend on the block size, nor on which
     block or strip holds it, so its bits do not depend on PAIR_BUDGET. Returns out.
     """
+    if exclude_within is not None:
+        check_length(exclude_within, "exclude_within", positive=False)
     m = sym_matrix(np.asarray(weights, dtype=float).T)
     if len(targets) <= len(sources):
         for rows, z, r2 in pair_blocks(targets, sources, exclude_within):

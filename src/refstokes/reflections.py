@@ -127,12 +127,12 @@ def run_reflections(cloud, A, tol=1e-10, max_iter=100, fixed_n=None,
     A = sym_from_list(A)
     if not 0 < tol < np.inf:
         raise ValueError("tol must be positive and finite")
-    if fixed_n is not None and fixed_n < 1:
-        raise ValueError("fixed_n must be >= 1")
+    sweeps = kernels.check_count(max_iter, "max_iter", 0)
+    if fixed_n is not None:
+        sweeps = kernels.check_count(fixed_n, "fixed_n", 1) - 1
     _check_gate(cloud, gate, force)
     ref = np.linalg.norm(A)
     state = init_reflections(cloud, A)
-    sweeps = max_iter if fixed_n is None else fixed_n - 1
     converged = False
     while state.n < sweeps and not (converged and fixed_n is None):
         state = reflect_step(state)
@@ -223,8 +223,7 @@ def contraction_diagnostic(cloud, A, q=2.0, n_levels=5,
     level reports 0. These track the geometric contraction of the sweeps.
     """
     A = sym_from_list(A)
-    if n_levels < 2:
-        raise ValueError("need at least 2 levels for a ratio")
+    n_levels = kernels.check_count(n_levels, "n_levels", 2)
     if not q > 1.0:
         raise ValueError("q must be > 1")
     _check_gate(cloud, gate, force)

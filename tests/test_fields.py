@@ -13,7 +13,7 @@ def test_any_positive_resolution_accepted(n):
     assert np.allclose(f.cell_size, 2.0 / n)
 
 
-@pytest.mark.parametrize("n", [0, -1, -8, 2.7])
+@pytest.mark.parametrize("n", [0, -1, -8, 2.7, np.inf, -np.inf, True, None])
 def test_resolution_below_one_refused(n):
     with pytest.raises(ValueError, match=f"grid resolution must be at least 1, got {n}"):
         GridField(box=BOX, n=n, values=np.zeros((1, 1, 1)))

@@ -1,7 +1,10 @@
 """Library calls refuse non-finite or malformed inputs before any work: the
 ambient strain (one rule, `sym3.sym_from_list`), every radius, search radius
-and exclusion distance (one rule, `kernels.check_length`), the convergence
-gate, the contraction exponent q, and the points of every pair search."""
+and exclusion distance (one rule, `kernels.check_length`), every count of
+sweeps, levels or particles and every seed (one rule, `kernels.check_count`,
+of which `GridField` keeps a copy for its cells), the convergence gate, the
+contraction exponent q, the points of every pair search and the per-particle
+strains of the Einstein coefficient."""
 
 import re
 import sys
@@ -144,6 +147,7 @@ def length_work(monkeypatch):
 
 
 FAR = np.array([[1.0, 0.5, 0.25], [0.0, 2.0, 0.0]])     # outside every sphere of radius 0.01
+NO_POINTS = np.zeros((0, 3))
 
 
 def pair_sum(targets, sources, exclude_within):
@@ -166,6 +170,13 @@ LENGTH_ENTRY_POINTS = {
                       False, True),
     "pair_sum_strips": (lambda d: pair_sum(CLOUD.centers, POINTS, d), "exclude_within",
                         False, True),
+    # no pairs: the distance is checked on entry all the same
+    "pair_blocks_no_targets": (lambda d: list(kernels.pair_blocks(NO_POINTS, CLOUD.centers, d)),
+                               "exclude_within", False, False),
+    "pair_sum_no_targets": (lambda d: pair_sum(NO_POINTS, CLOUD.centers, d), "exclude_within",
+                            False, False),
+    "pair_sum_no_sources": (lambda d: pair_sum(POINTS, NO_POINTS, d), "exclude_within",
+                            False, False),
     "sphere_disturbance": (lambda a: kernels.sphere_disturbance(STRAIN, a, FAR), "a", True, True),
     "sphere_pressure": (lambda a: kernels.sphere_pressure(STRAIN, a, FAR), "a", True, True),
     "sphere_traction": (lambda a: kernels.sphere_traction(STRAIN, a, FAR), "a", True, True),
@@ -194,3 +205,67 @@ def test_one_length_rule(entry, length_work):
         call(0.0)
     call(0.01)
     assert bool(length_work) == works     # the counters see the work a valid length does
+
+
+class Worked(Exception):
+    """A sweep, convolution or RSA trial started."""
+
+
+def worked(*args, **kwargs):
+    raise Worked
+
+
+COUNT_WORK = [(refl, "reflect_step"), (eff, "_convolve_sources"), (np.random, "default_rng")]
+
+# each count entry point, as a call of the count alone returning an array, the
+# argument it names, the least count it takes, and whether a valid count makes
+# it run a sweep, convolution or RSA trial
+COUNT_ENTRY_POINTS = {
+    "run_reflections_max_iter": (
+        lambda k: refl.run_reflections(CLOUD, STRAIN, max_iter=k).A_hat, "max_iter", 0, True),
+    "run_reflections_fixed_n": (
+        lambda k: refl.run_reflections(CLOUD, STRAIN, fixed_n=k).A_hat, "fixed_n", 1, True),
+    "contraction_diagnostic": (
+        lambda k: np.array(refl.contraction_diagnostic(CLOUD, STRAIN, n_levels=k)),
+        "n_levels", 2, True),
+    "fixed_point_vc": (
+        lambda k: eff.fixed_point_vc(MODEL, STRAIN, UNIT_BOX, 4, max_iter=k)[0].values,
+        "max_iter", 1, True),
+    "generate_lattice": (
+        lambda k: cl.generate_lattice(UNIT_BOX, k, 0.02).centers, "n_per_axis", 1, False),
+    "generate_rsa_n": (
+        lambda k: cl.generate_rsa(UNIT_BOX, k, 0.01, 0.05, seed=0).centers, "n", 1, True),
+    "generate_rsa_seed": (
+        lambda k: cl.generate_rsa(UNIT_BOX, 3, 0.01, 0.05, seed=k).centers, "seed", 0, True),
+}
+
+
+@pytest.mark.parametrize("entry", COUNT_ENTRY_POINTS)
+def test_one_count_rule(entry, monkeypatch):
+    call, name, minimum, works = COUNT_ENTRY_POINTS[entry]
+    # the first sweep, convolution or RSA trial raises, so a count that would
+    # loop forever (fixed_n=inf) fails at once
+    for owner, attr in COUNT_WORK:
+        monkeypatch.setattr(owner, attr, worked)
+    bad = [np.nan, np.inf, -np.inf, 2.5, minimum - 1, True]
+    for count in bad + ([] if name == "fixed_n" else [None]):    # fixed_n=None: tolerance mode
+        message = f"^{name} must be >= {minimum} and a whole number, got {re.escape(str(count))}$"
+        with pytest.raises(ValueError, match=message):
+            call(count)
+    monkeypatch.undo()
+    work = call_counts(monkeypatch, COUNT_WORK)
+    # an integral float and a numpy integer are the count itself, to the bit
+    outs = [call(count) for count in (3, 3.0, np.int64(3))]
+    assert all(out.tobytes() == outs[0].tobytes() for out in outs[1:])
+    assert bool(work) == works     # the counters see the work a valid count does
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("where", ["one", "all"])
+def test_einstein_refuses_non_finite_strains(bad, where, monkeypatch):
+    strains = SOLUTION.A_hat.copy()
+    strains[(3, 2) if where == "one" else ...] = bad
+    work = call_counts(monkeypatch, [(eff, "apply_mobility")])
+    with pytest.raises(ValueError, match="^per-particle strains must be finite$"):
+        eff.einstein_coefficient(CLOUD, STRAIN, strains)
+    assert work == {}
