@@ -18,25 +18,24 @@ units of length^3 because particle mobilities carry the a^3 scaling.
 The stresslet strain, the stresslet velocity and the sphere disturbance are
 each written once, as a component-major pair kernel `f(m, z, r2)`: the moment
 m is a (3, 3, ...) `sym3.sym_matrix`, the offsets z a (3, ...) array and
-r2 = |z|^2, all broadcasting together, so a (targets x sources) block is plain
-elementwise arithmetic; a kernel returns its components stacked, and an
-infinite r2 gives exactly zero. The strain kernel returns six entries of
-sym(z (x) v), which the linear `sym3.sym_coefficients` projects, so a sweep
-projects once per target after the sum. The point functions are the
-single-pair case; the sphere's pressure and traction are closed forms on the
-same moment terms. `row_blocks` sizes every pair evaluation, the FFT kernel
-fill of `effective` included: slices of whole rows of at most `PAIR_BUDGET`
-elements, sized to stay in cache, each owning its temporaries. `pair_blocks`
-cuts (targets x sources) pairs into its row blocks for the dense reflection
-matrix, the near-cell quadrature and `pair_sum`, which embeds its weights once
-per call and runs along the longer point set: with targets <= sources each
-block row sums its sources (numpy's pairwise sum), and with more targets than
-sources strips of at most `PAIR_BUDGET` targets add one-source blocks, in
-source order. Each kernel computes in one array of its own (`out=`, in place),
-never in its inputs, in its docstring's order. The pair kernels trust their
-inputs; the pair search, offsets, blocks and sums, the sphere functions and
-`mean_value_reconstruct` apply `check_length`, the one length rule, first.
-`check_count` is the one rule for a count or a seed; its callers apply it first.
+r2 = |z|^2, broadcasting together; a kernel returns its components stacked,
+computed in place in one array of its own, never in its inputs, in its
+docstring's order, and an infinite r2 gives exactly zero. The
+strain kernel returns six entries of sym(z (x) v), which the linear
+`sym3.sym_coefficients` projects once per target after a sum. The point
+functions are the single-pair case; the sphere's pressure and traction are
+closed forms on the same moment terms. `row_blocks`, slices of whole rows of
+at most `PAIR_BUDGET` elements, sizes every pair evaluation and the FFT kernel
+fill of `effective`. `pair_blocks` cuts (targets x sources) pairs into its row
+blocks for the dense reflection matrix, the near-cell quadrature and
+`pair_sum`, which runs along the longer point set: a block row sums its
+sources, or strips of targets add one source at a time. The reflection sweep's
+`stresslet_strain_sum` instead sums each compact block of sources by BLAS
+products of target monomials and source features, and keeps only the radial
+factors per pair. The pair kernels trust their inputs; the pair search, offsets,
+blocks and sums, the sphere functions and `mean_value_reconstruct` apply
+`check_length`, the one length rule, first. `check_count` is the one rule for a
+count or a seed; its callers apply it first.
 
 Point functions broadcast over leading axes of the evaluation points.
 """
@@ -53,7 +52,8 @@ __all__ = ["oseen", "oseen_pressure", "stresslet_field", "stresslet_strain",
            "sphere_mobility", "mobility_from_boundary_integral",
            "mean_value_reconstruct", "PAIR_BUDGET", "check_length", "check_count",
            "stresslet_strain_kernel", "stresslet_velocity_kernel", "sphere_disturbance_kernel",
-           "pair_offsets", "row_blocks", "pair_blocks", "pair_sum", "pairs_within"]
+           "pair_offsets", "row_blocks", "pair_blocks", "pair_sum", "stresslet_strain_sum",
+           "pairs_within"]
 
 _C8 = 1.0 / (8.0 * np.pi)
 _C4 = 1.0 / (4.0 * np.pi)
@@ -279,6 +279,80 @@ def pair_sum(kernel, weights, targets, sources, out, exclude_within=None):
         for j, y in enumerate(sources[:, None]):
             total += kernel(m[:, :, j:j + 1], *pair_offsets(strip, y, exclude_within))
         out[rows] += total[..., 0].T
+    return out
+
+
+# sources per block of `stresslet_strain_sum`
+_BLOCK = 64
+
+
+def _compact_blocks(x, idx=None):
+    """Index arrays of 1 to _BLOCK points, the leaves of a kd-tree that halves
+    each set at the median of its widest axis (stable sort)."""
+    idx = np.arange(len(x)) if idx is None else idx
+    if len(idx) <= _BLOCK:
+        return [idx] if len(idx) else []
+    idx = idx[np.argsort(x[idx, np.ptp(x[idx], axis=0).argmax()], kind="stable")]
+    return _compact_blocks(x, idx[:len(idx) // 2]) + _compact_blocks(x, idx[len(idx) // 2:])
+
+
+def stresslet_strain_sum(weights, targets, sources):
+    """The six `stresslet_strain_kernel` entries summed over the sources, per target,
+    (targets, 6). Each of the `_compact_blocks` of sources takes its centroid o as
+    origin; with g = x_l - o, y = x_m - o and z = g - y, r2 and q r^7 = -5 C38 z.Sz
+    are monomials of g times features of y, and with p = -2 C38/r^5 so are
+    V = sum v = sum p Sz - q z and X = sum y (x) v: matmuls of P and Q contracted
+    with (g, 1). Then sum z (x) v = g (x) V - X. Targets go in `row_blocks`. Pairs
+    whose computed r2 is at most (rho/16)^2, rho the block's radius, go through
+    the kernel, a source at the target's point adding zero (exclude_within=0)."""
+    m, out = sym_matrix(np.asarray(weights, dtype=float).T), np.zeros((len(targets), 6))
+    chunks = [(rows, targets[rows].T.copy()) for rows in row_blocks(len(targets), _BLOCK)]
+    totals = [np.zeros((3, 3, x.shape[1])) for _, x in chunks]
+    near_t, near_s = [np.zeros(0, np.intp)], [np.zeros(0, np.intp)]
+    for idx in _compact_blocks(sources):
+        o = sources[idx].mean(axis=0)
+        y, sm, b = sources[idx] - o, m[:, :, idx].transpose(2, 0, 1), len(idx)
+        # z.Mz = g.Mg - 2 g.My + y.My for M = I and S, on the monomials of g
+        ms = np.concatenate([np.broadcast_to(np.eye(3), (b, 3, 3)), sm]).reshape(-1, 9)
+        my = np.einsum("bjk,bk->bj", ms.reshape(-1, 3, 3), np.concatenate([y, y]))
+        quad = np.concatenate([ms[:, [0, 4, 8]], 2.0 * ms[:, [1, 2, 5]], -2.0 * my,
+                               np.einsum("bj,bj->b", my, np.concatenate([y, y]))[:, None]], 1)
+        quad[b:] *= -5.0 * _C38
+        # P multiplies (A, y (x) A), A = [S | -Sy], k'-major; Q multiplies (1, y, y (x) y)
+        a = np.concatenate([sm, -my[b:, :, None]], axis=2)
+        ya = np.concatenate([a[:, None], y[:, :, None, None] * a[:, None]], axis=1)
+        fp = -2.0 * _C38 * ya.transpose(3, 1, 2, 0).reshape(48, b)
+        fq = np.concatenate([np.ones((b, 1)), y, (y[:, :, None] * y[:, None]).reshape(b, 9)], 1).T
+        near = quad[:b, 9].max() / 256.0
+        for (rows, x), total in zip(chunks, totals):
+            g = x - o[:, None]
+            mono = np.concatenate([g[[0, 1, 2, 0, 0, 1]] * g[[0, 1, 2, 1, 2, 2]], g,
+                                   np.ones((1, g.shape[1]))])
+            r2, q = quad[:b] @ mono, quad[b:] @ mono
+            close = np.flatnonzero(r2 <= near)
+            near_t.append(rows.start + close % g.shape[1])
+            near_s.append(idx[close // g.shape[1]])
+            r2.flat[close] = np.inf
+            u = np.reciprocal(r2, out=r2)
+            p = u * u
+            p *= np.sqrt(u)
+            q *= p
+            q *= u
+            f = (fp @ p).reshape(4, 4, 3, -1)
+            h = fq @ q
+            vx = f[3] + f[0] * g[0] + f[1] * g[1] + f[2] * g[2]
+            vx[0] += h[1:4] - g * h[0]
+            vx[1:] += h[4:].reshape(3, 3, -1) - h[1:4, None] * g
+            total += g[:, None] * vx[0]
+            total -= vx[1:]
+    for (rows, _), e in zip(chunks, totals):
+        e = e.reshape(9, -1)
+        out[rows] = np.concatenate([e[[0, 4, 8]], e[[1, 2, 5]] + e[[3, 6, 7]]]).T
+    t, src = np.concatenate(near_t), np.concatenate(near_s)
+    z = (targets[t] - sources[src]).T
+    r2 = z[0] * z[0] + z[1] * z[1] + z[2] * z[2]
+    r2[r2 <= 0.0] = np.inf
+    np.add.at(out, t, stresslet_strain_kernel(m[:, :, src], z, r2).T)
     return out
 
 

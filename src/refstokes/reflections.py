@@ -10,10 +10,10 @@ and accumulates the levels into running totals. The accumulated totals are
 the Neumann series of the linear fixed-point problem (I - T) total = ambient,
 which `dense_fixed_point` solves directly as an independent oracle.
 
-Every pair sum goes through `kernels.pair_sum`, and the dense matrix through
-the same `kernels.pair_blocks`, so the strain and velocity kernels here are
-the ones the point functions in `kernels` evaluate, and repeated runs on
-identical input are bit-identical.
+A sweep sums through `kernels.stresslet_strain_sum`, the velocity through
+`kernels.pair_sum` and the dense matrix through `kernels.pair_blocks`, so the
+strain and velocity kernels here are the ones the point functions in `kernels`
+evaluate, and repeated runs on identical input are bit-identical.
 """
 
 from __future__ import annotations
@@ -86,8 +86,7 @@ def reflect_step(state):
     """One sweep: new level from the previous one, totals accumulated."""
     moments = apply_mobility(state.cloud.mobilities, state.A_current)
     centers = state.cloud.centers
-    entries = kernels.pair_sum(kernels.stresslet_strain_kernel, moments, centers, centers,
-                               np.zeros((len(centers), 6)), exclude_within=0.0)
+    entries = kernels.stresslet_strain_sum(moments, centers, centers)
     new = np.stack(sym_coefficients(entries.T), axis=1)
     return ReflectionState(
         cloud=state.cloud,
@@ -114,15 +113,21 @@ def _check_gate(cloud, gate, force):
     return stats
 
 
+def _diverged(h):
+    """A non-finite last level, or two consecutive level ratios >= 1."""
+    return not np.isfinite(h[-1]) or len(h) >= 3 and h[-1] >= h[-2] >= h[-3]
+
+
 def run_reflections(cloud, A, tol=1e-10, max_iter=100, fixed_n=None,
                     gate=EPS0_GATE_DEFAULT, force=False):
     """Iterate reflection sweeps and sum the levels.
 
     In tolerance mode the iteration stops once the l2 norm of the current
     level drops below tol * |A|; failure to converge within max_iter returns
-    a non-converged result (no exception), history attached. With fixed_n
-    the totals include exactly the strain levels 0..fixed_n-1 (the velocity
-    approximation of order fixed_n).
+    a non-converged result (no exception), history attached. A diverging
+    solve (a non-finite level, or two consecutive level ratios >= 1) stops
+    the same way. With fixed_n the totals include exactly the strain levels
+    0..fixed_n-1 (the velocity approximation of order fixed_n).
     """
     A = sym_from_list(A)
     if not 0 < tol < np.inf:
@@ -134,7 +139,8 @@ def run_reflections(cloud, A, tol=1e-10, max_iter=100, fixed_n=None,
     ref = np.linalg.norm(A)
     state = init_reflections(cloud, A)
     converged = False
-    while state.n < sweeps and not (converged and fixed_n is None):
+    while state.n < sweeps and not (
+            fixed_n is None and (converged or _diverged(state.norm_history))):
         state = reflect_step(state)
         converged = state.norm_history[-1] <= tol * ref
     return StressletSolution(cloud=cloud, A_hat=state.A_total, iterations=state.n,

@@ -381,6 +381,17 @@ def test_config_names_missing_size_keys(tmp_path, capsys, kind, message):
     assert capsys.readouterr().err == f"error: {message}\n"
 
 
+@pytest.mark.parametrize("cloud", [{"kind": "rsa", "n": 20, "dmin": 0.1},
+                                   {"kind": "lattice", "n_per_axis": 2}])
+def test_config_refuses_a_negative_seed(tmp_path, capsys, cloud):
+    cfgp = write_config(tmp_path, {"seed": -1, "cloud": dict(cloud, box=UNIT_BOX, a=0.01),
+                                   "strain": [1, 0, 0, 0, 0]})
+    out = tmp_path / "c.json"
+    assert cli.main(["generate", "--config", cfgp, "--out", str(out)]) == 4
+    assert "minimum of 0" in capsys.readouterr().err   # the schema check, before any RSA trial
+    assert not out.exists()
+
+
 def test_config_refuses_size_keys_of_another_kind(tmp_path, capsys):
     cfgp = write_config(tmp_path, {"seed": 1, "cloud": {"kind": "lattice", "box": UNIT_BOX,
                                                         "n_per_axis": 2, "a": 0.01,

@@ -527,6 +527,108 @@ def test_strip_pair_sum_memory_does_not_grow_with_targets(rng):
     assert peaks[1] < 4 * 2 ** 20
 
 
+# ---------------------------------------------------------------------------
+# the reflection sweep's strain sum
+
+
+def long_double_strain_sum(weights, points):
+    """The entries of `stresslet_strain_kernel` summed over every other point, by
+    the kernel's own formula, v = p Mz - q z, in np.longdouble, 50 targets at a time."""
+    ld = np.longdouble
+    m, x = sym3.sym_matrix(weights.T.astype(ld)), points.astype(ld)
+    c = ld(3) / (ld(8) * ld(np.pi))
+    out = np.empty((len(x), 6), dtype=ld)
+    for start in range(0, len(x), 50):
+        z = x[start:start + 50, None, :] - x[None, :, :]
+        r2 = np.sum(z * z, axis=-1)
+        r2[r2 == 0] = np.inf
+        b = np.einsum("ijm,tmj->tmi", m, z)
+        s = np.sum(z * b, axis=-1)
+        v = (-2 * c / r2 ** 2 / np.sqrt(r2))[..., None] * b \
+            - (-5 * c * s / r2 ** 3 / np.sqrt(r2))[..., None] * z
+        e = np.einsum("tmi,tmj->tij", z, v)
+        out[start:start + 50] = np.stack([e[:, 0, 0], e[:, 1, 1], e[:, 2, 2],
+                                          e[:, 0, 1] + e[:, 1, 0], e[:, 0, 2] + e[:, 2, 0],
+                                          e[:, 1, 2] + e[:, 2, 1]], axis=1)
+    return out
+
+
+def test_strain_sum_matches_a_long_double_direct_sum(rng):
+    # the 1000-particle cloud of the bench's reflect_rsa, with random SPD mobilities
+    from refstokes import cloud as cl
+    c = cl.generate_rsa(np.array([[0.0] * 3, [1.0] * 3]), 1000, 0.003, 0.03, seed=0)
+    root = rng.normal(size=(c.n, 5, 5))
+    spd = root @ root.transpose(0, 2, 1) + 0.1 * np.eye(5)
+    weights = sym3.apply_mobility(spd, rng.normal(size=(c.n, 5)))
+    got = kernels.stresslet_strain_sum(weights, c.centers, c.centers)
+    want = long_double_strain_sum(weights, c.centers)
+    assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+
+def lattice(n):
+    return np.stack(np.meshgrid(*[np.arange(n) / n] * 3, indexing="ij"), axis=-1).reshape(-1, 3)
+
+
+TWO_POINTS = np.array([[0.0, 0.0, 0.0], [0.3, 0.1, -0.2]])
+
+
+@pytest.mark.parametrize("points", [lattice(7), lattice(1), TWO_POINTS],
+                         ids=["lattice", "one", "two"])
+def test_strain_sum_matches_pair_sum(rng, points):
+    # 343 lattice sites: several source blocks and two target chunks
+    weights = rng.normal(size=(len(points), 5))
+    got = kernels.stresslet_strain_sum(weights, points, points)
+    want = kernels.pair_sum(kernels.stresslet_strain_kernel, weights, points, points,
+                            np.zeros((len(points), 6)), exclude_within=0.0)
+    assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
+
+
+def test_strain_sum_of_coincident_points_is_zero(rng):
+    # self-pairs and coincident centres add exactly zero, in one block or many
+    for copies in (2, 3, 100):
+        points = np.tile([[0.1, 0.2, 0.3]], (copies, 1))
+        weights = rng.normal(size=(copies, 5))
+        assert np.all(kernels.stresslet_strain_sum(weights, points, points) == 0.0)
+    # a coincident pair next to a third point sees only the third point
+    points = np.array([[0.1, 0.2, 0.3], [0.1, 0.2, 0.3], [0.6, -0.1, 0.2]])
+    weights = rng.normal(size=(3, 5))
+    got = kernels.stresslet_strain_sum(weights, points, points)
+    want = kernels.pair_sum(kernels.stresslet_strain_kernel, weights, points, points,
+                            np.zeros((3, 6)), exclude_within=0.0)
+    assert np.allclose(got, want, rtol=1e-13, atol=0.0)
+    one = kernels.pair_sum(kernels.stresslet_strain_kernel, weights[2:], points[:1], points[2:],
+                           np.zeros((1, 6)))
+    assert np.allclose(got[:2], one, rtol=1e-13, atol=0.0)
+
+
+def test_strain_sum_takes_close_pairs_through_the_kernel(rng):
+    # a pair 1e-4 apart in a block of radius ~0.5: expanded about the block's
+    # centroid, its r2 and s would lose about 8 of 16 digits to cancellation
+    points = np.concatenate([lattice(4), lattice(4)[21:22] + 1e-4])
+    weights = rng.normal(size=(len(points), 5))
+    got = kernels.stresslet_strain_sum(weights, points, points)
+    want = kernels.pair_sum(kernels.stresslet_strain_kernel, weights, points, points,
+                            np.zeros((len(points), 6)), exclude_within=0.0)
+    assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
+
+
+def test_strain_sum_memory_is_within_the_pair_sum(rng):
+    # the block features and (targets x block) temporaries, not the pairs, set the peak
+    centers = rng.uniform(-1.0, 1.0, size=(2000, 3))
+    weights = rng.normal(size=(2000, 5))
+    peaks = []
+    for call in (lambda: kernels.pair_sum(kernels.stresslet_strain_kernel, weights, centers,
+                                          centers, np.zeros((2000, 6)), exclude_within=0.0),
+                 lambda: kernels.stresslet_strain_sum(weights, centers, centers)):
+        tracemalloc.start()
+        try:
+            assert np.all(np.isfinite(call()))
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= peaks[0]
+
+
 def brute_force_pairs(targets, sources, radius):
     # every pair, kept by the arithmetic of pair_offsets, in (target, source) order
     z, r2 = kernels.pair_offsets(targets, sources)

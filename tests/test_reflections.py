@@ -101,6 +101,34 @@ def test_gate_scales_with_mobility():
         refl.run_reflections(c, UNIAXIAL, fixed_n=1, gate=phi_local * (1.0 - 1e-12))
 
 
+def test_divergent_forced_solve_stops():
+    # 500x the sphere mobility: each level several times the last
+    c = cl.generate_rsa(UNIT_BOX, 200, 0.01, 0.08, seed=3)
+    strong = cl.ParticleCloud(centers=c.centers, a=c.a, mobilities=500.0 * c.mobilities,
+                              box=c.box)
+    sol = refl.run_reflections(strong, UNIAXIAL, force=True)
+    assert not sol.converged
+    assert sol.iterations <= 3 and len(sol.norm_history) == sol.iterations + 1
+    assert np.isfinite(sol.residual) and sol.residual == sol.norm_history[-1]
+    assert sol.norm_history[-1] >= sol.norm_history[-2] >= sol.norm_history[-3]
+    # fixed_n keeps its exact level count, diverging or not
+    assert refl.run_reflections(strong, UNIAXIAL, fixed_n=6, force=True).iterations == 5
+
+
+def test_non_finite_level_stops_the_solve(monkeypatch):
+    c = two_sphere_cloud()
+    step = refl.reflect_step
+
+    def blow_up(state):
+        new = step(state)
+        new.A_current[0, 0] = np.inf
+        new.norm_history[-1] = np.inf
+        return new
+    monkeypatch.setattr(refl, "reflect_step", blow_up)
+    sol = refl.run_reflections(c, UNIAXIAL, force=True)
+    assert not sol.converged and sol.iterations == 1
+
+
 def test_non_convergence_reported_not_raised():
     c = two_sphere_cloud()
     sol = refl.run_reflections(c, UNIAXIAL, tol=1e-30, max_iter=3, force=True)
