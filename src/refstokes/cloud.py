@@ -44,11 +44,13 @@ FIELD_EXCLUSION_FACTOR = 4.0   # field comparisons exclude B(x_l, FIELD_EXCLUSIO
 _CLOUD_KEYS = {"a", "box", "centers", "mobilities"}   # the keys of a cloud document
 
 
-def _as_centers(centers):
-    """Centers as a float array of rank >= 2; an empty input becomes (0, 3).
-    Any other shape is passed on unchanged for `ParticleCloud` to reject."""
-    centers = np.ascontiguousarray(np.atleast_2d(centers), dtype=float)
-    return centers.reshape(0, 3) if centers.size == 0 else centers
+def _as_points(points, name):
+    """The one rule for centres and evaluation points: a float (P, 3) array, (3,) as
+    (1, 3) and an empty input as (0, 3); any other shape raises ValueError naming it."""
+    points = np.ascontiguousarray(np.atleast_2d(points), dtype=float)
+    if points.size and (points.ndim != 2 or points.shape[1] != 3):
+        raise ValueError(f"{name} must have shape (N, 3), got {points.shape}")
+    return points.reshape(-1, 3)
 
 
 @dataclass(frozen=True, eq=False)
@@ -61,9 +63,7 @@ class ParticleCloud:
     box: np.ndarray         # (2, 3): [lower, upper]
 
     def __post_init__(self):
-        centers = _as_centers(self.centers)
-        if centers.ndim != 2 or centers.shape[1] != 3:
-            raise ValueError("centers must have shape (N, 3)")
+        centers = _as_points(self.centers, "centers")
         box = np.ascontiguousarray(self.box, dtype=float)
         if box.shape != (2, 3) or not np.all(np.isfinite(box) & (box[1] > box[0])):
             raise ValueError("box must be [[lo],[hi]], finite, with hi > lo per axis")
@@ -82,7 +82,7 @@ class ParticleCloud:
     @classmethod
     def spheres(cls, centers, a, box):
         """Cloud of rigid spheres with the closed-form mobility."""
-        centers = _as_centers(centers)
+        centers = _as_points(centers, "centers")
         mob = np.broadcast_to(sphere_mobility(a), (len(centers), 5, 5)).copy()
         return cls(centers=centers, a=a, mobilities=mob, box=box)
 

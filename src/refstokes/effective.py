@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
-from .cloud import FIELD_EXCLUSION_FACTOR, validate
+from .cloud import FIELD_EXCLUSION_FACTOR, _as_points, validate
 from .errors import GateError, GridMismatchError
 from .fields import GridField
 from .sym3 import apply_mobility, frobenius, project_sym_tracefree, sym_from_list, sym_matrix
@@ -330,7 +330,7 @@ def tilde_vc(field, A, points):
     `_near_radius` of an evaluation point are subdivided (the kernel is degree
     -2, locally integrable). `field` is a rank-2 GridField.
     """
-    points = np.atleast_2d(np.asarray(points, dtype=float))
+    points = _as_points(points, "points")
     out = np.zeros((len(points), 3))
     S = apply_mobility(field.values, sym_from_list(A))
     mask = np.any(S != 0.0, axis=-1)

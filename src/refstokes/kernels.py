@@ -27,12 +27,12 @@ functions are the single-pair case; the sphere's pressure and traction are
 closed forms on the same moment terms. `row_blocks`, slices of whole rows of
 at most `PAIR_BUDGET` elements, sizes every pair evaluation and the FFT kernel
 fill of `effective`. `pair_blocks` cuts (targets x sources) pairs into its row
-blocks for the dense reflection matrix, the near-cell quadrature and
-`pair_sum`, which runs along the longer point set: a block row sums its
-sources, or strips of targets add one source at a time. The reflection sweep's
-`stresslet_strain_sum` instead sums each compact block of sources by BLAS
-products of target monomials and source features, and keeps only the radial
-factors per pair. The pair kernels trust their inputs; the pair search, offsets,
+blocks for the dense reflection matrix, the near-cell quadrature and `pair_sum`
+(the far cells of `tilde_vc`): a block row sums its sources, or strips of
+targets add one source at a time. The sweep's `stresslet_strain_sum` and the
+velocity's `velocity_sum` share one engine: BLAS products of target monomials
+and the features of compact blocks of sources, only radial factors per pair.
+The pair kernels trust their inputs; the pair search, offsets,
 blocks and sums, the sphere functions and `mean_value_reconstruct` apply
 `check_length`, the one length rule, first. `check_count` is the one rule for a
 count or a seed; its callers apply it first.
@@ -53,7 +53,7 @@ __all__ = ["oseen", "oseen_pressure", "stresslet_field", "stresslet_strain",
            "mean_value_reconstruct", "PAIR_BUDGET", "check_length", "check_count",
            "stresslet_strain_kernel", "stresslet_velocity_kernel", "sphere_disturbance_kernel",
            "pair_offsets", "row_blocks", "pair_blocks", "pair_sum", "stresslet_strain_sum",
-           "pairs_within"]
+           "velocity_sum", "pairs_within"]
 
 _C8 = 1.0 / (8.0 * np.pi)
 _C4 = 1.0 / (4.0 * np.pi)
@@ -282,7 +282,7 @@ def pair_sum(kernel, weights, targets, sources, out, exclude_within=None):
     return out
 
 
-# sources per block of `stresslet_strain_sum`
+# sources per block of the block-moment sums
 _BLOCK = 64
 
 
@@ -296,19 +296,22 @@ def _compact_blocks(x, idx=None):
     return _compact_blocks(x, idx[:len(idx) // 2]) + _compact_blocks(x, idx[len(idx) // 2:])
 
 
-def stresslet_strain_sum(weights, targets, sources):
-    """The six `stresslet_strain_kernel` entries summed over the sources, per target,
-    (targets, 6). Each of the `_compact_blocks` of sources takes its centroid o as
-    origin; with g = x_l - o, y = x_m - o and z = g - y, r2 and q r^7 = -5 C38 z.Sz
-    are monomials of g times features of y, and with p = -2 C38/r^5 so are
-    V = sum v = sum p Sz - q z and X = sum y (x) v: matmuls of P and Q contracted
-    with (g, 1). Then sum z (x) v = g (x) V - X. Targets go in `row_blocks`. Pairs
-    whose computed r2 is at most (rho/16)^2, rho the block's radius, go through
-    the kernel, a source at the target's point adding zero (exclude_within=0)."""
-    m, out = sym_matrix(np.asarray(weights, dtype=float).T), np.zeros((len(targets), 6))
-    chunks = [(rows, targets[rows].T.copy()) for rows in row_blocks(len(targets), _BLOCK)]
-    totals = [np.zeros((3, 3, x.shape[1])) for _, x in chunks]
-    near_t, near_s = [np.zeros(0, np.intp)], [np.zeros(0, np.intp)]
+def _block_moment_sum(weights, targets, sources, kernel, block, rows):
+    """Sum over the sources, (targets, rows), of a pair kernel made of polynomials in
+    z = x_l - x_m and factors of r2 and s = z.Sz, S = `sym_matrix` of the weights.
+    Each of the `_compact_blocks` takes its centroid o as origin: with g = x_l - o and
+    y = x_m - o, r2 and s are matmuls of target monomials (g g, g, 1) by source
+    features. `block(y, [S | -Sy])` returns add(g, p, u, s, total), which adds the
+    block's sum over a chunk to its (rows, chunk) view total, from (block, chunk)
+    arrays u = 1/r2 and p = u^(5/2) it may overwrite. Chunks have the `row_blocks`
+    width of _BLOCK sources, the last padded with its last target, so every product
+    has one shape and a target's bits do not depend on the other targets. Pairs at
+    computed r2 <= (rho/16)^2, rho the block's radius, get u = 0 and, unless they
+    coincide, add `kernel` at exact offsets to the first rows."""
+    m, n = sym_matrix(np.asarray(weights, dtype=float).T), len(targets)
+    width = max(1, PAIR_BUDGET // _BLOCK)
+    acc = np.zeros((-(-n // width) * width, rows))
+    tail = np.concatenate([targets[len(acc) - width:], np.repeat(targets[-1:], len(acc) - n, 0)])
     for idx in _compact_blocks(sources):
         o = sources[idx].mean(axis=0)
         y, sm, b = sources[idx] - o, m[:, :, idx].transpose(2, 0, 1), len(idx)
@@ -317,43 +320,83 @@ def stresslet_strain_sum(weights, targets, sources):
         my = np.einsum("bjk,bk->bj", ms.reshape(-1, 3, 3), np.concatenate([y, y]))
         quad = np.concatenate([ms[:, [0, 4, 8]], 2.0 * ms[:, [1, 2, 5]], -2.0 * my,
                                np.einsum("bj,bj->b", my, np.concatenate([y, y]))[:, None]], 1)
-        quad[b:] *= -5.0 * _C38
-        # P multiplies (A, y (x) A), A = [S | -Sy], k'-major; Q multiplies (1, y, y (x) y)
-        a = np.concatenate([sm, -my[b:, :, None]], axis=2)
-        ya = np.concatenate([a[:, None], y[:, :, None, None] * a[:, None]], axis=1)
-        fp = -2.0 * _C38 * ya.transpose(3, 1, 2, 0).reshape(48, b)
-        fq = np.concatenate([np.ones((b, 1)), y, (y[:, :, None] * y[:, None]).reshape(b, 9)], 1).T
+        add = block(y, np.concatenate([sm, -my[b:, :, None]], axis=2))
         near = quad[:b, 9].max() / 256.0
-        for (rows, x), total in zip(chunks, totals):
-            g = x - o[:, None]
+        for start in range(0, n, width):
+            x = (targets[start:start + width] if start + width <= n else tail).T
+            g = np.subtract(x, o[:, None], order="C")
             mono = np.concatenate([g[[0, 1, 2, 0, 0, 1]] * g[[0, 1, 2, 1, 2, 2]], g,
-                                   np.ones((1, g.shape[1]))])
-            r2, q = quad[:b] @ mono, quad[b:] @ mono
+                                   np.ones((1, width))])
+            r2, s = quad[:b] @ mono, quad[b:] @ mono
             close = np.flatnonzero(r2 <= near)
-            near_t.append(rows.start + close % g.shape[1])
-            near_s.append(idx[close // g.shape[1]])
-            r2.flat[close] = np.inf
+            if len(close):
+                r2.flat[close] = np.inf
+                z = x[:, close % width] - sources[idx[close // width]].T
+                close = close[z.any(axis=0)]
+            if len(close):
+                z = x[:, close % width] - sources[idx[close // width]].T
+                e = kernel(m[:, :, idx[close // width]], z, z[0] * z[0] + z[1] * z[1] + z[2] * z[2])
+                np.add.at(acc[:, :len(e)], start + close % width, e.T)
             u = np.reciprocal(r2, out=r2)
             p = u * u
             p *= np.sqrt(u)
-            q *= p
-            q *= u
-            f = (fp @ p).reshape(4, 4, 3, -1)
-            h = fq @ q
-            vx = f[3] + f[0] * g[0] + f[1] * g[1] + f[2] * g[2]
-            vx[0] += h[1:4] - g * h[0]
-            vx[1:] += h[4:].reshape(3, 3, -1) - h[1:4, None] * g
-            total += g[:, None] * vx[0]
-            total -= vx[1:]
-    for (rows, _), e in zip(chunks, totals):
-        e = e.reshape(9, -1)
-        out[rows] = np.concatenate([e[[0, 4, 8]], e[[1, 2, 5]] + e[[3, 6, 7]]]).T
-    t, src = np.concatenate(near_t), np.concatenate(near_s)
-    z = (targets[t] - sources[src]).T
-    r2 = z[0] * z[0] + z[1] * z[1] + z[2] * z[2]
-    r2[r2 <= 0.0] = np.inf
-    np.add.at(out, t, stresslet_strain_kernel(m[:, :, src], z, r2).T)
-    return out
+            add(g, p, u, s, acc[start:start + width].T)
+    return acc[:n]
+
+
+def _strain_block(y, sa):
+    """`_block_moment_sum` accumulator of sum z (x) v, v of `stresslet_strain_kernel`:
+    with p = -2 C38/r^5 and q = -5 C38 s/r^7, V = sum p Sz - q z and X = sum y (x) v
+    are matmuls of P by (A, y (x) A), A = [S | -Sy], and of Q by (1, y, y (x) y),
+    contracted with (g, 1). Rows ij of g (x) V - X: the kernel's 00, 11, 22, 01, 02, 12,
+    then 10, 20, 21."""
+    ya = np.concatenate([sa[:, None], y[:, :, None, None] * sa[:, None]], axis=1)
+    fp = -2.0 * _C38 * ya.transpose(3, 1, 2, 0).reshape(48, len(y))
+    fq = -5.0 * _C38 * np.concatenate([np.ones((len(y), 1)), y,
+                                       (y[:, :, None] * y[:, None]).reshape(-1, 9)], 1).T
+
+    def add(g, p, u, s, total):
+        s *= p
+        s *= u
+        f = (fp @ p).reshape(4, 4, 3, -1)
+        h = fq @ s
+        vx = f[3] + f[0] * g[0] + f[1] * g[1] + f[2] * g[2]
+        vx[0] += h[1:4] - g * h[0]
+        vx[1:] += h[4:].reshape(3, 3, -1) - h[1:4, None] * g
+        total[[0, 3, 4, 6, 1, 5, 7, 8, 2]] += (g[:, None] * vx[0] - vx[1:]).reshape(9, -1)
+    return add
+
+
+def stresslet_strain_sum(weights, targets, sources):
+    """The six `stresslet_strain_kernel` entries summed over the sources, (targets, 6)."""
+    e = _block_moment_sum(weights, targets, sources, stresslet_strain_kernel, _strain_block, 9)
+    return np.concatenate([e[:, :3], e[:, 3:6] + e[:, 6:]], axis=1)
+
+
+def velocity_sum(weights, targets, sources, a=None):
+    """Velocity summed over the sources, (targets, 3): `sphere_disturbance_kernel` of
+    radius a and each source's strain, or with no a `stresslet_velocity_kernel` and each
+    moment. Each is c Sz + k z, c = -a^5/r^5 and k = 2.5 s (a^5/r2 - a^3)/r^5, or c = 0
+    and k = -C38 s/r^5; in `_block_moment_sum`, sum c Sz = (sum c S) g - sum c Sy and
+    sum k z = (sum k) g - sum k y are matmuls of C by [S | -Sy] and of K by (1, y)."""
+    sphere = a is not None and check_length(a, "a") > 0
+    kernel = ((lambda m, z, r2: sphere_disturbance_kernel(m, z, r2, a)) if sphere
+              else stresslet_velocity_kernel)
+
+    def block(y, sa):
+        fk = (2.5 if sphere else -_C38) * np.concatenate([np.ones((len(y), 1)), y], 1).T
+        fc = -a ** 5 * sa.transpose(2, 1, 0).reshape(12, len(y)) if sphere else None
+
+        def add(g, p, u, s, total):
+            s *= p
+            if sphere:
+                s *= np.subtract(np.multiply(u, a ** 5, out=u), a ** 3, out=u)
+                f = (fc @ p).reshape(4, 3, -1)
+                total += f[3] + f[0] * g[0] + f[1] * g[1] + f[2] * g[2]
+            h = fk @ s
+            total += g * h[0] - h[1:]
+        return add
+    return _block_moment_sum(weights, targets, sources, kernel, block, 3)
 
 
 def pairs_within(targets, sources, radius):

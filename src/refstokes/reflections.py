@@ -11,7 +11,7 @@ the Neumann series of the linear fixed-point problem (I - T) total = ambient,
 which `dense_fixed_point` solves directly as an independent oracle.
 
 A sweep sums through `kernels.stresslet_strain_sum`, the velocity through
-`kernels.pair_sum` and the dense matrix through `kernels.pair_blocks`, so the
+`kernels.velocity_sum` and the dense matrix through `kernels.pair_blocks`, so the
 strain and velocity kernels here are the ones the point functions in `kernels`
 evaluate, and repeated runs on identical input are bit-identical.
 """
@@ -19,12 +19,11 @@ evaluate, and repeated runs on identical input are bit-identical.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import partial
 
 import numpy as np
 
 from . import kernels
-from .cloud import ParticleCloud, validate
+from .cloud import ParticleCloud, _as_points, validate
 from .errors import GateError, KernelDomainError
 from .sym3 import apply_mobility, embed, sym_coefficients, sym_from_list, sym_matrix
 
@@ -205,7 +204,7 @@ def evaluate_velocity(solution, A, points):
     are allowed.
     """
     cloud, A = solution.cloud, sym_from_list(A)
-    points = np.atleast_2d(np.asarray(points, dtype=float))
+    points = _as_points(points, "points")
     u = points @ embed(A).T
     t, s, z = kernels.pairs_within(points, cloud.centers, cloud.a)
     inside = np.flatnonzero(np.einsum("ki,ki->k", z, z) < cloud.a ** 2 * (1.0 - 1e-12))
@@ -213,12 +212,9 @@ def evaluate_velocity(solution, A, points):
         raise KernelDomainError(
             f"evaluation point {t[inside[0]]} inside particle {s[inside[0]]}")
     if cloud.spherical:
-        kernel = partial(kernels.sphere_disturbance_kernel, a=cloud.a)
-        weights = solution.A_hat
-    else:
-        kernel = kernels.stresslet_velocity_kernel
-        weights = apply_mobility(cloud.mobilities, solution.A_hat)
-    return kernels.pair_sum(kernel, weights, points, cloud.centers, u)
+        return u + kernels.velocity_sum(solution.A_hat, points, cloud.centers, cloud.a)
+    return u + kernels.velocity_sum(apply_mobility(cloud.mobilities, solution.A_hat),
+                                    points, cloud.centers)
 
 
 def contraction_diagnostic(cloud, A, q=2.0, n_levels=5,

@@ -72,7 +72,8 @@ def call_counts(monkeypatch, calls):
 def work(monkeypatch):
     """Counts of the sweeps, solves and convolutions run while the test runs."""
     return call_counts(monkeypatch, [(refl, "reflect_step"), (eff, "_convolve_sources"),
-                                     (kernels, "pair_sum"), (np.linalg, "solve")])
+                                     (kernels, "pair_sum"), (kernels, "velocity_sum"),
+                                     (np.linalg, "solve")])
 
 
 @pytest.mark.parametrize("entry", ENTRY_POINTS)
@@ -129,6 +130,22 @@ def test_pair_search_refuses_non_finite_points(bad):
         for call in calls:
             with pytest.raises(ValueError, match="pairs_within needs finite points"):
                 call()
+
+
+@pytest.mark.parametrize("call", [lambda p: refl.evaluate_velocity(SOLUTION, STRAIN, p),
+                                  lambda p: eff.tilde_vc(FIELD, STRAIN, p)],
+                         ids=["evaluate_velocity", "tilde_vc"])
+def test_one_point_shape_rule(call, work):
+    # the rule of particle centres, `cloud._as_points`: empty is (0, 3), one
+    # point (3,) is (1, 3), any other shape is refused by name before any work
+    for empty in ([], np.zeros((0, 3)), np.zeros((0, 2))):
+        assert call(empty).shape == (0, 3)
+    assert call(POINTS[0]).tobytes() == call(POINTS[:1]).tobytes()
+    work.clear()
+    for bad in (np.zeros((4, 2)), np.zeros((2, 3, 1)), np.zeros((1, 4))):
+        with pytest.raises(ValueError, match=re.escape("points must have shape (N, 3), got (")):
+            call(bad)
+    assert work == {}
 
 
 def radial_average(rho):

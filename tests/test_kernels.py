@@ -629,6 +629,118 @@ def test_strain_sum_memory_is_within_the_pair_sum(rng):
     assert peaks[1] <= peaks[0]
 
 
+def test_block_sums_do_not_depend_on_the_other_targets(rng):
+    # every target chunk is padded to one width, so every product of a call has
+    # one shape: rows computed alone or in any slice keep the bits of the whole call
+    from refstokes import cloud as cl
+    c = cl.generate_rsa(np.array([[0.0] * 3, [1.0] * 3]), 1000, 0.003, 0.03, seed=0)
+    weights = rng.normal(size=(c.n, 5))
+    targets = rng.uniform(0.0, 1.0, size=(600, 3))
+    sums = [(lambda p: kernels.stresslet_strain_sum(weights, p, c.centers), c.centers),
+            (lambda p: kernels.velocity_sum(weights, p, c.centers), targets),
+            (lambda p: kernels.velocity_sum(weights, p, c.centers, 0.003), targets)]
+    for call, points in sums:
+        whole = call(points)
+        for rows in (slice(0, 44), slice(1, 45), slice(0, 257), slice(100, 400)):
+            assert np.array_equal(call(points[rows]), whole[rows])
+
+
+# ---------------------------------------------------------------------------
+# the velocity sum
+
+
+def long_double_velocity_sum(weights, targets, sources, a=None):
+    """The velocity of every source at every target by the closed forms, in
+    np.longdouble, 50 targets at a time: the sphere disturbance of radius a,
+    c Sz + k z, or with no a the point stresslet -(3/8pi) (z.Sz) z/r^5."""
+    ld = np.longdouble
+    m, y = sym3.sym_matrix(weights.T.astype(ld)), sources.astype(ld)
+    out = np.empty((len(targets), 3), dtype=ld)
+    for start in range(0, len(targets), 50):
+        z = targets[start:start + 50, None, :].astype(ld) - y[None]
+        r2 = np.sum(z * z, axis=-1)
+        b = np.einsum("ijm,tmj->tmi", m, z)
+        s = np.sum(z * b, axis=-1)
+        r5 = r2 ** 2 * np.sqrt(r2)
+        if a is None:
+            u = (-ld(3) / (ld(8) * ld(np.pi)) * s / r5)[..., None] * z
+        else:
+            a = ld(a)
+            u = (-a ** 5 / r5)[..., None] * b \
+                + (ld(2.5) * s * (a ** 5 / r2 - a ** 3) / r5)[..., None] * z
+        out[start:start + 50] = u.sum(axis=1)
+    return out
+
+
+@pytest.mark.parametrize("n", [200, 2000])
+@pytest.mark.parametrize("sphere", [True, False], ids=["sphere", "point"])
+def test_velocity_sum_matches_a_long_double_direct_sum(rng, n, sphere):
+    # RSA clouds of the compare workload's volume fraction 1e-3 (dmin 0.08 at
+    # N = 200, the bench's compare_rsa cloud); targets outside 4a of every
+    # centre, and on particle surfaces, which lie within rho/16 of their centre
+    # for every source block, so those pairs take the pair kernel
+    from refstokes import cloud as cl, effective
+    a = (3e-3 / (4.0 * np.pi * n)) ** (1.0 / 3.0)
+    c = cl.generate_rsa(np.array([[0.0] * 3, [1.0] * 3]), n, a,
+                        0.08 if n == 200 else 0.6 * n ** (-1.0 / 3.0), seed=1)
+    rho = min(np.max(np.linalg.norm(c.centers[i] - c.centers[i].mean(axis=0), axis=1))
+              for i in kernels._compact_blocks(c.centers))
+    assert a < rho / 16.0
+    targets = rng.uniform(-0.2, 1.2, size=(700, 3))
+    normals = rng.normal(size=(300, 3))
+    normals *= a / np.linalg.norm(normals, axis=1, keepdims=True)
+    targets = np.concatenate([targets[effective.outside_balls(targets, c)],
+                              c.centers[rng.integers(0, n, 300)] + normals])
+    if sphere:
+        weights = rng.normal(size=(n, 5))
+    else:
+        root = rng.normal(size=(n, 5, 5))
+        weights = sym3.apply_mobility(a ** 3 * (root @ root.transpose(0, 2, 1) + 0.1 * np.eye(5)),
+                                      rng.normal(size=(n, 5)))
+    radius = a if sphere else None
+    got = kernels.velocity_sum(weights, targets, c.centers, radius)
+    want = long_double_velocity_sum(weights, targets, c.centers, radius)
+    assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+    surface = slice(len(targets) - 300, None)
+    assert np.linalg.norm(got[surface] - want[surface]) <= 1e-12 * np.linalg.norm(want[surface])
+
+
+@pytest.mark.parametrize("sphere", [True, False], ids=["sphere", "point"])
+@pytest.mark.parametrize("points", [lattice(7), lattice(1), TWO_POINTS],
+                         ids=["lattice", "one", "two"])
+def test_velocity_sum_matches_pair_sum(rng, points, sphere):
+    # 343 lattice sites: several source blocks; the targets, cell centres of the
+    # lattice and a shifted copy, fill two target chunks and part of a third
+    weights = rng.normal(size=(len(points), 5))
+    targets = np.concatenate([lattice(7) + 0.5 / 7, lattice(7) + [0.03, 0.0, 0.0]])
+    kernel = (partial(kernels.sphere_disturbance_kernel, a=0.02) if sphere
+              else kernels.stresslet_velocity_kernel)
+    got = kernels.velocity_sum(weights, targets, points, 0.02 if sphere else None)
+    want = kernels.pair_sum(kernel, weights, targets, points, np.zeros((len(targets), 3)))
+    assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
+
+
+def test_velocity_sum_memory_does_not_grow_with_targets(rng):
+    # the block features, a chunk's (block x chunk) temporaries and its near
+    # pairs are dropped when the next chunk takes their place, so beyond the
+    # result the peak of 16,384 targets holds for 100,000 to 16 KiB; a
+    # (3, targets) copy alone would add 2 MiB
+    sources = rng.uniform(0.0, 1.0, size=(50, 3))
+    weights = rng.normal(size=(50, 5))
+    peaks = []
+    for n_targets in (16_384, 100_000):
+        targets = rng.uniform(-1.0, 2.0, size=(n_targets, 3))
+        tracemalloc.start()
+        try:
+            out = kernels.velocity_sum(weights, targets, sources, 0.01)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert np.all(np.isfinite(out))
+        peaks.append(peak - out.nbytes)
+    assert peaks[1] < peaks[0] + 2 ** 14
+
+
 def brute_force_pairs(targets, sources, radius):
     # every pair, kept by the arithmetic of pair_offsets, in (target, source) order
     z, r2 = kernels.pair_offsets(targets, sources)
