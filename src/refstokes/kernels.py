@@ -27,15 +27,14 @@ functions are the single-pair case; the sphere's pressure and traction are
 closed forms on the same moment terms. `row_blocks`, slices of whole rows of
 at most `PAIR_BUDGET` elements, sizes every pair evaluation and the FFT kernel
 fill of `effective`. `pair_blocks` cuts (targets x sources) pairs into its row
-blocks for the dense reflection matrix, the near-cell quadrature and `pair_sum`
-(the far cells of `tilde_vc`): a block row sums its sources, or strips of
-targets add one source at a time. The sweep's `stresslet_strain_sum` and the
-velocity's `velocity_sum` share one engine: BLAS products of target monomials
-and the features of compact blocks of sources, only radial factors per pair.
-The pair kernels trust their inputs; the pair search, offsets,
-blocks and sums, the sphere functions and `mean_value_reconstruct` apply
-`check_length`, the one length rule, first. `check_count` is the one rule for a
-count or a seed; its callers apply it first.
+blocks for the dense reflection matrix and the near-cell quadrature. Every pair
+sum, the sweep's `stresslet_strain_sum` and `velocity_sum` (the velocity at
+grid points and the cells of `tilde_vc`), runs on one engine: BLAS products of
+target monomials and the features of compact blocks of sources, only radial
+factors per pair. The pair kernels trust their inputs; the pair search and
+sums refuse non-finite points, and they, the offsets, blocks, sphere functions
+and `mean_value_reconstruct` apply `check_length`, the one length rule, first.
+`check_count` is the one rule for a count or a seed; its callers apply it first.
 
 Point functions broadcast over leading axes of the evaluation points.
 """
@@ -52,7 +51,7 @@ __all__ = ["oseen", "oseen_pressure", "stresslet_field", "stresslet_strain",
            "sphere_mobility", "mobility_from_boundary_integral",
            "mean_value_reconstruct", "PAIR_BUDGET", "check_length", "check_count",
            "stresslet_strain_kernel", "stresslet_velocity_kernel", "sphere_disturbance_kernel",
-           "pair_offsets", "row_blocks", "pair_blocks", "pair_sum", "stresslet_strain_sum",
+           "pair_offsets", "row_blocks", "pair_blocks", "stresslet_strain_sum",
            "velocity_sum", "pairs_within"]
 
 _C8 = 1.0 / (8.0 * np.pi)
@@ -247,39 +246,10 @@ def pair_blocks(targets, sources, exclude_within=None):
             for rows in row_blocks(len(targets), len(sources)))
 
 
-def pair_sum(kernel, weights, targets, sources, out, exclude_within=None):
-    """Add sum_m kernel(M_m, targets_l - sources_m) to out[l] for every l.
-
-    weights has one row of coefficients per source, embedded once as the
-    `sym_matrix` M_m; out has one row per target, one column per kernel output.
-    The arithmetic runs along the longer point set:
-
-    * targets <= sources: each `pair_blocks` row sums its sources with numpy's
-      pairwise sum, and out[rows] adds the row sums;
-    * more targets than sources: strips of at most PAIR_BUDGET consecutive
-      targets take one source at a time, as a (strip x 1) block, in source
-      order, against a total that starts from zero; out[rows] then adds the
-      strip's total. Each strip allocates its own Fortran copy and (k, strip,
-      1) total, and each of its one-source blocks its own offsets.
-
-    Either way a target's sum does not depend on the block size, nor on which
-    block or strip holds it, so its bits do not depend on PAIR_BUDGET. Returns out.
-    """
-    if exclude_within is not None:
-        check_length(exclude_within, "exclude_within", positive=False)
-    m = sym_matrix(np.asarray(weights, dtype=float).T)
-    if len(targets) <= len(sources):
-        for rows, z, r2 in pair_blocks(targets, sources, exclude_within):
-            out[rows] += kernel(m, z, r2).sum(axis=-1).T
-        return out
-    for rows in row_blocks(len(targets), 1):
-        # Fortran order: each coordinate of the strip is one contiguous run
-        strip = np.asfortranarray(targets[rows])
-        total = np.zeros((out.shape[1], len(strip), 1))
-        for j, y in enumerate(sources[:, None]):
-            total += kernel(m[:, :, j:j + 1], *pair_offsets(strip, y, exclude_within))
-        out[rows] += total[..., 0].T
-    return out
+def _check_finite(what, targets, sources):
+    """ValueError naming `what` unless every coordinate of both point sets is finite."""
+    if not (np.isfinite(targets).all() and np.isfinite(sources).all()):
+        raise ValueError(f"{what} needs finite points")
 
 
 # sources per block of the block-moment sums
@@ -307,7 +277,9 @@ def _block_moment_sum(weights, targets, sources, kernel, block, rows):
     width of _BLOCK sources, the last padded with its last target, so every product
     has one shape and a target's bits do not depend on the other targets. Pairs at
     computed r2 <= (rho/16)^2, rho the block's radius, get u = 0 and, unless they
-    coincide, add `kernel` at exact offsets to the first rows."""
+    coincide, add `kernel` at exact offsets to the first rows. A non-finite point
+    raises ValueError first."""
+    _check_finite("a block-moment sum", targets, sources)
     m, n = sym_matrix(np.asarray(weights, dtype=float).T), len(targets)
     width = max(1, PAIR_BUDGET // _BLOCK)
     acc = np.zeros((-(-n // width) * width, rows))
@@ -410,8 +382,7 @@ def pairs_within(targets, sources, radius):
     exactly when `pair_offsets(..., exclude_within=radius)` excludes it.
     A non-finite point, or a radius `check_length` refuses, raises ValueError.
     """
-    if not (np.isfinite(targets).all() and np.isfinite(sources).all()):
-        raise ValueError("pairs_within needs finite points")
+    _check_finite("pairs_within", targets, sources)
     check_length(radius, "radius", positive=False)
     swap = len(targets) > len(sources)
     big, small = (targets, sources) if swap else (sources, targets)

@@ -573,6 +573,42 @@ def test_tilde_vc_divergence_free_far():
     assert abs(np.trace(fd)) < 1e-4 * np.max(np.abs(fd))
 
 
+def per_cell_tilde_vc(field, A, points):
+    """`tilde_vc` as a loop over targets and cells: a cell within `_near_radius`
+    by its subcells, any other by the closed-form point stresslet at its centre."""
+    S = field.cell_volume * sym3.apply_mobility(field.values, sym3.sym_from_list(A))
+    h = field.cell_size
+    offsets = eff._subcell_offsets(h, eff._NEAR_SUB)
+    out = np.zeros((len(points), 3))
+    for l, x in enumerate(points):
+        for s, y in zip(S.reshape(-1, 5), field.cell_centers().reshape(-1, 3)):
+            z = x - y
+            if z @ z <= eff._near_radius(h) ** 2:
+                out[l] += eff._subcell_velocity(s, z[None], h, offsets)[0]
+            else:
+                out[l] += kernels.stresslet_field(np.eye(5), s, z)
+    return out
+
+
+def test_tilde_vc_matches_a_per_cell_loop(rng):
+    # a rank-2 field with a zero slab on a box of cells 0.12 x 0.18 x 0.08;
+    # targets on a cell centre, at exactly the near rule's 2 max(h) from one
+    # (half a cell off the lattice along z), outside the box, and anywhere
+    n = 5
+    box = np.array([[0.0, -0.2, 0.1], [0.6, 0.7, 0.5]])
+    values = rng.normal(size=(n, n, n, 5, 5))
+    values[1] = 0.0
+    field = GridField(box=box, n=n, values=values)
+    centers = field.cell_centers().reshape(-1, 3)
+    radius = eff._NEAR_FACTOR * np.max(field.cell_size)
+    points = np.concatenate([centers[[62]], centers[[60]] + [0.0, 0.0, radius],
+                             [[0.9, 1.2, -0.3]], rng.uniform(box[0], box[1], size=(3, 3))])
+    A = [0.3, -0.7, 0.5, 0.2, -0.4]
+    got = eff.tilde_vc(field, A, points)
+    want = per_cell_tilde_vc(field, A, points)
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
 def reference_subcell_velocity(m, z, h):
     """`_subcell_velocity` as one kernel call per subcell offset."""
     w = sym3.sym_matrix(np.asarray(m) / eff._NEAR_SUB ** 3)

@@ -72,8 +72,7 @@ def call_counts(monkeypatch, calls):
 def work(monkeypatch):
     """Counts of the sweeps, solves and convolutions run while the test runs."""
     return call_counts(monkeypatch, [(refl, "reflect_step"), (eff, "_convolve_sources"),
-                                     (kernels, "pair_sum"), (kernels, "velocity_sum"),
-                                     (np.linalg, "solve")])
+                                     (kernels, "velocity_sum"), (np.linalg, "solve")])
 
 
 @pytest.mark.parametrize("entry", ENTRY_POINTS)
@@ -132,6 +131,26 @@ def test_pair_search_refuses_non_finite_points(bad):
                 call()
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_block_sums_refuse_non_finite_points(bad, monkeypatch):
+    # the engine behind the sweep and the velocity refuses a non-finite target
+    # or source before it builds a single block of sources
+    blocks = call_counts(monkeypatch, [(kernels, "_compact_blocks")])
+    point = np.array([[bad, 0.5, 0.5]])
+    centers = np.vstack([CLOUD.centers, point])
+    weights = np.ones((len(centers), 5))
+    calls = [lambda: kernels.velocity_sum(weights[:-1], point, CLOUD.centers),
+             lambda: kernels.velocity_sum(weights, POINTS, centers, 0.01),
+             lambda: kernels.stresslet_strain_sum(weights, centers, centers),
+             lambda: kernels.stresslet_strain_sum(weights[:-1], point, CLOUD.centers)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")      # no cast warning before the refusal
+        for call in calls:
+            with pytest.raises(ValueError, match="a block-moment sum needs finite points"):
+                call()
+    assert blocks == {}
+
+
 @pytest.mark.parametrize("call", [lambda p: refl.evaluate_velocity(SOLUTION, STRAIN, p),
                                   lambda p: eff.tilde_vc(FIELD, STRAIN, p)],
                          ids=["evaluate_velocity", "tilde_vc"])
@@ -156,9 +175,11 @@ def radial_average(rho):
 @pytest.fixture
 def length_work(monkeypatch):
     """Counts of the kernel evaluations (every closed-form kernel starts with
-    `_moment_terms`), the cell-list searches of `pairs_within`, the random
-    generators of RSA trials and the radial averages run while the test runs."""
-    return call_counts(monkeypatch, [(kernels, "_moment_terms"), (np, "searchsorted"),
+    `_moment_terms`), the block-moment sums, the cell-list searches of
+    `pairs_within`, the random generators of RSA trials and the radial averages
+    run while the test runs."""
+    return call_counts(monkeypatch, [(kernels, "_moment_terms"),
+                                     (kernels, "_block_moment_sum"), (np, "searchsorted"),
                                      (np.random, "default_rng"),
                                      (sys.modules[__name__], "radial_average")])
 
@@ -167,15 +188,10 @@ FAR = np.array([[1.0, 0.5, 0.25], [0.0, 2.0, 0.0]])     # outside every sphere o
 NO_POINTS = np.zeros((0, 3))
 
 
-def pair_sum(targets, sources, exclude_within):
-    return kernels.pair_sum(kernels.stresslet_velocity_kernel, np.ones((len(sources), 5)),
-                            targets, sources, np.zeros((len(targets), 3)), exclude_within)
-
-
 # each length entry point, as a call of the length alone: the argument it names,
 # whether the length is a radius (> 0) rather than a search radius or an
 # exclusion distance (>= 0), and whether a valid length makes it run a pair
-# search, a kernel evaluation, an RSA trial or a radial average
+# search, a kernel evaluation, a block-moment sum, an RSA trial or a radial average
 LENGTH_ENTRY_POINTS = {
     "pairs_within": (lambda r: kernels.pairs_within(POINTS, CLOUD.centers, r), "radius",
                      False, True),
@@ -183,17 +199,11 @@ LENGTH_ENTRY_POINTS = {
                      False, False),
     "pair_blocks": (lambda d: list(kernels.pair_blocks(POINTS, CLOUD.centers, d)),
                     "exclude_within", False, False),
-    "pair_sum_rows": (lambda d: pair_sum(POINTS, CLOUD.centers, d), "exclude_within",
-                      False, True),
-    "pair_sum_strips": (lambda d: pair_sum(CLOUD.centers, POINTS, d), "exclude_within",
-                        False, True),
+    "velocity_sum": (lambda a: kernels.velocity_sum(np.ones((CLOUD.n, 5)), FAR, CLOUD.centers, a),
+                     "a", True, True),
     # no pairs: the distance is checked on entry all the same
     "pair_blocks_no_targets": (lambda d: list(kernels.pair_blocks(NO_POINTS, CLOUD.centers, d)),
                                "exclude_within", False, False),
-    "pair_sum_no_targets": (lambda d: pair_sum(NO_POINTS, CLOUD.centers, d), "exclude_within",
-                            False, False),
-    "pair_sum_no_sources": (lambda d: pair_sum(POINTS, NO_POINTS, d), "exclude_within",
-                            False, False),
     "sphere_disturbance": (lambda a: kernels.sphere_disturbance(STRAIN, a, FAR), "a", True, True),
     "sphere_pressure": (lambda a: kernels.sphere_pressure(STRAIN, a, FAR), "a", True, True),
     "sphere_traction": (lambda a: kernels.sphere_traction(STRAIN, a, FAR), "a", True, True),

@@ -343,11 +343,15 @@ def summed(name, out):
 
 
 def loop_pair_sum(point, weights, targets, sources, skip_self=False):
-    # offsets are x_l - x_m, target minus source; the velocity and sphere
-    # kernels are odd in the offset, so a flipped orientation fails the tests
-    return np.array([np.sum([point(weights[m], x - y) for m, y in enumerate(sources)
-                             if not (skip_self and m == l)], axis=0)
-                     for l, x in enumerate(targets)])
+    """The point function summed over the sources, one call per target (the
+    point functions broadcast over the sources); skip_self leaves out source l
+    at target l. Offsets are x_l - x_m, target minus source; the velocity and
+    sphere kernels are odd in the offset, so a flipped orientation fails the tests."""
+    rows = []
+    for l, x in enumerate(targets):
+        keep = np.arange(len(sources)) != l if skip_self else slice(None)
+        rows.append(point(weights[keep], x - sources[keep]).sum(axis=0))
+    return np.array(rows)
 
 
 def test_row_blocks_hold_whole_rows_within_the_budget(monkeypatch):
@@ -374,102 +378,6 @@ def test_pair_blocks_cover_each_target_row_once(monkeypatch, rng, budget, starts
     assert not list(kernels.pair_blocks(targets[:0], sources))
 
 
-def kernel_width(name):
-    return 6 if name == "strain" else 3
-
-
-@pytest.mark.parametrize("budget", [5, 16])
-@pytest.mark.parametrize("name", sorted(PAIR_KERNELS))
-def test_pair_sum_matches_point_loop(monkeypatch, rng, name, budget):
-    # 7 x 7 pairs run row blocks: budget 5 gives one-row blocks, 16 gives
-    # 2,2,2,1 rows; 9 targets x 7 sources run strips: budget 5 gives strips of
-    # 5 and 4 targets, 16 one strip
-    kernel, point = PAIR_KERNELS[name]
-    monkeypatch.setattr(kernels, "PAIR_BUDGET", budget)
-    for n_targets, n_sources in ((7, 7), (9, 7)):
-        sources = rng.uniform(-1.0, 1.0, size=(n_sources, 3))
-        targets = rng.uniform(-1.0, 1.0, size=(n_targets, 3))
-        gaps = np.linalg.norm(targets[:, None] - sources[None], axis=-1)
-        assert np.min(gaps) > 2 * SPHERE_A
-        weights = rng.normal(size=(n_sources, 5))
-        expected = loop_pair_sum(point, weights, targets, sources)
-        got = summed(name, kernels.pair_sum(kernel, weights, targets, sources,
-                                            np.zeros((n_targets, kernel_width(name)))))
-        assert np.max(np.abs(got - expected)) < 1e-13 * np.max(np.abs(expected))
-
-
-@pytest.mark.parametrize("name", sorted(PAIR_KERNELS))
-def test_pair_sum_excludes_self_pairs(monkeypatch, rng, name):
-    # the 9 sources are the first 9 targets: row blocks with no more targets,
-    # strips with 5 more, each source of a strip meeting one excluded target
-    kernel, point = PAIR_KERNELS[name]
-    monkeypatch.setattr(kernels, "PAIR_BUDGET", 16)
-    for n_targets in (9, 14):
-        targets = rng.uniform(-1.0, 1.0, size=(n_targets, 3))
-        sources = targets[:9]
-        gaps = np.linalg.norm(targets[:, None] - sources[None], axis=-1)
-        assert np.min(gaps + np.eye(n_targets, 9)) > 2 * SPHERE_A
-        weights = rng.normal(size=(9, 5))
-        expected = loop_pair_sum(point, weights, targets, sources, skip_self=True)
-        got = summed(name, kernels.pair_sum(kernel, weights, targets, sources,
-                                            np.zeros((n_targets, kernel_width(name))),
-                                            exclude_within=0.0))
-        assert np.all(np.isfinite(got))
-        assert np.max(np.abs(got - expected)) < 1e-13 * np.max(np.abs(expected))
-
-
-@pytest.mark.parametrize("name", sorted(PAIR_KERNELS))
-def test_pair_sum_bits_do_not_depend_on_chunking(monkeypatch, rng, name):
-    # each target sums its sources in one row, or in one strip
-    kernel, _ = PAIR_KERNELS[name]
-    for n_targets, n_sources, budgets in (
-            # 200 x 200: one-row blocks, the default's three blocks, one block
-            (200, 200, (16, kernels.PAIR_BUDGET, 200 * 200)),
-            # 300 x 7: strips of 1, 7 and 64 targets, and one strip
-            (300, 7, (1, 7, 64, kernels.PAIR_BUDGET))):
-        targets = rng.uniform(-1.0, 1.0, size=(n_targets, 3))
-        weights = rng.normal(size=(n_sources, 5))
-        sums = []
-        for budget in budgets:
-            monkeypatch.setattr(kernels, "PAIR_BUDGET", budget)
-            sums.append(kernels.pair_sum(kernel, weights, targets, targets[:n_sources],
-                                         np.zeros((n_targets, kernel_width(name))),
-                                         exclude_within=0.0))
-        assert all(np.array_equal(sums[0], other) for other in sums[1:])
-
-
-@pytest.mark.parametrize("name", sorted(PAIR_KERNELS))
-def test_pair_sum_strips_add_one_source_at_a_time(monkeypatch, rng, name):
-    # 300 targets x 7 sources in strips of 64: each target's total starts from
-    # zero, adds kernel(M_m, x - y_m) for m in order, then goes into out once
-    kernel, _ = PAIR_KERNELS[name]
-    monkeypatch.setattr(kernels, "PAIR_BUDGET", 64)
-    targets, sources = rng.uniform(-1.0, 1.0, size=(300, 3)), rng.uniform(-1.0, 1.0, size=(7, 3))
-    weights = rng.normal(size=(7, 5))
-    out = rng.normal(size=(300, kernel_width(name)))
-    total = np.zeros(out.shape[::-1])
-    for w, y in zip(weights, sources):
-        z = (targets - y).T
-        total += kernel(sym3.sym_matrix(w), z, z[0] * z[0] + z[1] * z[1] + z[2] * z[2])
-    expected = out + total.T
-    assert np.array_equal(kernels.pair_sum(kernel, weights, targets, sources, out), expected)
-
-
-@pytest.mark.parametrize("name", sorted(PAIR_KERNELS))
-def test_pair_sum_bits_do_not_depend_on_chunking_for_one_source(monkeypatch, rng, name):
-    # one source runs strips: budget 1 makes every strip a single pair, the
-    # layout in which a numpy reduction over 3 terms need not add them in order
-    kernel, _ = PAIR_KERNELS[name]
-    targets, sources = rng.uniform(-1.0, 1.0, size=(60, 3)), rng.uniform(-1.0, 1.0, size=(1, 3))
-    weights = rng.normal(size=(1, 5))
-    sums = []
-    for budget in (1, 7, kernels.PAIR_BUDGET):
-        monkeypatch.setattr(kernels, "PAIR_BUDGET", budget)
-        sums.append(kernels.pair_sum(kernel, weights, targets, sources,
-                                     np.zeros((60, kernel_width(name)))))
-    assert all(np.array_equal(sums[0], other) for other in sums[1:])
-
-
 @pytest.mark.parametrize("name", sorted(PAIR_KERNELS))
 def test_pair_kernels_leave_their_inputs_alone(rng, name):
     # pair_interaction_matrix passes one z and r2 to five kernel calls, so a
@@ -485,46 +393,6 @@ def test_pair_kernels_leave_their_inputs_alone(rng, name):
         first = np.stack(kernel(m, z, r2))
         assert np.array_equal(first, np.stack(kernel(m, z, r2)))
     assert all(np.array_equal(a, b) for a, b in zip(inputs, before))
-
-
-def test_strain_pair_sum_memory_is_bounded(rng):
-    # the chunk temporaries, not the 2000 x 2000 pairs, set the peak
-    centers = rng.uniform(-1.0, 1.0, size=(2000, 3))
-    weights = rng.normal(size=(2000, 5))
-    out = np.zeros((2000, 6))
-    tracemalloc.start()
-    try:
-        kernels.pair_sum(kernels.stresslet_strain_kernel, weights, centers, centers,
-                         out, exclude_within=0.0)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert np.all(np.isfinite(out))
-    assert peak < 8 * 2 ** 20
-
-
-def test_strip_pair_sum_memory_does_not_grow_with_targets(rng):
-    # a strip's Fortran copy and (3, <= PAIR_BUDGET, 1) total, and a one-source
-    # block's offsets, are dropped when the next strip or block takes their
-    # place, so the peak of one full strip (16,384 targets), set inside a
-    # kernel call, holds for 100,000 to 16 KiB; a (3, targets) total alone
-    # would add 2 MiB
-    sources = rng.uniform(0.0, 1.0, size=(50, 3))
-    weights = rng.normal(size=(50, 5))
-    peaks = []
-    for n_targets in (kernels.PAIR_BUDGET, 100_000):
-        targets = rng.uniform(-1.0, 2.0, size=(n_targets, 3))
-        out = np.zeros((n_targets, 3))
-        tracemalloc.start()
-        try:
-            kernels.pair_sum(kernels.stresslet_velocity_kernel, weights, targets, sources, out)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert np.all(np.isfinite(out))
-        peaks.append(peak)
-    assert peaks[1] < peaks[0] + 2 ** 14
-    assert peaks[1] < 4 * 2 ** 20
 
 
 # ---------------------------------------------------------------------------
@@ -577,9 +445,8 @@ TWO_POINTS = np.array([[0.0, 0.0, 0.0], [0.3, 0.1, -0.2]])
 def test_strain_sum_matches_pair_sum(rng, points):
     # 343 lattice sites: several source blocks and two target chunks
     weights = rng.normal(size=(len(points), 5))
-    got = kernels.stresslet_strain_sum(weights, points, points)
-    want = kernels.pair_sum(kernels.stresslet_strain_kernel, weights, points, points,
-                            np.zeros((len(points), 6)), exclude_within=0.0)
+    got = summed("strain", kernels.stresslet_strain_sum(weights, points, points))
+    want = loop_pair_sum(PAIR_KERNELS["strain"][1], weights, points, points, skip_self=True)
     assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
 
 
@@ -592,12 +459,11 @@ def test_strain_sum_of_coincident_points_is_zero(rng):
     # a coincident pair next to a third point sees only the third point
     points = np.array([[0.1, 0.2, 0.3], [0.1, 0.2, 0.3], [0.6, -0.1, 0.2]])
     weights = rng.normal(size=(3, 5))
-    got = kernels.stresslet_strain_sum(weights, points, points)
-    want = kernels.pair_sum(kernels.stresslet_strain_kernel, weights, points, points,
-                            np.zeros((3, 6)), exclude_within=0.0)
-    assert np.allclose(got, want, rtol=1e-13, atol=0.0)
-    one = kernels.pair_sum(kernels.stresslet_strain_kernel, weights[2:], points[:1], points[2:],
-                           np.zeros((1, 6)))
+    got = summed("strain", kernels.stresslet_strain_sum(weights, points, points))
+    point = PAIR_KERNELS["strain"][1]
+    assert np.allclose(got[2:], loop_pair_sum(point, weights[:2], points[2:], points[:2]),
+                       rtol=1e-13, atol=0.0)
+    one = loop_pair_sum(point, weights[2:], points[:1], points[2:])
     assert np.allclose(got[:2], one, rtol=1e-13, atol=0.0)
 
 
@@ -606,27 +472,24 @@ def test_strain_sum_takes_close_pairs_through_the_kernel(rng):
     # centroid, its r2 and s would lose about 8 of 16 digits to cancellation
     points = np.concatenate([lattice(4), lattice(4)[21:22] + 1e-4])
     weights = rng.normal(size=(len(points), 5))
-    got = kernels.stresslet_strain_sum(weights, points, points)
-    want = kernels.pair_sum(kernels.stresslet_strain_kernel, weights, points, points,
-                            np.zeros((len(points), 6)), exclude_within=0.0)
+    got = summed("strain", kernels.stresslet_strain_sum(weights, points, points))
+    want = loop_pair_sum(PAIR_KERNELS["strain"][1], weights, points, points, skip_self=True)
     assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
 
 
 def test_strain_sum_memory_is_within_the_pair_sum(rng):
-    # the block features and (targets x block) temporaries, not the pairs, set the peak
+    # the block features and (targets x block) temporaries, not the 2000 x 2000
+    # pairs, set the peak (1.0 MiB): within the 1.6 MiB of the pair-by-pair sum
+    # this engine replaced
     centers = rng.uniform(-1.0, 1.0, size=(2000, 3))
     weights = rng.normal(size=(2000, 5))
-    peaks = []
-    for call in (lambda: kernels.pair_sum(kernels.stresslet_strain_kernel, weights, centers,
-                                          centers, np.zeros((2000, 6)), exclude_within=0.0),
-                 lambda: kernels.stresslet_strain_sum(weights, centers, centers)):
-        tracemalloc.start()
-        try:
-            assert np.all(np.isfinite(call()))
-            peaks.append(tracemalloc.get_traced_memory()[1])
-        finally:
-            tracemalloc.stop()
-    assert peaks[1] <= peaks[0]
+    tracemalloc.start()
+    try:
+        assert np.all(np.isfinite(kernels.stresslet_strain_sum(weights, centers, centers)))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.6 * 2 ** 20
 
 
 def test_block_sums_do_not_depend_on_the_other_targets(rng):
@@ -713,10 +576,10 @@ def test_velocity_sum_matches_pair_sum(rng, points, sphere):
     # lattice and a shifted copy, fill two target chunks and part of a third
     weights = rng.normal(size=(len(points), 5))
     targets = np.concatenate([lattice(7) + 0.5 / 7, lattice(7) + [0.03, 0.0, 0.0]])
-    kernel = (partial(kernels.sphere_disturbance_kernel, a=0.02) if sphere
-              else kernels.stresslet_velocity_kernel)
+    point = ((lambda w, x: kernels.sphere_disturbance(w, 0.02, x)) if sphere
+             else PAIR_KERNELS["velocity"][1])
     got = kernels.velocity_sum(weights, targets, points, 0.02 if sphere else None)
-    want = kernels.pair_sum(kernel, weights, targets, points, np.zeros((len(targets), 3)))
+    want = loop_pair_sum(point, weights, targets, points)
     assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
 
 
