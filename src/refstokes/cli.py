@@ -79,6 +79,7 @@ class ExperimentConfig:
         cfg = cls()
         cfg.seed = int(doc.get("seed", 0))
         cfg.cloud = dict(doc.get("cloud", {}))
+        kernels.check_box(cfg.cloud.get("box"))
         kind, keys = cfg.cloud.get("kind"), set(cfg.cloud)
         sizes = {"lattice": {"n_per_axis"}, "rsa": {"n", "dmin"}}
         if kind in sizes:
@@ -201,8 +202,7 @@ def load_config(path):
 
 def build_cloud(cfg, a=None):
     spec = dict(cfg.cloud)
-    kind = spec.get("kind")
-    box = np.asarray(spec["box"], dtype=float)
+    kind, box = spec.get("kind"), spec["box"]
     radius = float(a if a is not None else spec["a"])
     if kind == "lattice":
         return cloudmod.generate_lattice(box, spec["n_per_axis"], radius)

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import SaturationError, SeparationError
-from .kernels import check_count, check_length, pairs_within, sphere_mobility
+from .kernels import check_box, check_count, check_length, pairs_within, sphere_mobility
 
 __all__ = [
     "SEPARATION_FACTOR",
@@ -64,9 +64,7 @@ class ParticleCloud:
 
     def __post_init__(self):
         centers = _as_points(self.centers, "centers")
-        box = np.ascontiguousarray(self.box, dtype=float)
-        if box.shape != (2, 3) or not np.all(np.isfinite(box) & (box[1] > box[0])):
-            raise ValueError("box must be [[lo],[hi]], finite, with hi > lo per axis")
+        box = check_box(self.box)
         mob = np.ascontiguousarray(self.mobilities, dtype=float)
         if mob.shape != (len(centers), 5, 5):
             raise ValueError("mobilities must have shape (N, 5, 5)")
@@ -125,16 +123,14 @@ def generate_lattice(box, n_per_axis, a):
     Deterministic; the minimum separation equals the smallest lattice
     spacing, which must exceed SEPARATION_FACTOR * a.
     """
-    box = np.asarray(box, dtype=float)
+    box = check_box(box)
     n_per_axis = check_count(n_per_axis, "n_per_axis", 1)
-    side = box[1] - box[0]
-    h = side / n_per_axis
-    if not np.min(h) > SEPARATION_FACTOR * a:
+    h = (box[1] - box[0]) / n_per_axis
+    if not np.min(h) > SEPARATION_FACTOR * check_length(a, "a"):
         raise SeparationError(
             f"lattice spacing {np.min(h):.6g} <= {SEPARATION_FACTOR}*a = "
             f"{SEPARATION_FACTOR * a:.6g} (adjacent pair (0, 1))",
             pair=(0, 1))
-    check_length(a, "a")
     idx = np.arange(n_per_axis) + 0.5
     gx, gy, gz = np.meshgrid(idx * h[0], idx * h[1], idx * h[2], indexing="ij")
     centers = box[0] + np.stack([gx, gy, gz], axis=-1).reshape(-1, 3)
@@ -149,11 +145,10 @@ def generate_rsa(box, n, a, dmin, seed):
     around its own. Raises SaturationError when the request is provably
     infeasible or when placement exceeds the attempt budget of 10^4 * n trials.
     """
-    box = np.asarray(box, dtype=float)
-    if not SEPARATION_FACTOR * a < dmin < np.inf:
+    box = check_box(box)
+    if not SEPARATION_FACTOR * check_length(a, "a") < dmin < np.inf:
         raise SeparationError(f"dmin = {dmin:.6g} must exceed {SEPARATION_FACTOR}*a = "
                               f"{SEPARATION_FACTOR * a:.6g} and be finite")
-    check_length(a, "a")
     n, seed = check_count(n, "n", 1), check_count(seed, "seed", 0)
     lo = box[0] + a
     hi = box[1] - a

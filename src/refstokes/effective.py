@@ -115,9 +115,7 @@ class EffectiveModel:
     matrix: np.ndarray               # (5,5)
 
     def __post_init__(self):
-        if np.shape(self.box) != (2, 3) or not np.all(np.isfinite(self.box)
-                                                      & (np.diff(self.box, axis=0) > 0)):
-            raise ValueError("box must be [[lo],[hi]], finite, with hi > lo per axis")
+        object.__setattr__(self, "box", kernels.check_box(self.box))
         if np.shape(self.matrix) != (5, 5) or not np.isfinite(self.matrix).all():
             raise ValueError("matrix must be a finite 5x5 array")
 
@@ -147,8 +145,7 @@ def uniform_Meff(box, phi, coefficient=5.0):
     has c = 5)."""
     if not 0 <= phi < np.inf:
         raise ValueError("phi must be nonnegative and finite")
-    return EffectiveModel(box=np.asarray(box, float),
-                          matrix=coefficient * phi * np.eye(5))
+    return EffectiveModel(box=box, matrix=coefficient * phi * np.eye(5))
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .kernels import check_box, check_count
+
 __all__ = ["GridField"]
 
 
@@ -21,13 +23,7 @@ class GridField:
     values: np.ndarray   # (n, n, n) + component shape
 
     def __post_init__(self):
-        box = np.ascontiguousarray(self.box, dtype=float)
-        if box.shape != (2, 3) or not np.all(np.isfinite(box) & (box[1] > box[0])):
-            raise ValueError("box must be [[lo],[hi]], finite, with hi > lo per axis")
-        # the rule of `kernels.check_count`, copied because `fields` imports nothing
-        if not (np.dtype(type(self.n)).kind in "iuf" and 1 <= self.n < np.inf and self.n % 1 == 0):
-            raise ValueError(f"grid resolution must be at least 1, got {self.n}; n must be whole")
-        n = int(self.n)
+        box, n = check_box(self.box), check_count(self.n, "n", 1)
         values = np.ascontiguousarray(self.values, dtype=float)
         if values.shape[:3] != (n, n, n):
             raise ValueError(f"values must start with shape ({n},{n},{n})")
@@ -40,9 +36,8 @@ class GridField:
 
     @classmethod
     def zeros(cls, box, n, component_shape=()):
-        # one cell for an n the count rule refuses, so that __post_init__ refuses it
-        cells = int(n) if np.dtype(type(n)).kind in "iuf" and 1 <= n < np.inf else 1
-        return cls(box=box, n=n, values=np.zeros((cells,) * 3 + tuple(component_shape)))
+        box, n = check_box(box), check_count(n, "n", 1)
+        return cls(box=box, n=n, values=np.zeros((n,) * 3 + tuple(component_shape)))
 
     @property
     def cell_size(self):

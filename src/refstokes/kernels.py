@@ -34,7 +34,8 @@ target monomials and the features of compact blocks of sources, only radial
 factors per pair. The pair kernels trust their inputs; the pair search and
 sums refuse non-finite points, and they, the offsets, blocks, sphere functions
 and `mean_value_reconstruct` apply `check_length`, the one length rule, first.
-`check_count` is the one rule for a count or a seed; its callers apply it first.
+`check_count` is the one rule for a count or a seed, `check_box` the one rule for
+a box (the cloud's, a grid's, a model's support); their callers apply them first.
 
 Point functions broadcast over leading axes of the evaluation points.
 """
@@ -49,7 +50,7 @@ from .sym3 import apply_mobility, project_sym_tracefree, sym_coefficients, sym_m
 __all__ = ["oseen", "oseen_pressure", "stresslet_field", "stresslet_strain",
            "sphere_disturbance", "sphere_pressure", "sphere_traction",
            "sphere_mobility", "mobility_from_boundary_integral",
-           "mean_value_reconstruct", "PAIR_BUDGET", "check_length", "check_count",
+           "mean_value_reconstruct", "PAIR_BUDGET", "check_length", "check_count", "check_box",
            "stresslet_strain_kernel", "stresslet_velocity_kernel", "sphere_disturbance_kernel",
            "pair_offsets", "row_blocks", "pair_blocks", "stresslet_strain_sum",
            "velocity_sum", "pairs_within"]
@@ -79,6 +80,16 @@ def check_count(value, name, minimum):
     if not (np.dtype(type(value)).kind in "iuf" and minimum <= value < np.inf and value % 1 == 0):
         raise ValueError(f"{name} must be >= {minimum} and a whole number, got {value}")
     return int(value)
+
+
+def check_box(box):
+    """`box` as a C-contiguous float (2, 3) array [lo, hi] when its corners are
+    finite and hi > lo on every axis; else (another shape, a NaN or infinite
+    corner, a flat or inverted axis) ValueError."""
+    box = np.ascontiguousarray(box, dtype=float)
+    if box.shape != (2, 3) or not np.all(np.isfinite(box) & (box[1] > box[0])):
+        raise ValueError("box must be [[lo],[hi]], finite, with hi > lo per axis")
+    return box
 
 
 def _radii(x, what):
@@ -304,11 +315,12 @@ def _block_moment_sum(weights, targets, sources, kernel, block, rows):
             if len(close):
                 r2.flat[close] = np.inf
                 z = x[:, close % width] - sources[idx[close // width]].T
-                close = close[z.any(axis=0)]
-            if len(close):
-                z = x[:, close % width] - sources[idx[close // width]].T
-                e = kernel(m[:, :, idx[close // width]], z, z[0] * z[0] + z[1] * z[1] + z[2] * z[2])
-                np.add.at(acc[:, :len(e)], start + close % width, e.T)
+                keep = z.any(axis=0)
+                close, z = close[keep], z[:, keep]
+                if len(close):
+                    e = kernel(m[:, :, idx[close // width]], z,
+                               z[0] * z[0] + z[1] * z[1] + z[2] * z[2])
+                    np.add.at(acc[:, :len(e)], start + close % width, e.T)
             u = np.reciprocal(r2, out=r2)
             p = u * u
             p *= np.sqrt(u)

@@ -23,8 +23,8 @@ def test_public_names_resolve(name):
 LAYERS = {
     "sym3": set(),
     "errors": set(),
-    "fields": set(),
     "kernels": {"sym3", "errors"},
+    "fields": {"kernels"},
     "cloud": {"kernels", "errors"},
     "reflections": {"kernels", "cloud", "errors", "sym3"},
     "effective": {"kernels", "cloud", "errors", "fields", "sym3"},

@@ -404,6 +404,22 @@ def test_config_refuses_size_keys_of_another_kind(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("cloud", [{"kind": "lattice", "n_per_axis": 2, "a": 0.02},
+                                   {"kind": "rsa", "n": 5, "a": 0.01, "dmin": 0.05}],
+                         ids=["lattice", "rsa"])
+@pytest.mark.parametrize("box", [[[0, 0, 0], [-1, 1, 1]], [[0, 0, 0], [1, 1, 0]]],
+                         ids=["inverted", "flat"])
+@pytest.mark.parametrize("verb", ["generate", "einstein", "compare"])
+def test_every_verb_refuses_a_bad_box(tmp_path, capsys, verb, box, cloud):
+    # `kernels.check_box` runs as the config loads, before any cloud or grid
+    cfgp = write_config(tmp_path, {"seed": 1, "cloud": dict(cloud, box=box),
+                                   "strain": [1, 0, 0, 0, 0], "sweep": {"phis": [1e-3]}})
+    out = tmp_path / "out"
+    assert cli.main([verb, "--config", cfgp, "--out", str(out)]) == 4
+    assert capsys.readouterr().err.startswith("error: box must be ")
+    assert not out.exists()
+
+
 @pytest.mark.filterwarnings("ignore:grid spacing")
 @pytest.mark.parametrize("box, grid_n, message", [
     ([[0, 0, 0], [2, 2, 0.5]], 16, "the spectral quadrature requires cubic cells")])

@@ -139,14 +139,16 @@ def test_cloud_refuses_bad_data(change, message):
 
 @pytest.mark.parametrize("make, error, message", [
     (lambda: cl.generate_lattice(UNIT_BOX, 0, 0.01), ValueError, "n_per_axis must be >= 1"),
-    (lambda: cl.generate_lattice(UNIT_BOX, 2, np.nan), SeparationError, "lattice spacing"),
+    # the length rule runs before the separation test
+    (lambda: cl.generate_lattice(UNIT_BOX, 2, np.nan), ValueError,
+     "^radius must be positive and finite, got a = nan$"),
     (lambda: cl.generate_rsa(UNIT_BOX, 0, 0.01, 0.05, seed=0), ValueError, "n must be >= 1"),
     (lambda: cl.generate_rsa(UNIT_BOX, 1, 0.6, 2.5, seed=0), SeparationError, "box too small"),
     # a NaN dmin placed 20 centres that ignored it
     (lambda: cl.generate_rsa(UNIT_BOX, 20, 0.01, np.nan, seed=1), SeparationError,
      "dmin = nan must exceed"),
-    (lambda: cl.generate_rsa(UNIT_BOX, 20, np.nan, 0.05, seed=1), SeparationError,
-     "dmin = 0.05 must exceed"),
+    (lambda: cl.generate_rsa(UNIT_BOX, 20, np.nan, 0.05, seed=1), ValueError,
+     "^radius must be positive and finite, got a = nan$"),
     # an infinite dmin burnt the whole trial budget, then raised SaturationError
     (lambda: cl.generate_rsa(UNIT_BOX, 3, 0.01, np.inf, seed=1), SeparationError,
      "dmin = inf must exceed"),

@@ -15,9 +15,10 @@ def test_any_positive_resolution_accepted(n):
 
 @pytest.mark.parametrize("n", [0, -1, -8, 2.7, np.inf, -np.inf, True, None])
 def test_resolution_below_one_refused(n):
-    with pytest.raises(ValueError, match=f"grid resolution must be at least 1, got {n}"):
+    # the count rule, `kernels.check_count`
+    with pytest.raises(ValueError, match=f"^n must be >= 1 and a whole number, got {n}$"):
         GridField(box=BOX, n=n, values=np.zeros((1, 1, 1)))
-    with pytest.raises(ValueError, match=f"grid resolution must be at least 1, got {n}"):
+    with pytest.raises(ValueError, match=f"^n must be >= 1 and a whole number, got {n}$"):
         GridField.zeros(BOX, n, (5, 5))
 
 

@@ -1,10 +1,11 @@
 """Library calls refuse non-finite or malformed inputs before any work: the
 ambient strain (one rule, `sym3.sym_from_list`), every radius, search radius
 and exclusion distance (one rule, `kernels.check_length`), every count of
-sweeps, levels or particles and every seed (one rule, `kernels.check_count`,
-of which `GridField` keeps a copy for its cells), the convergence gate, the
-contraction exponent q, the points of every pair search and the per-particle
-strains of the Einstein coefficient."""
+sweeps, levels, particles or grid cells and every seed (one rule,
+`kernels.check_count`), every box of a cloud, grid or model (one rule,
+`kernels.check_box`), the convergence gate, the contraction exponent q, the
+points of every pair search and the per-particle strains of the Einstein
+coefficient."""
 
 import re
 import sys
@@ -18,6 +19,7 @@ from refstokes import effective as eff
 from refstokes import kernels, sym3
 from refstokes import reflections as refl
 from refstokes.errors import GateError
+from refstokes.fields import GridField
 
 UNIT_BOX = np.array([[0.0, 0.0, 0.0], [1.0, 1.0, 1.0]])
 STRAIN = [1.0, 0.5, 0.25, 0.1, 0.2]
@@ -222,10 +224,10 @@ LENGTH_ENTRY_POINTS = {
 def test_one_length_rule(entry, length_work):
     call, name, positive, works = LENGTH_ENTRY_POINTS[entry]
     bad = [np.nan, np.inf, -np.inf, -1.0] + ([0.0] if positive else [])
+    rule = "radius must be positive" if positive else "distance must be non-negative"
     for length in bad:
-        # a generator's separation check refuses a NaN or infinite radius first,
-        # with a SeparationError (a ValueError) that names it too
-        with pytest.raises(ValueError, match=rf"\b{name} = {re.escape(str(length))}"):
+        with pytest.raises(ValueError, match=rf"^{rule} and finite, got {name} = "
+                                             rf"{re.escape(str(length))}$"):
             call(length)
         assert length_work == {}, (length, length_work)
     if not positive:
@@ -264,6 +266,9 @@ COUNT_ENTRY_POINTS = {
         lambda k: cl.generate_rsa(UNIT_BOX, k, 0.01, 0.05, seed=0).centers, "n", 1, True),
     "generate_rsa_seed": (
         lambda k: cl.generate_rsa(UNIT_BOX, 3, 0.01, 0.05, seed=k).centers, "seed", 0, True),
+    "GridField": (lambda k: GridField(box=UNIT_BOX, n=k, values=np.zeros((3, 3, 3))).values,
+                  "n", 1, False),
+    "GridField.zeros": (lambda k: GridField.zeros(UNIT_BOX, k).values, "n", 1, False),
 }
 
 
@@ -285,6 +290,57 @@ def test_one_count_rule(entry, monkeypatch):
     outs = [call(count) for count in (3, 3.0, np.int64(3))]
     assert all(out.tobytes() == outs[0].tobytes() for out in outs[1:])
     assert bool(work) == works     # the counters see the work a valid count does
+
+
+RESOLVED = cl.generate_lattice(UNIT_BOX, 2, 0.1)     # a grid of 20 resolves its balls
+
+# each box entry point, as a call of the box alone, and whether a valid box
+# makes it run a pair search, a convolution, an RSA trial or an allocation of cells
+BOX_ENTRY_POINTS = {
+    "ParticleCloud": (lambda box: cl.ParticleCloud(centers=CLOUD.centers, a=CLOUD.a, box=box,
+                                                   mobilities=CLOUD.mobilities), False),
+    "generate_lattice": (lambda box: cl.generate_lattice(box, 2, 0.02), False),
+    "generate_rsa": (lambda box: cl.generate_rsa(box, 3, 0.01, 0.05, seed=0), True),
+    "GridField": (lambda box: GridField(box=box, n=4, values=FIELD.values), False),
+    "GridField.zeros": (lambda box: GridField.zeros(box, 4), True),
+    "EffectiveModel": (lambda box: eff.EffectiveModel(box=box, matrix=np.eye(5)), False),
+    "uniform_Meff": (lambda box: eff.uniform_Meff(box, 0.01), False),
+    # the grid box of the mean-field solve, the rasterization and the H^-1 distance
+    "fixed_point_vc": (lambda box: eff.fixed_point_vc(MODEL, STRAIN, box, 4), True),
+    "assemble_MN": (lambda box: eff.assemble_MN(RESOLVED, box, 20), True),
+    "sphere_hminus1_distance": (
+        lambda box: eff.sphere_hminus1_distance(RESOLVED, MODEL, box, 20), True),
+}
+
+BAD_BOXES = {
+    "nan": [[0.0, 0.0, 0.0], [1.0, np.nan, 1.0]],
+    "+inf": [[0.0, 0.0, 0.0], [np.inf, 1.0, 1.0]],
+    "-inf": [[0.0, 0.0, -np.inf], [1.0, 1.0, 1.0]],
+    "inverted": [[0.0, 0.0, 0.0], [-1.0, 1.0, 1.0]],
+    "flat": [[0.0, 0.0, 0.0], [1.0, 1.0, 0.0]],
+    "(3,)": [1.0, 1.0, 1.0],
+    "(1, 3)": [[1.0, 1.0, 1.0]],
+    "(3, 3)": [[0.0, 0.0, 0.0], [1.0, 1.0, 1.0], [2.0, 2.0, 2.0]],
+}
+
+
+@pytest.mark.parametrize("entry", BOX_ENTRY_POINTS)
+def test_one_box_rule(entry, monkeypatch):
+    call, works = BOX_ENTRY_POINTS[entry]
+    # the cell-list searches of `pairs_within`, the convolutions, the RSA trials
+    # and the cells `GridField.zeros` allocates
+    work = call_counts(monkeypatch, [(np, "searchsorted"), (eff, "_convolve_sources"),
+                                     (np.random, "default_rng"), (np, "zeros")])
+    message = "^" + re.escape("box must be [[lo],[hi]], finite, with hi > lo per axis") + "$"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")      # no cast warning before the refusal
+        for name, box in BAD_BOXES.items():
+            for form in (box, np.array(box)):
+                with pytest.raises(ValueError, match=message):
+                    call(form)
+            assert work == {}, (name, work)
+    call(UNIT_BOX.tolist())
+    assert bool(work) == works     # the counters see the work a valid box does
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
