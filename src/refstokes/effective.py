@@ -359,13 +359,13 @@ def _padded_length(n, span):
 def _stresslet_cell_kernels(n, box, lo, m):
     """Unset spectra of the cell-averaged stresslet velocity kernels of the n^3
     grid on box (a flat 6-tuple) for sources from cell lo on, padded to lengths
-    m, and the set of unit coefficients c whose slab [:, c] is filled (slabs
-    never written are never resident). One grid is kept."""
-    return np.empty((3, 5, m[0], m[1], m[2] // 2 + 1), dtype=complex), set()
+    m, laid out [c, i] so that each coefficient's 3 spectra are one block, and
+    the set of unit coefficients c whose block is filled. One grid is kept."""
+    return np.empty((5, 3, m[0], m[1], m[2] // 2 + 1), dtype=complex), set()
 
 
 def _fill_cell_kernels(khat, filled, comps, n, box, lo, m):
-    """Fill [i, c], the rfftn of velocity component i of one cell carrying unit
+    """Fill [c, i], the rfftn of velocity component i of one cell carrying unit
     coefficient c, for each c in comps, over the `kernels.row_blocks` slabs of
     the lag grid, each with offsets shared by the coefficients (lag q at index
     q <= n - 1 - lo, else q - m; lags within `_near_radius` subdivided, as in
@@ -385,10 +385,10 @@ def _fill_cell_kernels(khat, filled, comps, n, box, lo, m):
             kern = kernels.stresslet_velocity_kernel(sym_matrix(units[c]), zs, r2)
             if len(zn):
                 kern[:, near] = _subcell_velocity(units[c], zn, h, offsets).T
-            khat[:, c, rows] = np.fft.fft(np.fft.rfft(kern, axis=3), axis=2)
+            khat[c, :, rows] = np.fft.fft(np.fft.rfft(kern, axis=3), axis=2)
     for c in comps:
         for i in range(3):
-            np.fft.fft(khat[i, c], axis=0, out=khat[i, c])
+            np.fft.fft(khat[c, i], axis=0, out=khat[c, i])
         filled.add(c)
 
 
@@ -431,9 +431,9 @@ def _convolve_sources(sources, box, n, at=(0, 0, 0)):
     keep = [(np.arange(n) - l) % k for l, k in zip(lo, m)]
     out = np.empty((n, n, n, 3))
     for i in range(3):
-        acc = shat[0] * khat[i, comps[0]]
+        acc = shat[0] * khat[comps[0], i]
         for c, sc in zip(comps[1:], shat[1:]):
-            acc += sc * khat[i, c]
+            acc += sc * khat[c, i]
         acc = np.fft.ifft(np.fft.ifft(acc, axis=0)[keep[0]], axis=1)[:, keep[1]]
         out[..., i] = np.fft.irfft(acc, m[2], axis=2)[..., keep[2]]
     return out, len(missing), m

@@ -83,10 +83,14 @@ def check_count(value, name, minimum):
 
 
 def check_box(box):
-    """`box` as a C-contiguous float (2, 3) array [lo, hi] when its corners are
-    finite and hi > lo on every axis; else (another shape, a NaN or infinite
-    corner, a flat or inverted axis) ValueError."""
-    box = np.ascontiguousarray(box, dtype=float)
+    """`box` as a C-contiguous float (2, 3) array [lo, hi] when its corners are real
+    numbers, finite, with hi > lo on every axis; else (a ragged or non-numeric box,
+    another shape, a complex, NaN or infinite corner, a flat or inverted axis) ValueError."""
+    try:
+        box = np.asarray(box)
+    except ValueError:      # a ragged box
+        box = np.empty(0)
+    box = np.ascontiguousarray(box, float) if box.dtype.kind in "biuf" else np.empty(0)
     if box.shape != (2, 3) or not np.all(np.isfinite(box) & (box[1] > box[0])):
         raise ValueError("box must be [[lo],[hi]], finite, with hi > lo per axis")
     return box

@@ -633,7 +633,7 @@ def test_subcell_velocity_bit_for_bit(rng):
 def cold_kernel_spectra(n, gbox, lo, m):
     """All five coefficients' kernel spectra of one grid, filled at once into a
     fresh array, outside the cache."""
-    khat = np.empty((3, 5, m[0], m[1], m[2] // 2 + 1), dtype=complex)
+    khat = np.empty((5, 3, m[0], m[1], m[2] // 2 + 1), dtype=complex)
     eff._fill_cell_kernels(khat, set(), range(5), n, tuple(gbox.ravel().tolist()), lo, m)
     return khat
 
@@ -659,13 +659,13 @@ def reference_kernel_spectra(n, gbox, lo, m):
     r2 = z[0] * z[0] + z[1] * z[1] + z[2] * z[2]
     near = r2 <= eff._near_radius(h) ** 2
     r2[near] = np.inf
-    khat = np.empty((3, 5, m[0], m[1], m[2] // 2 + 1), dtype=complex)
+    khat = np.empty((5, 3, m[0], m[1], m[2] // 2 + 1), dtype=complex)
     for c, unit in enumerate(np.prod(h) * np.eye(5)):
         kern = kernels.stresslet_velocity_kernel(sym3.sym_matrix(unit), z, r2)
         kern[:, near] = eff._subcell_velocity(unit, z[:, near].T, h,
                                               eff._subcell_offsets(h, eff._NEAR_SUB)).T
         for i in range(3):
-            khat[i, c] = np.fft.rfftn(kern[i])
+            khat[c, i] = np.fft.rfftn(kern[i])
     return khat
 
 
@@ -686,9 +686,9 @@ def five_component_convolution(sources, gbox, n):
     shat = [np.fft.rfftn(sources[..., c], s=(2 * n,) * 3, axes=(0, 1, 2)) for c in range(5)]
     out = np.empty((n, n, n, 3))
     for i in range(3):
-        acc = shat[0] * khat[i, 0]
+        acc = shat[0] * khat[0, i]
         for c in range(1, 5):
-            acc += shat[c] * khat[i, c]
+            acc += shat[c] * khat[c, i]
         out[..., i] = np.fft.irfftn(acc, s=(2 * n,) * 3, axes=(0, 1, 2))[:n, :n, :n]
     return out
 
@@ -949,9 +949,25 @@ def test_kernel_cache_holds_one_grid():
                                                (6, 6, 6))
     assert eff._stresslet_cell_kernels.cache_info().misses == misses
     # one iterate of UNIAXIAL, which has coefficients 0 and 1 only
-    assert khat.shape == (3, 5, 6, 6, 4) and filled == {0, 1}
+    assert khat.shape == (5, 3, 6, 6, 4) and filled == {0, 1}
     eff.clear_kernel_cache()
     assert eff._stresslet_cell_kernels.cache_info().currsize == 0
+
+
+def test_one_coefficient_fills_one_contiguous_block():
+    # a basis strain's first iterate fills the 3 spectra of its one source
+    # coefficient, which are one contiguous block of the cached array
+    gbox, n, c = np.array([[-0.5] * 3, [1.5] * 3]), 8, 3
+    eff.clear_kernel_cache()
+    log = eff.fixed_point_vc(eff.uniform_Meff(UNIT_BOX, 0.01), np.eye(5)[c], gbox, n,
+                             max_iter=1)[1]
+    # the unit box covers cells 2..5 of 8 per axis: 8 + 4 - 1 -> 12
+    assert log["fft_shape"] == [12, 12, 12]
+    khat, filled = eff._stresslet_cell_kernels(n, tuple(gbox.ravel().tolist()), (2, 2, 2),
+                                               (12, 12, 12))
+    assert eff._stresslet_cell_kernels.cache_info().misses == 1
+    assert filled == {c}
+    assert khat[c].shape == (3, 12, 12, 7) and khat[c].flags.c_contiguous
 
 
 def test_kernels_built_once_per_support():
@@ -968,7 +984,7 @@ def test_kernels_built_once_per_support():
     # the unit box covers cells 8..23 of 32 per axis: 32 + 16 - 1 -> 48
     khat, filled = eff._stresslet_cell_kernels(n, tuple(gbox.ravel().tolist()), (8, 8, 8),
                                                (48, 48, 48))
-    assert khat.shape == (3, 5, 48, 48, 25) and filled == set(range(5))
+    assert khat.shape == (5, 3, 48, 48, 25) and filled == set(range(5))
     assert eff._stresslet_cell_kernels.cache_info().misses == 1
     eff.clear_kernel_cache()
     assert eff._stresslet_cell_kernels.cache_info().currsize == 0

@@ -321,6 +321,10 @@ BAD_BOXES = {
     "(3,)": [1.0, 1.0, 1.0],
     "(1, 3)": [[1.0, 1.0, 1.0]],
     "(3, 3)": [[0.0, 0.0, 0.0], [1.0, 1.0, 1.0], [2.0, 2.0, 2.0]],
+    # boxes with no float (2, 3) form: the array of a ragged box holds its rows
+    "ragged": [[0.0, 0.0, 0.0], [1.0, 1.0]],
+    "string": "[[0, 0, 0], [1, 1, 1]]",
+    "complex": [[0.0, 0.0, 0.0], [1.0, 1.0, 1.0 + 1.0j]],
 }
 
 
@@ -335,7 +339,7 @@ def test_one_box_rule(entry, monkeypatch):
     with warnings.catch_warnings():
         warnings.simplefilter("error")      # no cast warning before the refusal
         for name, box in BAD_BOXES.items():
-            for form in (box, np.array(box)):
+            for form in (box, np.array(box, dtype=object if name == "ragged" else None)):
                 with pytest.raises(ValueError, match=message):
                     call(form)
             assert work == {}, (name, work)
