@@ -9,7 +9,8 @@ through one schema-checked JSON reader, one JSON writer and one CSV writer;
 `cloud.save_cloud`/`load_cloud` (bench/) skip the schema.
 
 Exit codes: 0 success, 2 generation infeasible (separation/saturation),
-3 convergence-gate violation, 4 invalid parameter, 1 internal error.
+3 convergence-gate violation, 4 invalid parameter or a file that cannot be read
+or written, 1 internal error.
 """
 
 from __future__ import annotations
@@ -443,7 +444,7 @@ def main(argv=None):
     except GateError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_GATE
-    except (ValueError, KernelDomainError, KeyError, FileNotFoundError) as exc:
+    except (ValueError, KernelDomainError, KeyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARAM
     except Exception as exc:

@@ -18,11 +18,12 @@ units of length^3 because particle mobilities carry the a^3 scaling.
 The stresslet strain, the stresslet velocity and the sphere disturbance are
 each written once, as a component-major pair kernel `f(m, z, r2)`: the moment
 m is a (3, 3, ...) `sym3.sym_matrix`, the offsets z a (3, ...) array and
-r2 = |z|^2, broadcasting together; a kernel returns its components stacked,
-computed in place in one array of its own, never in its inputs, in its
-docstring's order, and an infinite r2 gives exactly zero. The
-strain kernel returns six entries of sym(z (x) v), which the linear
-`sym3.sym_coefficients` projects once per target after a sum. The point
+r2 = |z|^2, broadcasting together; a kernel returns its components stacked in
+its docstring's order, never writes its inputs, and an infinite r2 gives exactly
+zero. The strain and velocity kernels compute in place, where the dense oracle
+and the FFT fill measure them (`_moment_terms`); the rest are plain. The strain
+kernel's six entries of sym(z (x) v) are summed, then projected by the linear
+`sym3.sym_coefficients`: `stresslet_strain_sum` returns coefficients. The point
 functions are the single-pair case; the sphere's pressure and traction are
 closed forms on the same moment terms. `row_blocks`, slices of whole rows of
 at most `PAIR_BUDGET` elements, sizes every pair evaluation and the FFT kernel
@@ -124,12 +125,13 @@ def oseen_pressure(x):
 # component-major pair kernels
 
 
+# In place where a workload measures it: plain, the dense oracle's strain kernel took 0.9-1.7 vs
+# 0.27-0.52 ms a 16 x 1000 block, and the FFT fill's velocity kernel moved meanfield_fft's RSS level
 def _moment_terms(m, z, r2, rows):
     """One fresh array w of `rows` >= 6 rows over the broadcast shape of m, z
     and r2: b = mz in w[0:3], s = z.b in w[3], |z|^5 in w[4], the rest scratch.
     b sums the symmetric m over its slowest axis, so numpy's einsum loop (never
     BLAS) adds the 3 terms in order whatever the layout; s is added explicitly."""
-    # in place: fresh temporaries per op (same bits) ran 117-119 vs 41-49 sweep ns/pair, N <= 2000
     w = np.empty((rows,) + np.broadcast_shapes(np.shape(m)[2:], np.shape(z)[1:], np.shape(r2)))
     np.einsum("ji...,j...->i...", m, z, out=w[:3])
     np.multiply(z, w[:3], out=w[3:6])
@@ -175,15 +177,9 @@ def stresslet_velocity_kernel(m, z, r2):
 def sphere_disturbance_kernel(m, z, r2, a):
     """Disturbance of a sphere of radius a in the strain m (see `sphere_disturbance`),
     evaluated as c b + k z with k = 2.5 s (a^5/r2 - a^3)/r5 and c = -a^5/r5."""
-    w = _moment_terms(m, z, r2, 8)
-    b, k, c, t = w[:3], w[3, ...], w[4, ...], w[5, ...]
-    k *= 2.5
-    k *= np.subtract(np.divide(a ** 5, r2, out=t), a ** 3, out=t)
-    k /= c
-    np.divide(-a ** 5, c, out=c)
-    b *= c
-    b += np.multiply(k, z, out=w[5:])
-    return b
+    w = _moment_terms(m, z, r2, 6)
+    k = 2.5 * w[3] * (a ** 5 / r2 - a ** 3) / w[4]
+    return -a ** 5 / w[4] * w[:3] + k * z
 
 
 def _point_args(m, x, what, a=None):
@@ -226,18 +222,12 @@ def stresslet_strain(mobility, strain, x):
 
 
 def pair_offsets(targets, sources, exclude_within=None):
-    """Offsets z = target - source and r2 = z0^2 + z1^2 + z2^2, added in that
-    order, of a (targets x sources) block: fresh (3, targets, sources) and
-    (targets, sources) arrays, which belong to the block. Pairs with
+    """Offsets z = target - source, (3, targets, sources), and r2 = |z|^2 of a
+    (targets x sources) block, fresh arrays that belong to the block. Pairs with
     |z| <= exclude_within get r2 = inf, so the kernels give them zero;
     exclude_within=0 drops self-pairs."""
-    shape = (len(targets), len(sources))
-    z, r2, t = np.empty((3,) + shape), np.empty(shape), np.empty(shape)
-    for i in range(3):
-        np.subtract(targets[:, i, None], sources[:, i], out=z[i])
-    np.multiply(z[0], z[0], out=r2)
-    r2 += np.multiply(z[1], z[1], out=t)
-    r2 += np.multiply(z[2], z[2], out=t)
+    z = np.stack([targets[:, i, None] - sources[:, i] for i in range(3)])
+    r2 = z[0] * z[0] + z[1] * z[1] + z[2] * z[2]
     if exclude_within is not None:
         r2[r2 <= check_length(exclude_within, "exclude_within", positive=False) ** 2] = np.inf
     return z, r2
@@ -356,9 +346,9 @@ def _strain_block(y, sa):
 
 
 def stresslet_strain_sum(weights, targets, sources):
-    """The six `stresslet_strain_kernel` entries summed over the sources, (targets, 6)."""
-    e = _block_moment_sum(weights, targets, sources, stresslet_strain_kernel, _strain_block, 9)
-    return np.concatenate([e[:, :3], e[:, 3:6] + e[:, 6:]], axis=1)
+    """Strain coefficients, (targets, 5): summed `stresslet_strain_kernel` entries, projected."""
+    e = _block_moment_sum(weights, targets, sources, stresslet_strain_kernel, _strain_block, 9).T
+    return np.stack(sym_coefficients([*e[:3], *(e[3:6] + e[6:])]), axis=1)
 
 
 def velocity_sum(weights, targets, sources, a=None):

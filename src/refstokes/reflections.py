@@ -10,10 +10,10 @@ and accumulates the levels into running totals. The accumulated totals are
 the Neumann series of the linear fixed-point problem (I - T) total = ambient,
 which `dense_fixed_point` solves directly as an independent oracle.
 
-A sweep sums through `kernels.stresslet_strain_sum`, the velocity through
-`kernels.velocity_sum` and the dense matrix through `kernels.pair_blocks`, so the
-strain and velocity kernels here are the ones the point functions in `kernels`
-evaluate, and repeated runs on identical input are bit-identical.
+A sweep is one `kernels.stresslet_strain_sum` call, which returns coefficients;
+the velocity sums through `kernels.velocity_sum` and the dense matrix through
+`kernels.pair_blocks`, so the kernels here are the ones the point functions in
+`kernels` evaluate, and repeated runs on identical input are bit-identical.
 """
 
 from __future__ import annotations
@@ -85,8 +85,7 @@ def reflect_step(state):
     """One sweep: new level from the previous one, totals accumulated."""
     moments = apply_mobility(state.cloud.mobilities, state.A_current)
     centers = state.cloud.centers
-    entries = kernels.stresslet_strain_sum(moments, centers, centers)
-    new = np.stack(sym_coefficients(entries.T), axis=1)
+    new = kernels.stresslet_strain_sum(moments, centers, centers)
     return ReflectionState(
         cloud=state.cloud,
         A_current=new,

@@ -578,6 +578,25 @@ def test_validate_cloud_file(tmp_path, capsys):
     assert rc == 0
 
 
+@pytest.mark.parametrize("verb, flag", [("generate", "--config"), ("generate", "--out"),
+                                        ("reflect", "--config"), ("reflect", "--cloud"),
+                                        ("reflect", "--out"), ("validate", "--cloud")])
+def test_a_directory_for_a_file_exits_4(tmp_path, capsys, verb, flag):
+    # a file a verb cannot open is an invalid parameter, not an internal error
+    cfgp = lattice_config(tmp_path, n_per_axis=2)
+    cloud_path, out, folder = str(tmp_path / "cloud.json"), tmp_path / "out.json", tmp_path / "dir"
+    assert cli.main(["generate", "--config", cfgp, "--out", cloud_path]) == 0
+    folder.mkdir()
+    files = {"generate": {"--config": cfgp, "--out": str(out)},
+             "reflect": {"--config": cfgp, "--cloud": cloud_path, "--out": str(out)},
+             "validate": {"--cloud": cloud_path}}[verb]
+    files[flag] = str(folder)
+    capsys.readouterr()
+    assert cli.main([verb, *itertools.chain.from_iterable(files.items())]) == 4
+    assert capsys.readouterr().err.startswith("error:")
+    assert not out.exists() and not any(folder.iterdir())
+
+
 def test_bad_arguments_exit_code(capsys):
     assert cli.main(["reflect"]) == 4          # missing required flags
     assert cli.main(["frobnicate"]) == 4       # unknown verb

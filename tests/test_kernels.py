@@ -1,4 +1,5 @@
 import tracemalloc
+import warnings
 from functools import partial
 
 import numpy as np
@@ -337,11 +338,6 @@ PAIR_KERNELS = {
 }
 
 
-def summed(name, out):
-    """The coefficients of a pair sum: strain sums are projected after the sum."""
-    return np.stack(sym3.sym_coefficients(out.T), axis=1) if name == "strain" else out
-
-
 def loop_pair_sum(point, weights, targets, sources, skip_self=False):
     """The point function summed over the sources, one call per target (the
     point functions broadcast over the sources); skip_self leaves out source l
@@ -395,6 +391,23 @@ def test_pair_kernels_leave_their_inputs_alone(rng, name):
     assert all(np.array_equal(a, b) for a, b in zip(inputs, before))
 
 
+@pytest.mark.parametrize("name", sorted(PAIR_KERNELS))
+def test_pair_kernels_give_exact_zeros_at_infinite_r2(rng, name):
+    # an excluded pair (r2 = inf) adds exactly nothing, at a zero offset or not,
+    # without a RuntimeWarning; pair_offsets excludes the self-pairs that way
+    kernel, _ = PAIR_KERNELS[name]
+    m = sym3.sym_matrix(rng.normal(size=(5, 2)))
+    z = np.stack([np.zeros(3), rng.normal(size=3)], axis=1)
+    x = rng.normal(size=(7, 3))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert np.all(np.stack(kernel(m, z, np.full(2, np.inf))) == 0.0)
+        out = np.stack(kernel(sym3.sym_matrix(rng.normal(size=(5, 7))),
+                              *kernels.pair_offsets(x, x, exclude_within=0.0)))
+    assert np.all(out[:, np.arange(7), np.arange(7)] == 0.0)
+    assert np.all(out[:, ~np.eye(7, dtype=bool)] != 0.0)
+
+
 # ---------------------------------------------------------------------------
 # the reflection sweep's strain sum
 
@@ -421,6 +434,23 @@ def long_double_strain_sum(weights, points):
     return out
 
 
+def projected(entries):
+    """The (targets, 5) coefficients of (targets, 6) summed strain kernel entries."""
+    return np.stack(sym3.sym_coefficients(entries.T), axis=1)
+
+
+def strain_sums(weights, targets, sources):
+    """`stresslet_strain_sum` and the six summed `stresslet_strain_kernel` entries
+    it projects, (targets, 6), read from the engine; the sum must be exactly their
+    projection, so a check of the coefficients checks the projected entries too."""
+    e = kernels._block_moment_sum(weights, targets, sources, kernels.stresslet_strain_kernel,
+                                  kernels._strain_block, 9)
+    entries = np.concatenate([e[:, :3], e[:, 3:6] + e[:, 6:]], axis=1)
+    got = kernels.stresslet_strain_sum(weights, targets, sources)
+    assert np.array_equal(got, projected(entries))
+    return got, entries
+
+
 def test_strain_sum_matches_a_long_double_direct_sum(rng):
     # the 1000-particle cloud of the bench's reflect_rsa, with random SPD mobilities
     from refstokes import cloud as cl
@@ -428,8 +458,10 @@ def test_strain_sum_matches_a_long_double_direct_sum(rng):
     root = rng.normal(size=(c.n, 5, 5))
     spd = root @ root.transpose(0, 2, 1) + 0.1 * np.eye(5)
     weights = sym3.apply_mobility(spd, rng.normal(size=(c.n, 5)))
-    got = kernels.stresslet_strain_sum(weights, c.centers, c.centers)
+    got, entries = strain_sums(weights, c.centers, c.centers)
     want = long_double_strain_sum(weights, c.centers)
+    assert np.linalg.norm(entries - want) <= 1e-12 * np.linalg.norm(want)
+    want = projected(want)
     assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
 
 
@@ -445,7 +477,7 @@ TWO_POINTS = np.array([[0.0, 0.0, 0.0], [0.3, 0.1, -0.2]])
 def test_strain_sum_matches_pair_sum(rng, points):
     # 343 lattice sites: several source blocks and two target chunks
     weights = rng.normal(size=(len(points), 5))
-    got = summed("strain", kernels.stresslet_strain_sum(weights, points, points))
+    got, _ = strain_sums(weights, points, points)
     want = loop_pair_sum(PAIR_KERNELS["strain"][1], weights, points, points, skip_self=True)
     assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
 
@@ -455,11 +487,12 @@ def test_strain_sum_of_coincident_points_is_zero(rng):
     for copies in (2, 3, 100):
         points = np.tile([[0.1, 0.2, 0.3]], (copies, 1))
         weights = rng.normal(size=(copies, 5))
-        assert np.all(kernels.stresslet_strain_sum(weights, points, points) == 0.0)
+        got, entries = strain_sums(weights, points, points)
+        assert np.all(entries == 0.0) and np.all(got == 0.0)
     # a coincident pair next to a third point sees only the third point
     points = np.array([[0.1, 0.2, 0.3], [0.1, 0.2, 0.3], [0.6, -0.1, 0.2]])
     weights = rng.normal(size=(3, 5))
-    got = summed("strain", kernels.stresslet_strain_sum(weights, points, points))
+    got, _ = strain_sums(weights, points, points)
     point = PAIR_KERNELS["strain"][1]
     assert np.allclose(got[2:], loop_pair_sum(point, weights[:2], points[2:], points[:2]),
                        rtol=1e-13, atol=0.0)
@@ -472,7 +505,7 @@ def test_strain_sum_takes_close_pairs_through_the_kernel(rng):
     # centroid, its r2 and s would lose about 8 of 16 digits to cancellation
     points = np.concatenate([lattice(4), lattice(4)[21:22] + 1e-4])
     weights = rng.normal(size=(len(points), 5))
-    got = summed("strain", kernels.stresslet_strain_sum(weights, points, points))
+    got, _ = strain_sums(weights, points, points)
     want = loop_pair_sum(PAIR_KERNELS["strain"][1], weights, points, points, skip_self=True)
     assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
 
