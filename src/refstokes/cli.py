@@ -5,8 +5,9 @@ document holds every run parameter; a flag names a file a verb reads or
 writes, or is the `reflect --oracle` cross-check. All outputs (cloud files,
 solution files, CSV tables, reports) are deterministic functions of the
 config, so re-runs are byte-identical. This module reads and writes them
-through one schema-checked JSON reader, one JSON writer and one CSV writer;
-`cloud.save_cloud`/`load_cloud` (bench/) skip the schema.
+through one schema-checked JSON reader and one file writer, which writes all
+of a verb's files or none; `cloud.save_cloud`/`load_cloud` (bench/) skip the
+schema.
 
 Exit codes: 0 success, 2 generation infeasible (separation/saturation),
 3 convergence-gate violation, 4 invalid parameter or a file that cannot be read
@@ -18,8 +19,10 @@ from __future__ import annotations
 import argparse
 import csv
 import functools
+import io
 import json
 import math
+import os
 import sys
 from dataclasses import dataclass, field
 from importlib import resources
@@ -45,15 +48,6 @@ EXIT_PARAM = 4
 
 
 @dataclass
-class SolverConfig:
-    tol: float = 1e-10
-    max_iter: int = 100
-    fixed_n: int = None
-    gate: float = reflections.EPS0_GATE_DEFAULT
-    force: bool = False
-
-
-@dataclass
 class GridConfig:
     n: int = 32
     padding: float = 0.5         # margin per side, as a fraction of the box side
@@ -70,7 +64,7 @@ class ExperimentConfig:
     seed: int = 0
     cloud: dict = field(default_factory=dict)
     strain: list = field(default_factory=lambda: [1.0, 0.0, 0.0, 0.0, 0.0])
-    solver: SolverConfig = field(default_factory=SolverConfig)
+    solver: dict = field(default_factory=dict)    # run_reflections' keywords
     grid: GridConfig = field(default_factory=GridConfig)
     sweep: dict = field(default_factory=lambda: {"phis": []})
     compare: CompareConfig = field(default_factory=CompareConfig)
@@ -89,10 +83,8 @@ class ExperimentConfig:
             if extra := sorted(keys & {"n_per_axis", "n", "dmin"} - sizes[kind]):
                 raise ValueError(f"cloud kind {kind!r} does not take keys {extra}")
         cfg.strain = [float(v) for v in doc.get("strain", cfg.strain)]
-        solver = dict(doc.get("solver", {}))
-        # old configs may set it; summation is always ordered, so it is dropped
-        solver.pop("deterministic", None)
-        cfg.solver = SolverConfig(**solver)
+        # old configs may set `deterministic`; summation is always ordered, so it is dropped
+        cfg.solver = {k: v for k, v in doc.get("solver", {}).items() if k != "deterministic"}
         cfg.grid = GridConfig(**doc.get("grid", {}))
         cfg.sweep = dict(doc.get("sweep", {"phis": []}))
         cfg.compare = CompareConfig(**doc.get("compare", {}))
@@ -171,11 +163,25 @@ def _read_json(path, schema_name):
     return doc
 
 
-def _dump_json(doc, path, schema_name):
+def _write_files(files):
+    """Write each (path, text) pair; if one fails, remove those this call opened."""
+    opened = []
+    try:
+        for path, text in files:
+            with open(path, "w", newline="") as fh:
+                opened.append(path)
+                fh.write(text)
+    except OSError:
+        for path in opened:
+            os.remove(path)
+        raise
+
+
+def _dump_json(doc, path, schema_name, *tables):
+    """Write doc to path, and each (path, text) of `tables`, through `_write_files`."""
     validate_document(doc, schema_name)
     text = json.dumps(doc, indent=1, sort_keys=True, allow_nan=False)
-    with open(path, "w") as fh:
-        fh.write(text + "\n")
+    _write_files([(path, text + "\n"), *tables])
 
 
 def _print_json(doc):
@@ -189,45 +195,31 @@ def _stats_json(stats):
             "phi_global": stats.phi_global, "phi_local": stats.phi_local}
 
 
-def _write_csv(path, header, rows):
+def _csv_text(header, rows):
     """Header and rows of str, int and float cells; a float is written as its repr."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
+    buf = io.StringIO()
+    csv.writer(buf).writerows([header, *rows])
+    return buf.getvalue()
 
 
 def load_config(path):
     return ExperimentConfig.from_json(_read_json(path, "config.schema.json"))
 
 
-def build_cloud(cfg, a=None):
-    spec = dict(cfg.cloud)
-    kind, box = spec.get("kind"), spec["box"]
-    radius = float(a if a is not None else spec["a"])
+def build_cloud(cfg, phi=None):
+    """The config's cloud; given a volume fraction phi, with the radius that fills it."""
+    spec, kind = cfg.cloud, cfg.cloud.get("kind")
+    if kind not in ("lattice", "rsa"):
+        raise ValueError(f"unknown cloud kind {kind!r}")
+    a = float(spec["a"])
+    if phi is not None:     # the radius at which the cloud's balls fill phi of its box
+        count = int(spec["n_per_axis"]) ** 3 if kind == "lattice" else int(spec["n"])
+        box = np.asarray(spec["box"], dtype=float)
+        vol = float(np.prod(box[1] - box[0]))
+        a = (3.0 * phi * vol / (4.0 * np.pi * count)) ** (1.0 / 3.0)
     if kind == "lattice":
-        return cloudmod.generate_lattice(box, spec["n_per_axis"], radius)
-    if kind == "rsa":
-        return cloudmod.generate_rsa(box, spec["n"], radius,
-                                     float(spec["dmin"]), cfg.seed)
-    raise ValueError(f"unknown cloud kind {kind!r}")
-
-
-def _cloud_count(cfg):
-    if cfg.cloud.get("kind") == "lattice":
-        return int(cfg.cloud["n_per_axis"]) ** 3
-    return int(cfg.cloud["n"])
-
-
-def _radius_for_phi(cfg, phi):
-    box = np.asarray(cfg.cloud["box"], dtype=float)
-    vol = float(np.prod(box[1] - box[0]))
-    return (3.0 * phi * vol / (4.0 * np.pi * _cloud_count(cfg))) ** (1.0 / 3.0)
-
-
-def _solver_kwargs(cfg):
-    return {"tol": cfg.solver.tol, "max_iter": cfg.solver.max_iter,
-            "gate": cfg.solver.gate, "force": cfg.solver.force}
+        return cloudmod.generate_lattice(spec["box"], spec["n_per_axis"], a)
+    return cloudmod.generate_rsa(spec["box"], spec["n"], a, float(spec["dmin"]), cfg.seed)
 
 
 # ---------------------------------------------------------------------------
@@ -237,9 +229,8 @@ def _solver_kwargs(cfg):
 def cmd_generate(cfg, args):
     cloud = build_cloud(cfg)
     stats = cloudmod.validate(cloud)
-    _dump_json(cloudmod.cloud_to_json(cloud), args.out, "cloud.schema.json")
-    if args.csv:
-        _write_csv(args.csv, ["x", "y", "z"], cloud.centers.tolist())
+    tables = [(args.csv, _csv_text(["x", "y", "z"], cloud.centers.tolist()))] if args.csv else []
+    _dump_json(cloudmod.cloud_to_json(cloud), args.out, "cloud.schema.json", *tables)
     _print_json(dict(_stats_json(stats), cloud_file=args.out))
     return EXIT_OK
 
@@ -250,13 +241,13 @@ def cmd_reflect(cfg, args):
         raise ValueError(f"--oracle: dense solve guarded to 5N <= "
                          f"{reflections.DENSE_MAX_UNKNOWNS} (got N = {cloud.n})")
     A = sym3.sym_from_list(cfg.strain)
-    sol = reflections.run_reflections(cloud, A, fixed_n=cfg.solver.fixed_n,
-                                      **_solver_kwargs(cfg))
-    _dump_json(reflections.solution_to_json(sol), args.out, "solution.schema.json")
+    sol = reflections.run_reflections(cloud, A, **cfg.solver)
+    tables = []
     if args.csv:
         ratios = [""] + reflections.level_ratios(sol.norm_history)
-        _write_csv(args.csv, ["iteration", "level_norm", "ratio"],
-                   [[k, v, r] for k, (v, r) in enumerate(zip(sol.norm_history, ratios))])
+        levels = [[k, v, r] for k, (v, r) in enumerate(zip(sol.norm_history, ratios))]
+        tables.append((args.csv, _csv_text(["iteration", "level_norm", "ratio"], levels)))
+    _dump_json(reflections.solution_to_json(sol), args.out, "solution.schema.json", *tables)
     summary = {"solution_file": args.out, "iterations": sol.iterations,
                "converged": sol.converged, "residual": sol.residual}
     if args.oracle:
@@ -273,8 +264,8 @@ def run_einstein_sweep(cfg):
     rows = []
     A = sym3.sym_from_list(cfg.strain)
     for phi in cfg.sweep.get("phis", []):
-        cloud = build_cloud(cfg, a=_radius_for_phi(cfg, phi))
-        sol = reflections.run_reflections(cloud, A, **_solver_kwargs(cfg))
+        cloud = build_cloud(cfg, phi)
+        sol = reflections.run_reflections(cloud, A, **cfg.solver)
         first = effective.einstein_coefficient(cloud, A, np.tile(A, (cloud.n, 1)))
         conv = effective.einstein_coefficient(cloud, A, sol.A_hat)
         rows.append((float(phi), float(first), float(conv)))
@@ -283,7 +274,7 @@ def run_einstein_sweep(cfg):
 
 def cmd_einstein(cfg, args):
     rows = run_einstein_sweep(cfg)
-    _write_csv(args.out, ["phi", "first_order", "converged"], rows)
+    _write_files([(args.out, _csv_text(["phi", "first_order", "converged"], rows))])
     _print_json({"table": args.out, "rows": len(rows)})
     return EXIT_OK
 
@@ -312,15 +303,14 @@ def run_compare_sweep(cfg):
     gbox = _grid_box(cfg)
     entries = []
     for phi in cfg.sweep.get("phis", []):
-        a = _radius_for_phi(cfg, phi)
-        cloud = build_cloud(cfg, a=a)
+        cloud = build_cloud(cfg, phi)
         stats = cloudmod.validate(cloud)
         # the grid checks (n >= 1, cubic cells) fail here, before the solve;
         # spheres against c phi I need scalar fields only, no 5x5 grid
         model = effective.uniform_Meff(cloud.box, phi, cfg.compare.coefficient)
         hm1 = effective.sphere_hminus1_distance(cloud, model, gbox, n)
-        sol = reflections.run_reflections(cloud, A, fixed_n=3,
-                                          **_solver_kwargs(cfg))
+        # three strain levels whatever the config's tol, max_iter and fixed_n
+        sol = reflections.run_reflections(cloud, A, **dict(cfg.solver, fixed_n=3))
         vc, _ = effective.fixed_point_vc(model, A, gbox, n, max_iter=1)
         pts = vc.cell_centers().reshape(-1, 3)
         keep = effective.outside_balls(pts, cloud)
@@ -331,7 +321,7 @@ def run_compare_sweep(cfg):
         entry = {
             "phi": float(phi),
             "phi_local": stats.phi_local,
-            "a": float(a),
+            "a": float(cloud.a),
             "n_particles": cloud.n,
             "hminus1": hm1,
             "lp_proxy": lp,

@@ -51,7 +51,7 @@ def test_config_roundtrip():
     }
     cfg = cli.ExperimentConfig.from_json(doc)
     assert cli.ExperimentConfig.from_json(asdict(cfg)) == cfg
-    assert cfg.solver.max_iter == 17
+    assert cfg.solver["max_iter"] == 17
     assert cfg.compare.p == 1.3
 
 
@@ -347,6 +347,17 @@ def test_einstein_sweep_table(tmp_path):
         assert abs(first - 2.5) < 1e-12
 
 
+def test_einstein_fixed_n_one_is_the_first_order(tmp_path):
+    # one strain level and no sweep: every particle sees the ambient strain
+    cfgp = lattice_config(tmp_path, n_per_axis=2, solver={"fixed_n": 1},
+                          sweep={"phis": [1e-3, 1e-2]})
+    out = tmp_path / "einstein.csv"
+    assert cli.main(["einstein", "--config", cfgp, "--out", str(out)]) == 0
+    header, *rows = (line.split(",") for line in out.read_text().splitlines())
+    assert header == ["phi", "first_order", "converged"] and len(rows) == 2
+    assert all(first == conv for _, first, conv in rows)
+
+
 def test_einstein_empty_sweep(tmp_path):
     cfgp = lattice_config(tmp_path, sweep={"phis": []})
     out = tmp_path / "einstein.csv"
@@ -513,6 +524,20 @@ def test_compare_report(tmp_path, capsys):
 
 
 @pytest.mark.filterwarnings("ignore:grid spacing")
+def test_compare_sums_three_levels_whatever_the_solver_section(tmp_path):
+    reports = []
+    for name, extra in (("plain", {}),
+                        ("set", {"solver": {"fixed_n": 5, "tol": 1e-2, "max_iter": 1}})):
+        folder = tmp_path / name
+        folder.mkdir()
+        cfgp = lattice_config(folder, n_per_axis=2, grid={"n": 8, "padding": 0.5},
+                              sweep={"phis": [1e-3, 1e-2]}, **extra)
+        assert cli.main(["compare", "--config", cfgp, "--out", str(folder / "report.json")]) == 0
+        reports.append((folder / "report.json").read_bytes())
+    assert reports[0] == reports[1]
+
+
+@pytest.mark.filterwarnings("ignore:grid spacing")
 def test_compare_lp_proxy_matches_slow_oracle(tmp_path):
     # lp_proxy by explicit loops over grid cells and particles: points within
     # 4a of a centre dropped by explicit distances, u_app = A x plus the
@@ -595,6 +620,24 @@ def test_a_directory_for_a_file_exits_4(tmp_path, capsys, verb, flag):
     assert cli.main([verb, *itertools.chain.from_iterable(files.items())]) == 4
     assert capsys.readouterr().err.startswith("error:")
     assert not out.exists() and not any(folder.iterdir())
+
+
+@pytest.mark.parametrize("verb", ["generate", "reflect"])
+@pytest.mark.parametrize("folder_flag", ["--out", "--csv"])
+def test_no_partial_output_when_a_file_cannot_be_written(tmp_path, capsys, verb, folder_flag):
+    # a verb writes every output or none: a --csv it cannot open leaves no --out
+    cfgp = lattice_config(tmp_path, n_per_axis=2)
+    cloud_path, folder = str(tmp_path / "cloud.json"), tmp_path / "dir"
+    assert cli.main(["generate", "--config", cfgp, "--out", cloud_path]) == 0
+    folder.mkdir()
+    files = {"--out": tmp_path / "out.json", "--csv": tmp_path / "out.csv"}
+    files[folder_flag] = folder
+    argv = [verb, "--config", cfgp] + (["--cloud", cloud_path] if verb == "reflect" else [])
+    capsys.readouterr()
+    assert cli.main(argv + [a for flag, path in files.items() for a in (flag, str(path))]) == 4
+    assert "Is a directory" in capsys.readouterr().err
+    assert not any(path.exists() for path in files.values() if path != folder)
+    assert not any(folder.iterdir())
 
 
 def test_bad_arguments_exit_code(capsys):
