@@ -22,7 +22,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import SaturationError, SeparationError
-from .kernels import check_box, check_count, check_length, pairs_within, sphere_mobility
+from .kernels import (check_box, check_count, check_length, check_points, pairs_within,
+                      sphere_mobility)
 
 __all__ = [
     "SEPARATION_FACTOR",
@@ -44,15 +45,6 @@ FIELD_EXCLUSION_FACTOR = 4.0   # field comparisons exclude B(x_l, FIELD_EXCLUSIO
 _CLOUD_KEYS = {"a", "box", "centers", "mobilities"}   # the keys of a cloud document
 
 
-def _as_points(points, name):
-    """The one rule for centres and evaluation points: a float (P, 3) array, (3,) as
-    (1, 3) and an empty input as (0, 3); any other shape raises ValueError naming it."""
-    points = np.ascontiguousarray(np.atleast_2d(points), dtype=float)
-    if points.size and (points.ndim != 2 or points.shape[1] != 3):
-        raise ValueError(f"{name} must have shape (N, 3), got {points.shape}")
-    return points.reshape(-1, 3)
-
-
 @dataclass(frozen=True, eq=False)
 class ParticleCloud:
     """Immutable particle configuration (arrays are set read-only)."""
@@ -63,13 +55,11 @@ class ParticleCloud:
     box: np.ndarray         # (2, 3): [lower, upper]
 
     def __post_init__(self):
-        centers = _as_points(self.centers, "centers")
+        centers = check_points(self.centers, "centers")
         box = check_box(self.box)
         mob = np.ascontiguousarray(self.mobilities, dtype=float)
-        if mob.shape != (len(centers), 5, 5):
-            raise ValueError("mobilities must have shape (N, 5, 5)")
-        if not (np.isfinite(centers).all() and np.isfinite(mob).all()):
-            raise ValueError("non-finite cloud data")
+        if mob.shape != (len(centers), 5, 5) or not np.isfinite(mob).all():
+            raise ValueError("mobilities must have shape (N, 5, 5) and be finite")
         check_length(self.a, "a")
         for arr in (centers, box, mob):
             arr.setflags(write=False)
@@ -80,7 +70,7 @@ class ParticleCloud:
     @classmethod
     def spheres(cls, centers, a, box):
         """Cloud of rigid spheres with the closed-form mobility."""
-        centers = _as_points(centers, "centers")
+        centers = check_points(centers, "centers")
         mob = np.broadcast_to(sphere_mobility(a), (len(centers), 5, 5)).copy()
         return cls(centers=centers, a=a, mobilities=mob, box=box)
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
-from .cloud import FIELD_EXCLUSION_FACTOR, _as_points, validate
+from .cloud import FIELD_EXCLUSION_FACTOR, validate
 from .errors import GateError, GridMismatchError
 from .fields import GridField
 from .sym3 import apply_mobility, frobenius, project_sym_tracefree, sym_from_list, sym_matrix
@@ -330,7 +330,7 @@ def tilde_vc(field, A, points):
     kernel value for its subcells, which costs about 1e-16 (h/d)^2 of the
     velocity at a point a distance d from a cell centre it is not on.
     """
-    points = _as_points(points, "points")
+    points = kernels.check_points(points, "points")
     S = apply_mobility(field.values, sym_from_list(A))
     mask = np.any(S != 0.0, axis=-1)
     centers, S = field.cell_centers()[mask], field.cell_volume * S[mask]
@@ -526,6 +526,7 @@ def einstein_coefficient(cloud, A, strains):
 def outside_balls(points, cloud):
     """Mask of the points farther than FIELD_EXCLUSION_FACTOR * a from every
     particle centre (a point at exactly that distance is excluded)."""
+    points = kernels.check_points(points, "points")
     keep = np.ones(len(points), dtype=bool)
     keep[kernels.pairs_within(points, cloud.centers, FIELD_EXCLUSION_FACTOR * cloud.a)[0]] = False
     return keep

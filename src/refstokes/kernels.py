@@ -32,10 +32,10 @@ blocks for the dense reflection matrix and the near-cell quadrature. Every pair
 sum, the sweep's `stresslet_strain_sum` and `velocity_sum` (the velocity at
 grid points and the cells of `tilde_vc`), runs on one engine: BLAS products of
 target monomials and the features of compact blocks of sources, only radial
-factors per pair. The pair kernels trust their inputs; the pair search and
-sums refuse non-finite points, and they, the offsets, blocks, sphere functions
-and `mean_value_reconstruct` apply `check_length`, the one length rule, first.
-`check_count` is the one rule for a count or a seed, `check_box` the one rule for
+factors per pair. The pair kernels trust their inputs; before any work the pair
+search and sums apply `check_points`, the one point rule, and they, the offsets,
+blocks, sphere functions and `mean_value_reconstruct` `check_length`, the one
+length rule. `check_count` is the one rule for a count or a seed, `check_box` for
 a box (the cloud's, a grid's, a model's support); their callers apply them first.
 
 Point functions broadcast over leading axes of the evaluation points.
@@ -54,7 +54,7 @@ __all__ = ["oseen", "oseen_pressure", "stresslet_field", "stresslet_strain",
            "mean_value_reconstruct", "PAIR_BUDGET", "check_length", "check_count", "check_box",
            "stresslet_strain_kernel", "stresslet_velocity_kernel", "sphere_disturbance_kernel",
            "pair_offsets", "row_blocks", "pair_blocks", "stresslet_strain_sum",
-           "velocity_sum", "pairs_within"]
+           "velocity_sum", "pairs_within", "check_points"]
 
 _C8 = 1.0 / (8.0 * np.pi)
 _C4 = 1.0 / (4.0 * np.pi)
@@ -97,11 +97,25 @@ def check_box(box):
     return box
 
 
+def check_points(points, name):
+    """`points` as a C-contiguous float (P, 3) array, a lone (3,) point as (1, 3) and
+    any empty input as (0, 3); else (another shape, a NaN or infinite coordinate)
+    ValueError naming `name`."""
+    points = np.ascontiguousarray(np.atleast_2d(points), dtype=float)
+    if points.size and (points.ndim != 2 or points.shape[1] != 3):
+        raise ValueError(f"{name} must have shape (N, 3), got {points.shape}")
+    if not np.isfinite(points).all():
+        raise ValueError(f"{name} must be finite")
+    return points.reshape(-1, 3)
+
+
 def _radii(x, what):
     """Checked points and their squared norms."""
     x = np.asarray(x, dtype=float)
     if x.shape[-1] != 3:
         raise ValueError(f"expected trailing axis of length 3, got shape {x.shape}")
+    if not np.isfinite(x).all():
+        raise ValueError(f"{what} needs finite points")
     r2 = np.einsum("...i,...i->...", x, x)
     if np.any(r2 <= 0.0):
         raise KernelDomainError(f"{what} evaluated at x = 0")
@@ -251,12 +265,6 @@ def pair_blocks(targets, sources, exclude_within=None):
             for rows in row_blocks(len(targets), len(sources)))
 
 
-def _check_finite(what, targets, sources):
-    """ValueError naming `what` unless every coordinate of both point sets is finite."""
-    if not (np.isfinite(targets).all() and np.isfinite(sources).all()):
-        raise ValueError(f"{what} needs finite points")
-
-
 # sources per block of the block-moment sums
 _BLOCK = 64
 
@@ -282,9 +290,11 @@ def _block_moment_sum(weights, targets, sources, kernel, block, rows):
     width of _BLOCK sources, the last padded with its last target, so every product
     has one shape and a target's bits do not depend on the other targets. Pairs at
     computed r2 <= (rho/16)^2, rho the block's radius, get u = 0 and, unless they
-    coincide, add `kernel` at exact offsets to the first rows. A non-finite point
-    raises ValueError first."""
-    _check_finite("a block-moment sum", targets, sources)
+    coincide, add `kernel` at exact offsets to the first rows. Points that `check_points`
+    refuses, or weights that are not (sources, 5), raise ValueError first."""
+    targets, sources = check_points(targets, "targets"), check_points(sources, "sources")
+    if np.shape(weights) != (len(sources), 5):
+        raise ValueError(f"weights must have shape ({len(sources)}, 5), got {np.shape(weights)}")
     m, n = sym_matrix(np.asarray(weights, dtype=float).T), len(targets)
     width = max(1, PAIR_BUDGET // _BLOCK)
     acc = np.zeros((-(-n // width) * width, rows))
@@ -386,9 +396,9 @@ def pairs_within(targets, sources, radius):
     around its own, as 9 runs of 3 consecutive cell keys. The distance test
     itself uses the arithmetic of `pair_offsets`, so a pair is kept here
     exactly when `pair_offsets(..., exclude_within=radius)` excludes it.
-    A non-finite point, or a radius `check_length` refuses, raises ValueError.
+    A point set `check_points` refuses, or a radius `check_length` refuses, raises ValueError.
     """
-    _check_finite("pairs_within", targets, sources)
+    targets, sources = check_points(targets, "targets"), check_points(sources, "sources")
     check_length(radius, "radius", positive=False)
     swap = len(targets) > len(sources)
     big, small = (targets, sources) if swap else (sources, targets)

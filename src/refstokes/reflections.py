@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import kernels
-from .cloud import ParticleCloud, _as_points, validate
+from .cloud import ParticleCloud, validate
 from .errors import GateError, KernelDomainError
 from .sym3 import apply_mobility, embed, sym_coefficients, sym_from_list, sym_matrix
 
@@ -202,8 +202,8 @@ def evaluate_velocity(solution, A, points):
     KernelDomainError naming the point and the particle; points on a surface
     are allowed.
     """
+    points = kernels.check_points(points, "points")
     cloud, A = solution.cloud, sym_from_list(A)
-    points = _as_points(points, "points")
     u = points @ embed(A).T
     t, s, z = kernels.pairs_within(points, cloud.centers, cloud.a)
     inside = np.flatnonzero(np.einsum("ki,ki->k", z, z) < cloud.a ** 2 * (1.0 - 1e-12))
@@ -252,9 +252,11 @@ def solution_to_json(solution):
 
 
 def solution_from_json(doc, cloud):
+    A_hat = np.asarray(doc["a_hat"], dtype=float).reshape(-1, 5)
+    if len(A_hat) != cloud.n:
+        raise ValueError(f"a_hat has {len(A_hat)} rows for a cloud of {cloud.n} particles")
     return StressletSolution(
-        cloud=cloud,
-        A_hat=np.asarray(doc["a_hat"], dtype=float).reshape(-1, 5),
+        cloud=cloud, A_hat=A_hat,
         iterations=int(doc["iterations"]),
         converged=bool(doc["converged"]),
         residual=float(doc["residual"]),

@@ -123,6 +123,18 @@ def test_file_formats_stay_at_the_cli_boundary():
     assert {name for name, found in imports.items() if "csv" in found} == {"cli"}
 
 
+def test_no_module_imports_private_names():
+    # a name with a leading underscore stays in its module: what another module
+    # needs is public (the point rule is `kernels.check_points`)
+    package = Path(importlib.import_module("refstokes").__file__).parent
+    private = sorted(
+        (path.stem, alias.name) for path in package.glob("*.py")
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.ImportFrom) and (node.level or node.module.startswith("refstokes"))
+        for alias in node.names if alias.name.startswith("_"))
+    assert not private
+
+
 def test_schema_files_are_valid_schemas():
     schemas = Path(importlib.import_module("refstokes").__file__).parent / "schemas"
     paths = sorted(schemas.glob("*.json"))

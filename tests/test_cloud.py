@@ -124,7 +124,7 @@ ONE_CENTER = {"centers": [[0.5, 0.5, 0.5]], "a": 0.01, "mobilities": np.eye(5)[N
     # validated with phi_global 0, so the Einstein coefficient was undefined
     ({"box": [[0.0, 0.0, 0.0], [np.inf, 1.0, 1.0]]}, "box must be"),
     ({"mobilities": np.eye(5)[None].repeat(2, axis=0)}, r"mobilities must have shape \(N, 5, 5\)"),
-    ({"centers": [[np.nan, 0.5, 0.5]]}, "non-finite cloud data"),
+    ({"centers": [[np.nan, 0.5, 0.5]]}, "^centers must be finite$"),
     ({"a": 0.0}, "radius must be positive"),
     # a NaN radius with custom mobilities got as far as `validate`, which
     # blamed containment

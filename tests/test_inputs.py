@@ -3,8 +3,10 @@ ambient strain (one rule, `sym3.sym_from_list`), every radius, search radius
 and exclusion distance (one rule, `kernels.check_length`), every count of
 sweeps, levels, particles or grid cells and every seed (one rule,
 `kernels.check_count`), every box of a cloud, grid or model (one rule,
-`kernels.check_box`), the convergence gate, the contraction exponent q, the
-points of every pair search and the per-particle strains of the Einstein
+`kernels.check_box`), every point set of a cloud, an evaluation, a pair
+search or a pair sum (one rule, `kernels.check_points`), the points of the
+closed-form point functions, the weights of the pair sums, the convergence
+gate, the contraction exponent q and the per-particle strains of the Einstein
 coefficient."""
 
 import re
@@ -129,7 +131,7 @@ def test_pair_search_refuses_non_finite_points(bad):
     with warnings.catch_warnings():
         warnings.simplefilter("error")      # no cast warning before the refusal
         for call in calls:
-            with pytest.raises(ValueError, match="pairs_within needs finite points"):
+            with pytest.raises(ValueError, match="^(targets|sources|points) must be finite$"):
                 call()
 
 
@@ -148,7 +150,7 @@ def test_block_sums_refuse_non_finite_points(bad, monkeypatch):
     with warnings.catch_warnings():
         warnings.simplefilter("error")      # no cast warning before the refusal
         for call in calls:
-            with pytest.raises(ValueError, match="a block-moment sum needs finite points"):
+            with pytest.raises(ValueError, match="^(targets|sources) must be finite$"):
                 call()
     assert blocks == {}
 
@@ -157,7 +159,7 @@ def test_block_sums_refuse_non_finite_points(bad, monkeypatch):
                                   lambda p: eff.tilde_vc(FIELD, STRAIN, p)],
                          ids=["evaluate_velocity", "tilde_vc"])
 def test_one_point_shape_rule(call, work):
-    # the rule of particle centres, `cloud._as_points`: empty is (0, 3), one
+    # the one point rule, `kernels.check_points`: empty is (0, 3), one
     # point (3,) is (1, 3), any other shape is refused by name before any work
     for empty in ([], np.zeros((0, 3)), np.zeros((0, 2))):
         assert call(empty).shape == (0, 3)
@@ -167,6 +169,109 @@ def test_one_point_shape_rule(call, work):
         with pytest.raises(ValueError, match=re.escape("points must have shape (N, 3), got (")):
             call(bad)
     assert work == {}
+
+
+def rows(points):
+    """One row of weights or mobilities per point of a valid point set."""
+    return np.size(points) // 3
+
+
+def pair_table(targets, sources, radius):
+    """The pairs of `kernels.pairs_within` as one float (K, 5) table: l, m, offset."""
+    return np.column_stack(kernels.pairs_within(targets, sources, radius))
+
+
+# each point set a public function takes, as a call of the points alone, the
+# argument it names, and the shape of its result on an empty set (of zeros: a
+# sum over no sources is zero at every target)
+POINT_ENTRY_POINTS = {
+    "pairs_within_targets": (lambda p: pair_table(p, CLOUD.centers, 0.5), "targets", (0, 5)),
+    "pairs_within_sources": (lambda p: pair_table(POINTS, p, 0.5), "sources", (0, 5)),
+    "velocity_sum_targets": (
+        lambda p: kernels.velocity_sum(np.ones((CLOUD.n, 5)), p, CLOUD.centers), "targets", (0, 3)),
+    "velocity_sum_sources": (
+        lambda p: kernels.velocity_sum(np.ones((rows(p), 5)), POINTS, p, 0.01), "sources", (2, 3)),
+    "stresslet_strain_sum_targets": (
+        lambda p: kernels.stresslet_strain_sum(np.ones((CLOUD.n, 5)), p, CLOUD.centers), "targets",
+        (0, 5)),
+    "stresslet_strain_sum_sources": (
+        lambda p: kernels.stresslet_strain_sum(np.ones((rows(p), 5)), POINTS, p), "sources", (2, 5)),
+    "evaluate_velocity": (lambda p: refl.evaluate_velocity(SOLUTION, STRAIN, p), "points", (0, 3)),
+    "tilde_vc": (lambda p: eff.tilde_vc(FIELD, STRAIN, p), "points", (0, 3)),
+    "outside_balls": (lambda p: eff.outside_balls(p, CLOUD), "points", (0,)),
+    "ParticleCloud": (lambda p: cl.ParticleCloud(
+        centers=p, a=0.01, mobilities=np.broadcast_to(np.eye(5), (rows(p), 5, 5)),
+        box=UNIT_BOX).centers, "centers", (0, 3)),
+    "ParticleCloud.spheres": (lambda p: cl.ParticleCloud.spheres(p, 0.01, UNIT_BOX).centers,
+                              "centers", (0, 3)),
+    "cloud_from_json": (lambda p: cl.cloud_from_json(
+        {"a": 0.01, "box": UNIT_BOX.tolist(), "centers": p}).centers, "centers", (0, 3)),
+    "cloud_from_json_mobilities": (lambda p: cl.cloud_from_json(
+        {"a": 0.01, "box": UNIT_BOX.tolist(), "centers": p,
+         "mobilities": np.ones((rows(p), 25)).tolist()}).centers, "centers", (0, 3)),
+}
+
+
+@pytest.mark.parametrize("entry", POINT_ENTRY_POINTS)
+def test_one_point_rule(entry, monkeypatch):
+    call, name, empty = POINT_ENTRY_POINTS[entry]
+    # the source blocks of the sums and the cell-list searches of `pairs_within`
+    work = call_counts(monkeypatch, [(kernels, "_compact_blocks"), (np, "searchsorted")])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")      # no cast warning before the refusal
+        for bad in (np.zeros((4, 2)), np.zeros((2, 3, 1)), np.zeros((1, 4))):
+            message = f"^{name} must have shape " + re.escape(f"(N, 3), got {bad.shape}") + "$"
+            with pytest.raises(ValueError, match=message):
+                call(bad)
+        for bad in (np.nan, np.inf, -np.inf):
+            for point in ([[bad, 0.5, 0.5]], [[0.5, 0.5, 0.5], [0.1, bad, 0.3]]):
+                with pytest.raises(ValueError, match=f"^{name} must be finite$"):
+                    call(point)
+    assert work == {}
+    # a lone (3,) point is the (1, 3) set of that point, to the bit
+    assert call(POINTS[0]).tobytes() == call(POINTS[:1]).tobytes()
+    for points in ([], np.zeros((0, 3)), np.zeros((0, 2))):
+        out = call(points)
+        assert out.shape == empty and not out.any()
+
+
+@pytest.mark.parametrize("shape", [(CLOUD.n + 1, 5), (CLOUD.n - 1, 5), (5,), (5 * CLOUD.n,)],
+                         ids=["surplus", "short", "(5,)", "flat"])
+@pytest.mark.parametrize("total", [lambda w: kernels.velocity_sum(w, POINTS, CLOUD.centers),
+                                   lambda w: kernels.velocity_sum(w, POINTS, CLOUD.centers, 0.01),
+                                   lambda w: kernels.stresslet_strain_sum(w, POINTS, CLOUD.centers)],
+                         ids=["velocity_sum", "velocity_sum_sphere", "stresslet_strain_sum"])
+def test_block_sums_refuse_weights_of_another_shape(total, shape, monkeypatch):
+    # one row of 5 weights per source: a surplus row was dropped without a word,
+    # a short set raised IndexError from inside a block
+    blocks = call_counts(monkeypatch, [(kernels, "_compact_blocks")])
+    message = "^" + re.escape(f"weights must have shape ({CLOUD.n}, 5), got {shape}") + "$"
+    with pytest.raises(ValueError, match=message):
+        total(np.ones(shape))
+    assert blocks == {}
+
+
+POINT_FUNCTIONS = {
+    "oseen": kernels.oseen,
+    "oseen_pressure": kernels.oseen_pressure,
+    "stresslet_field": lambda x: kernels.stresslet_field(kernels.sphere_mobility(0.01), STRAIN, x),
+    "stresslet_strain": lambda x: kernels.stresslet_strain(kernels.sphere_mobility(0.01), STRAIN, x),
+    "sphere_disturbance": lambda x: kernels.sphere_disturbance(STRAIN, 0.01, x),
+    "sphere_pressure": lambda x: kernels.sphere_pressure(STRAIN, 0.01, x),
+    "sphere_traction": lambda x: kernels.sphere_traction(STRAIN, 0.01, x),
+}
+
+
+@pytest.mark.parametrize("name", POINT_FUNCTIONS)
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_point_functions_refuse_non_finite_points(name, bad):
+    # the closed forms broadcast over leading axes; a NaN or infinite point
+    # gave a NaN value (and, for the sphere, a RuntimeWarning)
+    call = POINT_FUNCTIONS[name]
+    for x in ([bad, 1.0, 0.0], [[[0.5, 1.0, 0.0]], [[0.5, 1.0, bad]]]):
+        with pytest.raises(ValueError, match=f"^{name} needs finite points$"):
+            call(x)
+    assert np.isfinite(call([[[0.5, 1.0, 0.0]], [[0.0, 1.0, 0.5]]])).all()
 
 
 def radial_average(rho):

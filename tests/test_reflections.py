@@ -502,6 +502,17 @@ def test_solution_json_roundtrip():
     assert back.residual == sol.residual
 
 
+@pytest.mark.parametrize("rows", [16, 7, 0])
+def test_solution_from_json_refuses_a_hat_of_another_cloud(rows):
+    # a 16-row a_hat for an 8-particle lattice was read, and evaluate_velocity
+    # silently used its first 8 rows
+    c = cl.generate_lattice(UNIT_BOX, 2, 0.02)
+    doc = refl.solution_to_json(refl.run_reflections(c, UNIAXIAL))
+    doc["a_hat"] = np.resize(doc["a_hat"], (rows, 5)).tolist()
+    with pytest.raises(ValueError, match=rf"^a_hat has {rows} rows for a cloud of 8 particles$"):
+        refl.solution_from_json(doc, c)
+
+
 def test_solution_json_same_bytes_as_per_value_floats(rng):
     c = small_rsa(8, n=10)
     A_hat = rng.normal(size=(10, 5)) * 10.0 ** rng.integers(-320, 308, size=(10, 5))
