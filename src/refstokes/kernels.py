@@ -29,14 +29,17 @@ closed forms on the same moment terms. `row_blocks`, slices of whole rows of
 at most `PAIR_BUDGET` elements, sizes every pair evaluation and the FFT kernel
 fill of `effective`. `pair_blocks` cuts (targets x sources) pairs into its row
 blocks for the dense reflection matrix and the near-cell quadrature. Every pair
-sum, the sweep's `stresslet_strain_sum` and `velocity_sum` (the velocity at
-grid points and the cells of `tilde_vc`), runs on one engine: BLAS products of
-target monomials and the features of compact blocks of sources, only radial
-factors per pair. The pair kernels trust their inputs; before any work the pair
-search and sums apply `check_points`, the one point rule, and they, the offsets,
-blocks, sphere functions and `mean_value_reconstruct` `check_length`, the one
-length rule. `check_count` is the one rule for a count or a seed, `check_box` for
-a box (the cloud's, a grid's, a model's support); their callers apply them first.
+sum, `stresslet_strain_sum`, `velocity_sum` (the velocity at grid points and the
+cells of `tilde_vc`) and `strain_operator` (a solve's sweeps), runs on one engine:
+BLAS products of target monomials and the features of compact blocks of sources,
+only radial factors per pair. Its geometry step builds the blocks and their
+weight-free features, its weights step the rest; `strain_operator` keeps one
+geometry for a solve's sweeps and visits its targets, the sources, block by block.
+The pair kernels trust their inputs; before any work the pair search and sums
+apply `check_points`, the one point rule, and they, the offsets, blocks, sphere
+functions and `mean_value_reconstruct` `check_length`, the one length rule.
+`check_count` is the one rule for a count or a seed, `check_box` for a box (the
+cloud's, a grid's, a model's support); their callers apply them first.
 
 Point functions broadcast over leading axes of the evaluation points.
 """
@@ -54,7 +57,7 @@ __all__ = ["oseen", "oseen_pressure", "stresslet_field", "stresslet_strain",
            "mean_value_reconstruct", "PAIR_BUDGET", "check_length", "check_count", "check_box",
            "stresslet_strain_kernel", "stresslet_velocity_kernel", "sphere_disturbance_kernel",
            "pair_offsets", "row_blocks", "pair_blocks", "stresslet_strain_sum",
-           "velocity_sum", "pairs_within", "check_points"]
+           "strain_operator", "velocity_sum", "pairs_within", "check_points"]
 
 _C8 = 1.0 / (8.0 * np.pi)
 _C4 = 1.0 / (4.0 * np.pi)
@@ -99,9 +102,15 @@ def check_box(box):
 
 def check_points(points, name):
     """`points` as a C-contiguous float (P, 3) array, a lone (3,) point as (1, 3) and
-    any empty input as (0, 3); else (another shape, a NaN or infinite coordinate)
-    ValueError naming `name`."""
-    points = np.ascontiguousarray(np.atleast_2d(points), dtype=float)
+    any empty input as (0, 3); else (a ragged or non-numeric set, a complex, NaN or
+    infinite coordinate, another shape) ValueError naming `name`."""
+    try:
+        points = np.atleast_2d(points)
+    except ValueError:      # a ragged point set
+        points = np.empty(0, object)
+    if points.dtype.kind not in "biuf":
+        raise ValueError(f"{name} must be real numbers in an (N, 3) array")
+    points = np.ascontiguousarray(points, dtype=float)
     if points.size and (points.ndim != 2 or points.shape[1] != 3):
         raise ValueError(f"{name} must have shape (N, 3), got {points.shape}")
     if not np.isfinite(points).all():
@@ -280,110 +289,149 @@ def _compact_blocks(x, idx=None):
 
 
 def _block_moment_sum(weights, targets, sources, kernel, block, rows):
-    """Sum over the sources, (targets, rows), of a pair kernel made of polynomials in
-    z = x_l - x_m and factors of r2 and s = z.Sz, S = `sym_matrix` of the weights.
-    Each of the `_compact_blocks` takes its centroid o as origin: with g = x_l - o and
-    y = x_m - o, r2 and s are matmuls of target monomials (g g, g, 1) by source
-    features. `block(y, [S | -Sy])` returns add(g, p, u, s, total), which adds the
-    block's sum over a chunk to its (rows, chunk) view total, from (block, chunk)
-    arrays u = 1/r2 and p = u^(5/2) it may overwrite. Chunks have the `row_blocks`
-    width of _BLOCK sources, the last padded with its last target, so every product
-    has one shape and a target's bits do not depend on the other targets. Pairs at
-    computed r2 <= (rho/16)^2, rho the block's radius, get u = 0 and, unless they
-    coincide, add `kernel` at exact offsets to the first rows. Points that `check_points`
-    refuses, or weights that are not (sources, 5), raise ValueError first."""
+    """The `_block_operator` sum at the targets; points that `check_points` refuses, or
+    weights that are not (sources, 5), raise ValueError first."""
     targets, sources = check_points(targets, "targets"), check_points(sources, "sources")
-    if np.shape(weights) != (len(sources), 5):
-        raise ValueError(f"weights must have shape ({len(sources)}, 5), got {np.shape(weights)}")
-    m, n = sym_matrix(np.asarray(weights, dtype=float).T), len(targets)
-    width = max(1, PAIR_BUDGET // _BLOCK)
-    acc = np.zeros((-(-n // width) * width, rows))
-    tail = np.concatenate([targets[len(acc) - width:], np.repeat(targets[-1:], len(acc) - n, 0)])
+    _weight_matrix(weights, len(sources))
+    return _block_operator(sources, kernel, block, rows, targets)(weights)
+
+
+def _weight_matrix(weights, n):
+    """`sym_matrix` of (n, 5) weights; weights of another shape raise ValueError."""
+    if np.shape(weights) != (n, 5):
+        raise ValueError(f"weights must have shape ({n}, 5), got {np.shape(weights)}")
+    return sym_matrix(np.asarray(weights, dtype=float).T)
+
+
+def _block_operator(sources, kernel, block, rows, targets=None):
+    """apply(weights), the sum over the sources, (targets, rows), of a pair kernel made of
+    polynomials in z = x_l - x_m and factors of r2 and s = z.Sz, S = `sym_matrix` of the
+    weights; targets None are the sources, visited in leaf order, rows scattered back.
+    Each of the `_compact_blocks` takes its centroid o as origin: with g = x_l - o and
+    y = x_m - o, r2 and s are matmuls of target monomials (g g, g, 1) by source features,
+    those of r2 built here with `block(y)`, those of s in apply with `block(y)([S | -Sy])`,
+    which is add(g, p, u, s, total): it adds the block's sum over a chunk to its (rows,
+    chunk) view total, from (block, chunk) arrays u = 1/r2 and p = u^(5/2) it may
+    overwrite. Chunks have the `row_blocks` width of _BLOCK sources, the last padded with
+    its last target, so every product has one shape and a target's bits do not depend on
+    the other targets. Pairs at computed r2 <= (rho/16)^2, rho the block's radius, get
+    u = 0 and, unless they coincide, add `kernel` at exact offsets to the first rows."""
+    leaves, width = [], max(1, PAIR_BUDGET // _BLOCK)
     for idx in _compact_blocks(sources):
         o = sources[idx].mean(axis=0)
-        y, sm, b = sources[idx] - o, m[:, :, idx].transpose(2, 0, 1), len(idx)
-        # z.Mz = g.Mg - 2 g.My + y.My for M = I and S, on the monomials of g
-        ms = np.concatenate([np.broadcast_to(np.eye(3), (b, 3, 3)), sm]).reshape(-1, 9)
-        my = np.einsum("bjk,bk->bj", ms.reshape(-1, 3, 3), np.concatenate([y, y]))
-        quad = np.concatenate([ms[:, [0, 4, 8]], 2.0 * ms[:, [1, 2, 5]], -2.0 * my,
-                               np.einsum("bj,bj->b", my, np.concatenate([y, y]))[:, None]], 1)
-        add = block(y, np.concatenate([sm, -my[b:, :, None]], axis=2))
-        near = quad[:b, 9].max() / 256.0
-        for start in range(0, n, width):
-            x = (targets[start:start + width] if start + width <= n else tail).T
-            g = np.subtract(x, o[:, None], order="C")
-            mono = np.concatenate([g[[0, 1, 2, 0, 0, 1]] * g[[0, 1, 2, 1, 2, 2]], g,
-                                   np.ones((1, width))])
-            r2, s = quad[:b] @ mono, quad[b:] @ mono
-            close = np.flatnonzero(r2 <= near)
-            if len(close):
-                r2.flat[close] = np.inf
-                z = x[:, close % width] - sources[idx[close // width]].T
-                keep = z.any(axis=0)
-                close, z = close[keep], z[:, keep]
+        y = sources[idx] - o
+        # z.Mz = g.Mg - 2 g.My + y.My for M = I here and M = S in apply
+        r2q = np.concatenate([np.ones((len(y), 3)), np.zeros((len(y), 3)), -2.0 * y,
+                              np.einsum("bj,bj->b", y, y)[:, None]], 1)
+        leaves.append((idx, o, y, r2q, r2q[:, 9].max() / 256.0, block(y)))
+    order = np.concatenate([leaf[0] for leaf in leaves] or [np.zeros(0, np.intp)])
+    visit, back = (sources[order], np.argsort(order)) if targets is None else (targets, slice(None))
+    n = len(visit)
+    tail = np.concatenate([visit[n - n % width:], np.repeat(visit[-1:], -n % width, 0)])
+
+    def apply(weights):
+        m, acc = _weight_matrix(weights, len(sources)), np.zeros((n + -n % width, rows))
+        for idx, o, y, r2q, near, weigh in leaves:
+            ms = m[:, :, idx].transpose(2, 0, 1).reshape(-1, 9)
+            my = np.einsum("bjk,bk->bj", ms.reshape(-1, 3, 3), y)
+            sq = np.concatenate([ms[:, [0, 4, 8]], 2.0 * ms[:, [1, 2, 5]], -2.0 * my,
+                                 np.einsum("bj,bj->b", my, y)[:, None]], 1)
+            add = weigh(np.concatenate([ms.reshape(-1, 3, 3), -my[:, :, None]], axis=2))
+            for start in range(0, n, width):
+                x = (visit[start:start + width] if start + width <= n else tail).T
+                g = np.subtract(x, o[:, None], order="C")
+                mono = np.concatenate([g[[0, 1, 2, 0, 0, 1]] * g[[0, 1, 2, 1, 2, 2]], g,
+                                       np.ones((1, width))])
+                r2, s = r2q @ mono, sq @ mono
+                close = np.flatnonzero(r2 <= near)
                 if len(close):
-                    e = kernel(m[:, :, idx[close // width]], z,
-                               z[0] * z[0] + z[1] * z[1] + z[2] * z[2])
-                    np.add.at(acc[:, :len(e)], start + close % width, e.T)
-            u = np.reciprocal(r2, out=r2)
-            p = u * u
-            p *= np.sqrt(u)
-            add(g, p, u, s, acc[start:start + width].T)
-    return acc[:n]
+                    r2.flat[close] = np.inf
+                    z = x[:, close % width] - sources[idx[close // width]].T
+                    keep = z.any(axis=0)
+                    close, z = close[keep], z[:, keep]
+                    if len(close):
+                        e = kernel(m[:, :, idx[close // width]], z,
+                                   z[0] * z[0] + z[1] * z[1] + z[2] * z[2])
+                        np.add.at(acc[:, :len(e)], start + close % width, e.T)
+                u = np.reciprocal(r2, out=r2)
+                p = u * u
+                p *= np.sqrt(u)
+                add(g, p, u, s, acc[start:start + width].T)
+        return acc[:n][back]
+    return apply
 
 
-def _strain_block(y, sa):
-    """`_block_moment_sum` accumulator of sum z (x) v, v of `stresslet_strain_kernel`:
+def _strain_block(y):
+    """`_block_operator` accumulator of sum z (x) v, v of `stresslet_strain_kernel`:
     with p = -2 C38/r^5 and q = -5 C38 s/r^7, V = sum p Sz - q z and X = sum y (x) v
     are matmuls of P by (A, y (x) A), A = [S | -Sy], and of Q by (1, y, y (x) y),
     contracted with (g, 1). Rows ij of g (x) V - X: the kernel's 00, 11, 22, 01, 02, 12,
     then 10, 20, 21."""
-    ya = np.concatenate([sa[:, None], y[:, :, None, None] * sa[:, None]], axis=1)
-    fp = -2.0 * _C38 * ya.transpose(3, 1, 2, 0).reshape(48, len(y))
     fq = -5.0 * _C38 * np.concatenate([np.ones((len(y), 1)), y,
                                        (y[:, :, None] * y[:, None]).reshape(-1, 9)], 1).T
 
-    def add(g, p, u, s, total):
-        s *= p
-        s *= u
-        f = (fp @ p).reshape(4, 4, 3, -1)
-        h = fq @ s
-        vx = f[3] + f[0] * g[0] + f[1] * g[1] + f[2] * g[2]
-        vx[0] += h[1:4] - g * h[0]
-        vx[1:] += h[4:].reshape(3, 3, -1) - h[1:4, None] * g
-        total[[0, 3, 4, 6, 1, 5, 7, 8, 2]] += (g[:, None] * vx[0] - vx[1:]).reshape(9, -1)
-    return add
+    def weigh(sa):
+        ya = np.concatenate([sa[:, None], y[:, :, None, None] * sa[:, None]], axis=1)
+        fp = -2.0 * _C38 * ya.transpose(3, 1, 2, 0).reshape(48, len(y))
+
+        def add(g, p, u, s, total):
+            s *= p
+            s *= u
+            f = (fp @ p).reshape(4, 4, 3, -1)
+            h = fq @ s
+            vx = f[3] + f[0] * g[0] + f[1] * g[1] + f[2] * g[2]
+            vx[0] += h[1:4] - g * h[0]
+            vx[1:] += h[4:].reshape(3, 3, -1) - h[1:4, None] * g
+            total[[0, 3, 4, 6, 1, 5, 7, 8, 2]] += (g[:, None] * vx[0] - vx[1:]).reshape(9, -1)
+        return add
+    return weigh
+
+
+def _strain_coefficients(e):
+    """The (targets, 5) coefficients of (targets, 9) `_strain_block` sums."""
+    return np.stack(sym_coefficients([*e.T[:3], *(e.T[3:6] + e.T[6:])]), axis=1)
 
 
 def stresslet_strain_sum(weights, targets, sources):
     """Strain coefficients, (targets, 5): summed `stresslet_strain_kernel` entries, projected."""
-    e = _block_moment_sum(weights, targets, sources, stresslet_strain_kernel, _strain_block, 9).T
-    return np.stack(sym_coefficients([*e[:3], *(e[3:6] + e[6:])]), axis=1)
+    return _strain_coefficients(_block_moment_sum(weights, targets, sources,
+                                                  stresslet_strain_kernel, _strain_block, 9))
+
+
+def strain_operator(centers):
+    """apply(weights) = `stresslet_strain_sum(weights, centers, centers)`, bit for bit, with
+    the leaves, their weight-free features and the centres in leaf order built once."""
+    apply = _block_operator(check_points(centers, "centers"), stresslet_strain_kernel,
+                            _strain_block, 9)
+    return lambda weights: _strain_coefficients(apply(weights))
 
 
 def velocity_sum(weights, targets, sources, a=None):
     """Velocity summed over the sources, (targets, 3): `sphere_disturbance_kernel` of
     radius a and each source's strain, or with no a `stresslet_velocity_kernel` and each
     moment. Each is c Sz + k z, c = -a^5/r^5 and k = 2.5 s (a^5/r2 - a^3)/r^5, or c = 0
-    and k = -C38 s/r^5; in `_block_moment_sum`, sum c Sz = (sum c S) g - sum c Sy and
+    and k = -C38 s/r^5; in `_block_operator`, sum c Sz = (sum c S) g - sum c Sy and
     sum k z = (sum k) g - sum k y are matmuls of C by [S | -Sy] and of K by (1, y)."""
     sphere = a is not None and check_length(a, "a") > 0
     kernel = ((lambda m, z, r2: sphere_disturbance_kernel(m, z, r2, a)) if sphere
               else stresslet_velocity_kernel)
 
-    def block(y, sa):
+    def block(y):
         fk = (2.5 if sphere else -_C38) * np.concatenate([np.ones((len(y), 1)), y], 1).T
-        fc = -a ** 5 * sa.transpose(2, 1, 0).reshape(12, len(y)) if sphere else None
 
-        def add(g, p, u, s, total):
-            s *= p
-            if sphere:
-                s *= np.subtract(np.multiply(u, a ** 5, out=u), a ** 3, out=u)
-                f = (fc @ p).reshape(4, 3, -1)
-                total += f[3] + f[0] * g[0] + f[1] * g[1] + f[2] * g[2]
-            h = fk @ s
-            total += g * h[0] - h[1:]
-        return add
+        def weigh(sa):
+            fc = -a ** 5 * sa.transpose(2, 1, 0).reshape(12, len(y)) if sphere else None
+
+            def add(g, p, u, s, total):
+                s *= p
+                if sphere:
+                    s *= np.subtract(np.multiply(u, a ** 5, out=u), a ** 3, out=u)
+                    f = (fc @ p).reshape(4, 3, -1)
+                    total += f[3] + f[0] * g[0] + f[1] * g[1] + f[2] * g[2]
+                h = fk @ s
+                total += g * h[0] - h[1:]
+            return add
+        return weigh
     return _block_moment_sum(weights, targets, sources, kernel, block, 3)
 
 

@@ -10,7 +10,8 @@ and accumulates the levels into running totals. The accumulated totals are
 the Neumann series of the linear fixed-point problem (I - T) total = ambient,
 which `dense_fixed_point` solves directly as an independent oracle.
 
-A sweep is one `kernels.stresslet_strain_sum` call, which returns coefficients;
+A sweep is one application of `kernels.strain_operator` (the bits of
+`kernels.stresslet_strain_sum`), built by a state's first sweep and carried on;
 the velocity sums through `kernels.velocity_sum` and the dense matrix through
 `kernels.pair_blocks`, so the kernels here are the ones the point functions in
 `kernels` evaluate, and repeated runs on identical input are bit-identical.
@@ -18,7 +19,7 @@ the velocity sums through `kernels.velocity_sum` and the dense matrix through
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -54,6 +55,7 @@ class ReflectionState:
     A_total: np.ndarray            # (N, 5) accumulated levels
     n: int                         # number of sweeps performed
     norm_history: list = field(default_factory=list)  # l2 norm of each level
+    sweep: object = None           # `kernels.strain_operator` of the cloud's centres
 
 
 @dataclass
@@ -82,17 +84,12 @@ def init_reflections(cloud, A):
 
 
 def reflect_step(state):
-    """One sweep: new level from the previous one, totals accumulated."""
-    moments = apply_mobility(state.cloud.mobilities, state.A_current)
-    centers = state.cloud.centers
-    new = kernels.stresslet_strain_sum(moments, centers, centers)
-    return ReflectionState(
-        cloud=state.cloud,
-        A_current=new,
-        A_total=state.A_total + new,
-        n=state.n + 1,
-        norm_history=state.norm_history + [_level_norm(new)],
-    )
+    """One sweep: new level from the previous one, totals accumulated. The first sweep of
+    a state with no operator builds `kernels.strain_operator`, and the new state carries it."""
+    sweep = state.sweep or kernels.strain_operator(state.cloud.centers)
+    new = sweep(apply_mobility(state.cloud.mobilities, state.A_current))
+    return replace(state, A_current=new, A_total=state.A_total + new, n=state.n + 1,
+                   norm_history=state.norm_history + [_level_norm(new)], sweep=sweep)
 
 
 def _check_gate(cloud, gate, force):

@@ -30,6 +30,7 @@ SOLUTION = refl.run_reflections(CLOUD, STRAIN)
 MODEL = eff.uniform_Meff(UNIT_BOX, 0.01)
 FIELD = MODEL.rasterize(UNIT_BOX, 4)
 POINTS = np.array([[0.5, 0.5, 0.5], [0.1, 0.9, 0.3]])
+SWEEP = kernels.strain_operator(CLOUD.centers)
 
 # each of the strain entry points, as a call of the strain alone, and
 # whether a finite strain makes it run a sweep, solve or convolution
@@ -173,7 +174,10 @@ def test_one_point_shape_rule(call, work):
 
 def rows(points):
     """One row of weights or mobilities per point of a valid point set."""
-    return np.size(points) // 3
+    try:
+        return np.size(points) // 3
+    except ValueError:      # a ragged set, which the point rule refuses first
+        return len(points)
 
 
 def pair_table(targets, sources, radius):
@@ -227,6 +231,12 @@ def test_one_point_rule(entry, monkeypatch):
             for point in ([[bad, 0.5, 0.5]], [[0.5, 0.5, 0.5], [0.1, bad, 0.3]]):
                 with pytest.raises(ValueError, match=f"^{name} must be finite$"):
                     call(point)
+        # a ragged, string or complex set is refused by name, not by numpy's cast
+        for bad in ([[0.5, 0.5, 0.5], [0.2, 0.2]], "abc", [["0.5", "0.5", "0.5"]],
+                    [[0.5, 0.5, 0.5 + 1j]], np.array([[0.5, 0.5, 0.5]], complex)):
+            message = f"^{name} must be real numbers in an " + re.escape("(N, 3) array") + "$"
+            with pytest.raises(ValueError, match=message):
+                call(bad)
     assert work == {}
     # a lone (3,) point is the (1, 3) set of that point, to the bit
     assert call(POINTS[0]).tobytes() == call(POINTS[:1]).tobytes()
@@ -239,8 +249,10 @@ def test_one_point_rule(entry, monkeypatch):
                          ids=["surplus", "short", "(5,)", "flat"])
 @pytest.mark.parametrize("total", [lambda w: kernels.velocity_sum(w, POINTS, CLOUD.centers),
                                    lambda w: kernels.velocity_sum(w, POINTS, CLOUD.centers, 0.01),
-                                   lambda w: kernels.stresslet_strain_sum(w, POINTS, CLOUD.centers)],
-                         ids=["velocity_sum", "velocity_sum_sphere", "stresslet_strain_sum"])
+                                   lambda w: kernels.stresslet_strain_sum(w, POINTS, CLOUD.centers),
+                                   SWEEP],
+                         ids=["velocity_sum", "velocity_sum_sphere", "stresslet_strain_sum",
+                              "strain_operator"])
 def test_block_sums_refuse_weights_of_another_shape(total, shape, monkeypatch):
     # one row of 5 weights per source: a surplus row was dropped without a word,
     # a short set raised IndexError from inside a block

@@ -541,6 +541,47 @@ def test_block_sums_do_not_depend_on_the_other_targets(rng):
             assert np.array_equal(call(points[rows]), whole[rows])
 
 
+def operator_clouds(rng):
+    """Point sets for the sweep operator: RSA clouds of 1 to 1000 centres (one leaf, one
+    leaf and one, several leaves and target chunks), a lattice, whose distances tie and
+    whose leaves split at equal coordinates, and centres with coincident copies."""
+    from refstokes import cloud as cl
+    box = np.array([[0.0] * 3, [1.0] * 3])
+    for n in (1, 2, 63, 64, 65, 300, 1000):
+        yield cl.generate_rsa(box, n, 0.04 * n ** (-1.0 / 3.0), 0.2 * n ** (-1.0 / 3.0),
+                              seed=1).centers
+    yield lattice(7)
+    points = rng.uniform(0.0, 1.0, size=(150, 3))
+    yield np.concatenate([points, points[::3], points[:5]])
+    yield np.tile([[0.1, 0.2, 0.3]], (70, 1))
+
+
+def test_strain_operator_is_the_strain_sum_bit_for_bit(rng):
+    # targets in leaf order, scattered back: each target keeps its bits, because
+    # they do not depend on its chunk mates; one operator serves any weights
+    for points in operator_clouds(rng):
+        apply = kernels.strain_operator(points)
+        for _ in range(2):
+            weights = rng.normal(size=(len(points), 5))
+            want = kernels.stresslet_strain_sum(weights, points, points)
+            assert np.array_equal(apply(weights), want), len(points)
+
+
+def test_strain_operator_holds_o_n_floats(rng):
+    # the leaves, their y, r2 and strain features and the centres in leaf order:
+    # about 34 floats a centre, where a (leaf, chunk) feature would grow as N^2
+    for n in (1000, 4000):
+        points = rng.uniform(0.0, 1.0, size=(n, 3))
+        tracemalloc.start()
+        try:
+            apply = kernels.strain_operator(points)
+            resident, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert resident <= peak <= 8 * 40 * n + 2 ** 14, (n, resident, peak)
+        assert apply(np.ones((n, 5))).shape == (n, 5)
+
+
 # ---------------------------------------------------------------------------
 # the velocity sum
 

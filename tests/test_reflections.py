@@ -193,6 +193,54 @@ def test_pair_chunking_keeps_reflection_bits(monkeypatch):
     assert np.array_equal(solutions[0].A_hat, solutions[1].A_hat)
 
 
+def tree_builds(monkeypatch):
+    """Counts of the kd-trees `kernels._compact_blocks` builds, its calls on a whole
+    point set (its recursion passes the index set of a node)."""
+    builds, original = [], kernels._compact_blocks
+
+    def counting(x, idx=None):
+        builds.extend([len(x)] if idx is None else [])
+        return original(x, idx)
+    monkeypatch.setattr(kernels, "_compact_blocks", counting)
+    return builds
+
+
+def test_one_tree_per_solve(monkeypatch):
+    # the sweep operator is built by the first sweep and carried on the state:
+    # five sweeps of a tolerance-mode solve, or of the diagnostic, build one tree
+    c = small_rsa(3, n=300, a=0.004, dmin=0.04)
+    builds = tree_builds(monkeypatch)
+    sol = refl.run_reflections(c, UNIAXIAL, tol=1e-30, max_iter=5)
+    assert sol.iterations == 5 and builds == [c.n]
+    builds.clear()
+    assert len(refl.contraction_diagnostic(c, UNIAXIAL, n_levels=5)) == 5
+    assert builds == [c.n]
+    builds.clear()
+    assert refl.run_reflections(c, UNIAXIAL, fixed_n=1).iterations == 0 and builds == []
+
+
+def test_reflect_step_on_a_state_without_an_operator(monkeypatch):
+    # a state of the five fields before the operator (as the bench's fixed-point
+    # check builds one) sweeps to the bits of `stresslet_strain_sum` and of the
+    # operator, and passes on the operator it built
+    c = small_rsa(3, n=300, a=0.004, dmin=0.04)
+    A = np.tile(UNIAXIAL, (c.n, 1)) * np.linspace(0.5, 1.5, c.n)[:, None]
+    state = refl.ReflectionState(cloud=c, A_current=A, A_total=np.zeros_like(A), n=0,
+                                 norm_history=[])
+    moments = sym3.apply_mobility(c.mobilities, A)
+    want = kernels.stresslet_strain_sum(moments, c.centers, c.centers)
+    builds = tree_builds(monkeypatch)
+    one = refl.reflect_step(state)
+    assert state.sweep is None and one.sweep is not None and builds == [c.n]
+    assert np.array_equal(one.A_current, want) and np.array_equal(one.A_total, want)
+    assert one.n == 1 and len(one.norm_history) == 1 and one.norm_history[0] > 0.0
+    assert np.array_equal(one.sweep(moments), want)
+    two = refl.reflect_step(one)
+    assert two.sweep is one.sweep and builds == [c.n]
+    assert np.array_equal(two.A_current, kernels.stresslet_strain_sum(
+        sym3.apply_mobility(c.mobilities, want), c.centers, c.centers))
+
+
 def test_norm_history_length_tracks_sweeps():
     c = two_sphere_cloud()
     state = refl.init_reflections(c, UNIAXIAL)
